@@ -5,8 +5,8 @@ zero along random conjugate-symmetric directions. For a correct order-G
 expansion it should shrink like ||p||^(G+1) until it hits the rounding
 floor. The script prints the report for a generic system (the extended
 Lorenz center manifold), then for the cubic oscillator chain, whose odd
-symmetry pushes the decay one order faster and the residual below the
-floor on small radii.
+symmetry pushes the decay one order faster (the check's band follows
+that parity) and the residual below the floor on small radii.
 """
 
 import numpy as np

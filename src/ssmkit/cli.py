@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (backbone, frc_sweep, write_backbone_csv,
+from .analysis import (_fmt, backbone, frc_sweep, write_backbone_csv,
                        write_frc_csv, write_frc_json, write_frc_svg)
 from .cohomology import compute_manifold
 from .errors import NumericalError, OuterResonanceError, ValidationError
@@ -74,7 +74,6 @@ DEFAULTS = {
         "radii": [0.1, 0.0631, 0.0398, 0.0251, 0.0158, 0.01],
         "n_dirs": 16, "seed": 0, "floor": 1e-11, "output": None,
     },
-    "threads": 1,
 }
 
 
@@ -139,8 +138,6 @@ def _load_config(argv):
                         choices=["model", "ssm", "frc", "backbone", "verify"])
     parser.add_argument("--config", default=None,
                         help="JSON config file; flags override its fields")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for independent blocks")
     args, extra = parser.parse_known_args(argv)
     cfg = copy.deepcopy(DEFAULTS)
     if args.config:
@@ -154,8 +151,6 @@ def _load_config(argv):
             raise ValidationError("config root must be a JSON object")
         _merge(cfg, file_cfg)
     _parse_overrides(cfg, extra)
-    if args.threads is not None:
-        cfg["threads"] = int(args.threads)
     return args.command, cfg
 
 
@@ -211,13 +206,8 @@ def _build_manifold(cfg, system):
     manifold = compute_manifold(system, master, int(ssm["order"]),
                                 style=ssm["style"],
                                 graph_modes=ssm["graph_modes"],
-                                tol=ssm["tol"], on_outer=ssm["on_outer"],
-                                threads=int(cfg["threads"]))
+                                tol=ssm["tol"], on_outer=ssm["on_outer"])
     return master, manifold
-
-
-def _fmt(x):
-    return "%.17g" % float(x)
 
 
 def _fmt_complex(z):

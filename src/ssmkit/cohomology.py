@@ -28,11 +28,16 @@ Monomials whose exponent tuples are conjugate images of each other are
 solved once and mirrored, so coefficient arrays are exactly conjugate
 symmetric and evaluations at conjugate-symmetric points are exactly
 real.
+
+Every block, here and in ``forcing``, goes through ``solve_shifted``:
+dense LU unless the condition estimate marks the block singular, sparse
+LU unless its residual fails, else minimum-norm least squares; on every
+path master directions whose eigenvalue sits on the shift are projected
+out through ``U^H B``.
 """
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as la
@@ -41,13 +46,14 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, OuterResonanceError, ValidationError
 from .model import as_first_order
-from .multiindex import MultiIndexSet, conjugate_permutation
+from .multiindex import MultiIndexSet, conjugate_permutation, decode_positions
 from .polytensor import apply_kron_sum, compose
 from .spectrum import MasterSubspace
 
 __all__ = [
-    "ResonanceReport", "classify_resonances", "solve_order",
-    "compute_manifold", "ManifoldExpansion",
+    "ResonanceReport", "classify_resonances", "resonance_tolerance",
+    "is_resonant", "solve_shifted", "solve_order", "compute_manifold",
+    "ManifoldExpansion",
 ]
 
 STYLES = ("normal-form", "graph", "per-mode")
@@ -109,80 +115,134 @@ class ResonanceReport:
         return lines
 
 
-def classify_resonances(master, order, tol=None):
+def resonance_tolerance(master, tol=None):
     """
-    Flag near-resonant eigenvalue sums up to a given order.
-
-    A monomial eigenvalue ``lam_l`` is flagged against an eigenvalue
-    ``mu`` when both::
-
-        |Im lam_l - Im mu| <= tol_abs + rel * |mu|
-        |Re lam_l - Re mu| <= tol_abs + rel * |mu| + slack * (i+1) * max|Re lambda_master|
-
-    hold at order i. The real-part slack accounts for damping: sums of
-    lightly damped eigenvalues drift off the imaginary axis linearly in
-    the order, and resonance is a statement about frequencies.
-
-    Parameters
-    ----------
-    master : MasterSubspace
-    order : int
-        Highest order screened (inner modes from 2, outer from 2).
-    tol : dict, optional
-        Keys "rel" (default 1e-3), "slack" (default 1.0) and "abs"
-        (default 1e-8 times the largest screened eigenvalue magnitude).
-
-    Returns
-    -------
-    ResonanceReport
+    Fill in the resonance tolerance: "rel" (default 1e-3), "slack"
+    (default 1.0) and "abs" (default 1e-8 times "scale", the largest
+    screened eigenvalue magnitude), plus "re_span", the largest
+    ``|Re lambda|`` over the master set.
     """
     tol = dict(tol or {})
-    rel = float(tol.get("rel", 1e-3))
-    slack = float(tol.get("slack", 1.0))
     lam = master.lambdas
-    outer = master.outer_lambdas
-    mags = np.concatenate([np.abs(lam), np.abs(outer)]) if outer.size else np.abs(lam)
+    mags = np.abs(np.concatenate([lam, master.outer_lambdas]))
     scale = float(mags.max()) if mags.size else 1.0
-    tol_abs = float(tol["abs"]) if tol.get("abs") is not None else 1e-8 * max(scale, 1e-300)
-    re_span = float(np.abs(lam.real).max()) if lam.size else 0.0
+    tol_abs = (float(tol["abs"]) if tol.get("abs") is not None
+               else 1e-8 * max(scale, 1e-300))
+    return {"rel": float(tol.get("rel", 1e-3)),
+            "slack": float(tol.get("slack", 1.0)),
+            "abs": tol_abs, "scale": scale,
+            "re_span": float(np.abs(lam.real).max()) if lam.size else 0.0}
 
-    inner, outer_flags = {}, {}
+
+def is_resonant(lam_l, mu, order, tol):
+    """
+    Near-resonance of an order-``order`` eigenvalue sum with ``mu``::
+
+        |Im lam_l - Im mu| <= abs + rel * |mu|
+        |Re lam_l - Re mu| <= abs + rel * |mu| + slack * (order+1) * re_span
+
+    with ``tol`` from :func:`resonance_tolerance`. The real-part slack
+    accounts for damping: sums of lightly damped eigenvalues drift off
+    the imaginary axis linearly in the order, and resonance is a
+    statement about frequencies. A forcing frequency nu enters as the
+    order-1 sum ``1j * nu``. Broadcasts over arrays.
+    """
+    bound = tol["abs"] + tol["rel"] * np.abs(mu)
+    re_slack = tol["slack"] * (order + 1) * tol["re_span"]
+    return ((np.abs(np.imag(lam_l) - np.imag(mu)) <= bound)
+            & (np.abs(np.real(lam_l) - np.real(mu)) <= bound + re_slack))
+
+
+def classify_resonances(master, order, tol=None):
+    """
+    Flag the eigenvalue sums of orders 2..``order`` that are near-resonant
+    (:func:`is_resonant`) with a master or an outer eigenvalue.
+
+    ``tol`` is described in :func:`resonance_tolerance`. Returns a
+    :class:`ResonanceReport`.
+    """
+    tol = resonance_tolerance(master, tol)
+    lam, outer = master.lambdas, master.outer_lambdas
+    inner_flags, outer_flags = {}, {}
     for i in range(2, order + 1):
-        mis = MultiIndexSet(i, lam.size)
-        flags_i, flags_o = [], []
-        for pos, t in enumerate(mis.tuples()):
-            lam_l = complex(sum(lam[k] for k in t))
-            re_slack = slack * (i + 1) * re_span
-            for j, mu in enumerate(lam):
-                if (abs(lam_l.imag - mu.imag) <= tol_abs + rel * abs(mu)
-                        and abs(lam_l.real - mu.real) <= tol_abs + rel * abs(mu) + re_slack):
-                    flags_i.append((pos, t, j))
-            for mu in outer:
-                if (abs(lam_l.imag - mu.imag) <= tol_abs + rel * abs(mu)
-                        and abs(lam_l.real - mu.real) <= tol_abs + rel * abs(mu) + re_slack):
-                    flags_o.append((pos, t, complex(mu)))
+        factors = decode_positions(np.arange(lam.size ** i), i, lam.size)
+        lam_l = 0
+        for row in factors:
+            lam_l = lam_l + lam[row]
+        hits_i = np.nonzero(is_resonant(lam_l[:, None], lam, i, tol))
+        hits_o = np.nonzero(is_resonant(lam_l[:, None], outer, i, tol))
+        flags_i = [(int(p), tuple(factors[:, p].tolist()), int(j))
+                   for p, j in zip(*hits_i)]
+        flags_o = [(int(p), tuple(factors[:, p].tolist()), complex(outer[j]))
+                   for p, j in zip(*hits_o)]
         if flags_i:
-            inner[i] = flags_i
+            inner_flags[i] = flags_i
         if flags_o:
             outer_flags[i] = flags_o
-    return ResonanceReport(inner, outer_flags,
-                           {"rel": rel, "slack": slack, "abs": tol_abs})
+    return ResonanceReport(inner_flags, outer_flags,
+                           {key: tol[key] for key in ("rel", "slack", "abs")})
 
 
-def _factor_dense(mat):
-    with warnings.catch_warnings():
-        # exactly singular blocks are expected at resonances and are routed
-        # to the least-squares path via rcond, so the factorization may grumble
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        lu, piv = la.lu_factor(mat)
-    anorm = np.linalg.norm(mat, 1)
-    gecon = la.get_lapack_funcs("gecon", (mat,))
-    rcond = gecon(lu, anorm)[0] if anorm > 0 else 0.0
-    return (lu, piv), float(rcond)
+def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
+    """
+    Solve ``(shift B - A) X = rhs`` for one (N,) or (N, k) block.
+
+    A dense block is singular when LAPACK's condition estimate is at most
+    ``RCOND_SINGULAR``, a sparse one when its sparse LU fails, is not
+    finite or leaves a relative residual above 1e-6. A singular block
+    takes the minimum-norm least-squares solution and must then satisfy
+    the system to 1e-6 relative to ``max(|rhs|, rhs_scale, 1)``, else
+    NumericalError names the block by ``what``. On every path, each
+    master direction whose eigenvalue lies within ``1e-8 * scale`` of
+    ``shift`` is removed: ``X -= v_k (u_k^H B X)``.
+
+    Returns (X, rcond, singular): rcond is the dense condition estimate
+    (None for sparse pencils), singular whether least squares was used.
+    """
+    A, B = system.A, system.B
+    if sp.issparse(A) or sp.issparse(B):
+        mat = (shift * B - A).tocsc().astype(complex)
+        rcond = None
+        try:
+            X = spla.splu(mat).solve(rhs)
+            singular = (not np.isfinite(X).all()
+                        or np.abs(mat @ X - rhs).max()
+                        > 1e-6 * max(np.abs(rhs).max(), 1.0))
+        except RuntimeError:
+            singular = True
+        if singular:
+            mat = mat.toarray()
+    else:
+        mat = shift * np.asarray(B, dtype=complex) - A
+        with warnings.catch_warnings():
+            # exactly singular blocks are expected at resonances and are
+            # routed to least squares via rcond, so LU may grumble
+            warnings.simplefilter("ignore", la.LinAlgWarning)
+            lu, piv = la.lu_factor(mat)
+        anorm = np.linalg.norm(mat, 1)
+        gecon = la.get_lapack_funcs("gecon", (mat,))
+        rcond = float(gecon(lu, anorm)[0]) if anorm > 0 else 0.0
+        singular = rcond <= RCOND_SINGULAR
+        if not singular:
+            X = la.lu_solve((lu, piv), rhs)
+    if singular:
+        X = la.lstsq(mat, rhs, cond=RCOND_SINGULAR, lapack_driver="gelsd")[0]
+    lam, V, U = master.lambdas, master.V, master.U
+    for k in range(master.dim):
+        if abs(shift - lam[k]) <= 1e-8 * scale:
+            X -= np.multiply.outer(V[:, k], U[:, k].conj() @ (B @ X))
+    if singular:
+        rnorm = float(np.abs(mat @ X - rhs).max())
+        if rnorm > 1e-6 * max(np.abs(rhs).max(), rhs_scale, 1.0):
+            raise NumericalError(
+                "%s is singular and inconsistent (residual %.3e); the "
+                "resonance tolerance likely missed a true resonance"
+                % (what, rnorm))
+    return X, rcond, singular
 
 
 def solve_order(system, master, w_blocks, r_blocks, order, style,
-                report, graph_modes=(), threads=1):
+                report, graph_modes=()):
     """
     Solve one order of the invariance equation.
 
@@ -200,10 +260,6 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
         Decides which reduced-dynamics entries are active.
     graph_modes : sequence of int, optional
         Modes given full graph rows under "per-mode".
-    threads : int, optional
-        Worker threads for the independent eigenvalue-sum blocks.
-        Results are assembled by monomial index, so the output does not
-        depend on the thread count.
 
     Returns
     -------
@@ -213,8 +269,7 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     lam = master.lambdas
     M = master.dim
     N = system.N
-    A, B = system.A, system.B
-    sparse = sp.issparse(A) or sp.issparse(B)
+    B = system.B
     mis = MultiIndexSet(order, M)
     n_pos = mis.size
 
@@ -224,18 +279,12 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
                                 order, j, M)
 
     sigma = conjugate_permutation(master.pairing, order)
-    flagged = report.inner_at(order)
-    if style == "graph":
-        def rows_for(pos):
-            return range(M)
-    elif style == "normal-form":
-        def rows_for(pos):
-            return [j for (p, j) in flagged if p == pos]
-    else:
-        fixed = set(int(g) for g in graph_modes)
-        def rows_for(pos):
-            extra = {j for (p, j) in flagged if p == pos}
-            return sorted(fixed | extra)
+    # reduced-dynamics rows: the style's fixed rows plus flagged modes
+    fixed = (set(range(M)) if style == "graph" else
+             {int(g) for g in graph_modes} if style == "per-mode" else set())
+    flagged = {}
+    for pos, j in report.inner_at(order):
+        flagged.setdefault(pos, set()).add(j)
 
     W_i = np.zeros((N, n_pos), dtype=complex)
     R_i = np.zeros((M, n_pos), dtype=complex)
@@ -247,14 +296,11 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     # a factorization, then merge near-equal sums across multisets
     groups = {}
     for pos in canonical:
-        t = mis.index_tuple(pos)
-        key = tuple(sorted(t))
-        groups.setdefault(key, []).append(pos)
-    lam_of = {key: complex(sum(lam[k] for k in key)) for key in groups}
+        groups.setdefault(tuple(sorted(mis.index_tuple(pos))), []).append(pos)
     scale = max(float(np.abs(lam).max()), 1.0)
     merged = []
     for key in sorted(groups):
-        lam_l = lam_of[key]
+        lam_l = complex(sum(lam[k] for k in key))
         for entry in merged:
             if abs(entry["lam"] - lam_l) <= LAMBDA_MERGE_RTOL * scale:
                 entry["pos"].extend(groups[key])
@@ -262,75 +308,30 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
         else:
             merged.append({"lam": lam_l, "pos": list(groups[key])})
 
-    V = master.V
-    U = master.U
+    V, U = master.V, master.U
     c_scale = float(np.abs(C).max()) if C.size else 1.0
 
-    prepared = []
+    min_rcond = None
+    lstsq_cols = 0
     for entry in merged:
         positions = entry["pos"]
         rhs = np.empty((N, len(positions)), dtype=complex)
         for col, pos in enumerate(positions):
             c = C[:, pos]
             r = np.zeros(M, dtype=complex)
-            for j in rows_for(pos):
+            for j in sorted(fixed | flagged.get(pos, set())):
                 r[j] = np.vdot(U[:, j], c)
             R_i[:, pos] = r
             rhs[:, col] = c - B @ (V @ r)
-        prepared.append((entry["lam"], positions, rhs))
-
-    def solve_block(job):
-        lam_l, positions, rhs = job
-        if sparse:
-            mat = (lam_l * B - A).tocsc()
-            try:
-                sols = spla.splu(mat.astype(complex)).solve(rhs)
-                resid = np.abs(mat @ sols - rhs).max()
-                if not np.isfinite(sols).all() or resid > 1e-6 * max(np.abs(rhs).max(), 1.0):
-                    raise RuntimeError("inaccurate sparse solve")
-                rcond = 1.0
-            except RuntimeError:
-                rcond = 0.0
-                sols = None
-        else:
-            mat = lam_l * np.asarray(B, dtype=complex) - A
-            factor, rcond = _factor_dense(mat)
-            sols = la.lu_solve(factor, rhs) if rcond > RCOND_SINGULAR else None
-        used_lstsq = sols is None
-        if used_lstsq:
-            # singular or near-singular block: minimum-norm solution with
-            # the master kernel directions projected out through B
-            if sp.issparse(mat):
-                mat = mat.toarray()
-            sols = la.lstsq(mat, rhs, cond=RCOND_SINGULAR,
-                            lapack_driver="gelsd")[0]
-            near = [k for k in range(M)
-                    if abs(lam_l - lam[k]) <= 1e-8 * scale]
-            for k in near:
-                coeff = U[:, k].conj() @ (B @ sols)
-                sols -= np.outer(V[:, k], coeff)
-            rnorm = float(np.abs(mat @ sols - rhs).max()) if rhs.size else 0.0
-            if rnorm > 1e-6 * max(np.abs(rhs).max(), c_scale, 1.0):
-                raise NumericalError(
-                    "order-%d block at eigenvalue sum %s is singular and "
-                    "inconsistent (residual %.3e); the resonance tolerance "
-                    "likely missed a true resonance" % (order, lam_l, rnorm))
-        return positions, sols, rcond, used_lstsq
-
-    if threads > 1 and len(prepared) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(solve_block, prepared))
-    else:
-        results = [solve_block(job) for job in prepared]
-
-    min_rcond = np.inf
-    lstsq_cols = 0
-    for positions, sols, rcond, used_lstsq in results:
-        min_rcond = min(min_rcond, rcond)
-        if used_lstsq:
+        sols, rcond, singular = solve_shifted(
+            system, master, entry["lam"], rhs, scale,
+            "order-%d block at eigenvalue sum %s" % (order, entry["lam"]),
+            rhs_scale=c_scale)
+        if rcond is not None:
+            min_rcond = rcond if min_rcond is None else min(min_rcond, rcond)
+        if singular:
             lstsq_cols += len(positions)
-        for col, pos in enumerate(positions):
-            W_i[:, pos] = sols[:, col]
+        W_i[:, positions] = sols
 
     # mirror conjugate positions for exact symmetry
     pairing = master.pairing
@@ -340,14 +341,13 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
             W_i[:, mir] = W_i[:, pos].conjugate()
             R_i[:, mir] = R_i[pairing, pos].conjugate()
 
-    info = {"order": order, "groups": len(merged),
-            "min_rcond": float(min_rcond) if np.isfinite(min_rcond) else None,
+    info = {"order": order, "groups": len(merged), "min_rcond": min_rcond,
             "lstsq_columns": lstsq_cols}
     return W_i, R_i, info
 
 
 def compute_manifold(system, master, order, style="normal-form",
-                     graph_modes=(), tol=None, on_outer=None, threads=1):
+                     graph_modes=(), tol=None, on_outer=None):
     """
     Expand the invariant manifold over a master subspace.
 
@@ -368,8 +368,6 @@ def compute_manifold(system, master, order, style="normal-form",
         What to do when an outer resonance is flagged. Defaults to
         "error" under "normal-form" (the expansion is invalid there)
         and "warn" otherwise.
-    threads : int, optional
-        Worker threads for independent blocks inside each order.
 
     Returns
     -------
@@ -414,7 +412,7 @@ def compute_manifold(system, master, order, style="normal-form",
     infos = []
     for i in range(2, order + 1):
         W_i, R_i, info = solve_order(system, master, W, R, i, style,
-                                     report, graph_modes, threads=threads)
+                                     report, graph_modes)
         W[i] = W_i
         R[i] = R_i
         infos.append(info)

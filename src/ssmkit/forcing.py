@@ -18,9 +18,15 @@ the autonomous expansion: under "normal-form" only modes whose
 eigenvalue is near-resonant with ``i <kappa, Omega>`` receive the
 projection ``u_j^H f_kappa``; under "graph" all master modes do.
 
-Harmonics resonant with eigenvalues outside the master set cannot be
-absorbed either way; they are reported as a warning because they shrink
-the validity region in eps.
+Near-resonance is decided by the classifier's predicate
+(``cohomology.is_resonant``) with the harmonic as the order-1 sum
+``i <kappa, Omega>``. Harmonics resonant with eigenvalues outside the
+master set cannot be absorbed either way; they are reported as a
+warning because they shrink the validity region in eps.
+
+Each block goes through ``cohomology.solve_shifted`` at the shift
+``i <kappa, Omega>``, on the same dense, sparse or least-squares path as
+an autonomous block of the same pencil, with the same kernel projection.
 
 Corrections of order eps times powers of the reduced coordinate are not
 computed; the diagnostics record this truncation.
@@ -29,10 +35,8 @@ computed; the diagnostics record this truncation.
 import warnings
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .cohomology import is_resonant, resonance_tolerance, solve_shifted
 from .errors import NumericalError, ValidationError
 from .model import as_first_order
 
@@ -161,22 +165,10 @@ def leading_order(system, master, Omega, style="normal-form",
     lam = master.lambdas
     M = master.dim
     V, U = master.V, master.U
+    outer = master.outer_lambdas
     A, B = system.A, system.B
-    sparse = sp.issparse(A) or sp.issparse(B)
-
-    tol = dict(tol or {})
-    rel = float(tol.get("rel", 1e-3))
-    slack = float(tol.get("slack", 1.0))
-    mags = np.abs(np.concatenate([lam, master.outer_lambdas])) \
-        if master.outer_lambdas.size else np.abs(lam)
-    scale = float(mags.max()) if mags.size else 1.0
-    tol_abs = float(tol["abs"]) if tol.get("abs") is not None else 1e-8 * max(scale, 1e-300)
-    re_span = float(np.abs(lam.real).max()) if lam.size else 0.0
-    re_slack = slack * 2.0 * re_span
-
-    def resonant_with(nu, mu):
-        return (abs(nu - mu.imag) <= tol_abs + rel * abs(mu)
-                and abs(mu.real) <= tol_abs + rel * abs(mu) + re_slack)
+    tol = resonance_tolerance(master, tol)
+    kernel_scale = max(tol["scale"], 1.0)
 
     overrides = {tuple(k): [int(j) for j in v]
                  for k, v in (resonant_modes or {}).items()}
@@ -201,52 +193,21 @@ def leading_order(system, master, Omega, style="normal-form",
         elif style == "graph":
             modes = list(range(M))
         else:
-            modes = [j for j in range(M) if resonant_with(nu, lam[j])]
+            modes = np.flatnonzero(is_resonant(1j * nu, lam, 1, tol)).tolist()
             if style == "per-mode":
                 modes = sorted(set(modes) | {int(g) for g in graph_modes})
-        for mu in master.outer_lambdas:
-            if resonant_with(nu, mu):
-                outer_hits.append((kt, complex(mu)))
+        outer_hits += [(kt, complex(mu))
+                       for mu in outer[is_resonant(1j * nu, outer, 1, tol)]]
 
         s0 = np.zeros(M, dtype=complex)
         for j in modes:
             s0[j] = np.vdot(U[:, j], f0)
         rhs = f0 - B @ (V @ s0)
-        if sparse:
-            mat = (1j * nu * B - A).tocsc().astype(complex)
-            try:
-                x0 = spla.splu(mat).solve(rhs)
-                if not np.isfinite(x0).all():
-                    raise RuntimeError("non-finite sparse solve")
-                singular = False
-            except RuntimeError:
-                mat = mat.toarray()
-                singular = True
-        else:
-            mat = 1j * nu * np.asarray(B, dtype=complex) - A
-            lu, piv = la.lu_factor(mat)
-            anorm = np.linalg.norm(mat, 1)
-            gecon = la.get_lapack_funcs("gecon", (mat,))
-            rcond = gecon(lu, anorm)[0] if anorm > 0 else 0.0
-            singular = rcond <= 1e-12
-            if not singular:
-                x0 = la.lu_solve((lu, piv), rhs)
-        if singular:
-            if sp.issparse(mat):
-                mat = mat.toarray()
-            x0 = la.lstsq(mat, rhs, cond=1e-12, lapack_driver="gelsd")[0]
-            near = [k for k in range(M)
-                    if abs(1j * nu - lam[k]) <= 1e-8 * max(scale, 1.0)]
-            for k in near:
-                x0 = x0 - V[:, k] * (U[:, k].conj() @ (B @ x0))
-            rnorm = float(np.abs(mat @ x0 - rhs).max())
-            if rnorm > 1e-6 * max(np.abs(rhs).max(), np.abs(f0).max(), 1.0):
-                raise NumericalError(
-                    "harmonic %r sits on an eigenvalue and its projection "
-                    "left an inconsistent system (residual %.3e); widen the "
-                    "resonance tolerance or pass resonant_modes" % (kt, rnorm))
+        x0 = solve_shifted(system, master, 1j * nu, rhs, kernel_scale,
+                           "harmonic %r" % (kt,),
+                           rhs_scale=np.abs(f0).max())[0]
         harmonics[kt] = {"x0": x0, "s0": s0}
-        res = (1j * nu * (B @ x0) - A @ x0) - (f0 - B @ (V @ s0))
+        res = (1j * nu * (B @ x0) - A @ x0) - rhs
         residuals[str(kt)] = float(np.abs(res).max())
 
         neg = tuple(-k for k in kt)
@@ -274,7 +235,7 @@ def leading_order(system, master, Omega, style="normal-form",
                              for kt, mu in outer_hits],
         "truncation": "response truncated at order eps; terms of order "
                       "eps times reduced amplitude are not included",
-        "params": {"rel": rel, "slack": slack, "abs": tol_abs},
+        "params": {key: tol[key] for key in ("rel", "slack", "abs")},
     }
     return NonAutonomousLeading(Omega, harmonics, style, eps=system.eps,
                                 diagnostics=diag)

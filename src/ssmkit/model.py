@@ -282,7 +282,8 @@ def build_first_order(mech, variant=None, n_choice=None):
         Auxiliary block N: ``-K``, ``M`` or the identity. Any
         nonsingular choice is valid; the default pairs "mass" with L2
         and "identity" with L1. Symmetry of the pencil requires
-        "minus-k" under L1 or "mass" under L2.
+        "minus-k" under L1 or "mass" under L2. A singular N is rejected
+        through B, since det B = +-det N det M in both layouts.
 
     Returns
     -------
@@ -309,8 +310,6 @@ def build_first_order(mech, variant=None, n_choice=None):
         Nb = M
     else:
         Nb = eye
-    _check_nonsingular(Nb.toarray() if sp.issparse(Nb) else Nb,
-                       "auxiliary block N (%s)" % n_choice)
 
     zero = sp.csr_matrix((n, n)) if sparse_in else np.zeros((n, n))
     bmat = sp.bmat if sparse_in else (lambda rows: np.block(

@@ -96,11 +96,6 @@ class MultiIndexSet:
         return list(iter(self))
 
 
-def index_set(degree, nvars):
-    """Build the ordered multi-index set for ``nvars**degree`` monomials."""
-    return MultiIndexSet(degree, nvars)
-
-
 def decode_positions(positions, degree, nvars):
     """
     Vectorized inverse of ``position``: an int array of positions becomes
@@ -140,26 +135,6 @@ def kron_power(p, degree):
     for _ in range(degree):
         out = np.kron(out, p)
     return out
-
-
-def kron_power_dirderiv(p, q, degree):
-    """
-    Directional derivative of the Kronecker power map at ``p`` along ``q``:
-
-        sum_{k=1..degree}  p^(x)(k-1) (x) q (x) p^(x)(degree-k)
-
-    which is d/dt (p + t q)^(x)degree at t = 0.
-    """
-    p = np.asarray(p)
-    q = np.asarray(q)
-    m = p.size
-    total = np.zeros(m**degree, dtype=np.result_type(p, q))
-    for k in range(degree):
-        term = np.ones(1, dtype=total.dtype)
-        for slot in range(degree):
-            term = np.kron(term, q if slot == k else p)
-        total += term
-    return total
 
 
 def kron_sum_lambdas(lambdas, degree):

@@ -6,8 +6,10 @@ The invariance residual
     r(p) = B . DW(p) . R(p) - A . W(p) - F(W(p))
 
 vanishes identically for the exact manifold; a truncation at order
-Gamma leaves r(p) = O(|p|^(Gamma+1)). Sampling r on shrinking spheres
-and fitting the log-log slope therefore measures whether the computed
+Gamma leaves r(p) = O(|p|^(Gamma+1)), or O(|p|^(Gamma+2)) when Gamma is
+odd and the force law is odd (every block of odd degree), because every
+even order of W vanishes then. Sampling r on shrinking spheres and
+fitting the log-log slope therefore measures whether the computed
 coefficients satisfy the equation to the claimed order, without reusing
 any of the expansion machinery.
 
@@ -47,21 +49,25 @@ class ResidualReport:
         floor, where a fit would measure noise).
     expected_order : int
         Truncation order Gamma of the expansion under test.
+    decay_degree : int
+        Degree of the first omitted term the model's parity allows:
+        Gamma + 2 for an odd force law at odd Gamma, else Gamma + 1.
     passed : bool
-        True when slope lies in [Gamma + 0.5, Gamma + 1.5] or all
+        True when slope lies in ``band`` = decay_degree -+ 0.5 or all
         residuals are below the floor.
     """
 
-    def __init__(self, radii, residuals, slope, expected_order, floor,
-                 n_dirs, seed):
+    def __init__(self, radii, residuals, slope, expected_order,
+                 decay_degree, floor, n_dirs, seed):
         self.radii = np.asarray(radii, dtype=float)
         self.residuals = np.asarray(residuals, dtype=float)
         self.slope = slope
         self.expected_order = int(expected_order)
+        self.decay_degree = int(decay_degree)
         self.floor = float(floor)
         self.n_dirs = int(n_dirs)
         self.seed = int(seed)
-        self.band = (self.expected_order + 0.5, self.expected_order + 1.5)
+        self.band = (self.decay_degree - 0.5, self.decay_degree + 0.5)
         at_floor = bool((self.residuals <= self.floor).all())
         in_band = (slope is not None
                    and self.band[0] <= slope <= self.band[1])
@@ -171,7 +177,11 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0, floor=1e-11):
         if mask.sum() >= 2:
             slope = float(np.polyfit(np.log(radii[mask]),
                                      np.log(res[mask]), 1)[0])
-    return ResidualReport(radii, res, slope, manifold.order, floor,
+    # an odd force law makes every even order of W vanish, so at odd
+    # order the first omitted nonzero term has degree order + 2
+    odd = all(fc.degree % 2 == 1 for fc in system.F_coeffs)
+    degree = manifold.order + (2 if odd and manifold.order % 2 else 1)
+    return ResidualReport(radii, res, slope, manifold.order, degree, floor,
                           n_dirs, seed)
 
 

@@ -299,6 +299,8 @@ def _slope_criterion(label, man, budget_start, radii=STATED_RADII,
     kwargs = {} if floor is None else {"floor": floor}
     report = invariance_residual(man, radii, **kwargs)
     lo, hi = degree - 0.5, degree + 0.5
+    # the library derives its band from the same parity rule
+    assert report.band == (lo, hi), report.band
     ok = (not report.at_floor and report.slope is not None
           and lo <= report.slope <= hi)
     if report.slope is None:

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ssmkit import (FirstOrderSystem, ManifoldExpansion, NumericalError,
-                    OuterResonanceError, ValidationError, as_first_order,
-                    classify_resonances, compute_manifold, master_spectrum,
+from ssmkit import (FirstOrderSystem, ManifoldExpansion, MechanicalSystem,
+                    NumericalError, OuterResonanceError, ValidationError,
+                    as_first_order, build_first_order, classify_resonances,
+                    compute_manifold, extract_polar_rom, master_spectrum,
                     oscillator_chain)
 from ssmkit.multiindex import MultiIndexSet
 from ssmkit.polytensor import PolyCoeffs
@@ -143,6 +145,38 @@ def test_classifier_third_harmonic_needs_loose_tolerance():
     assert loose.has_outer()
 
 
+@pytest.mark.parametrize("tol", [None, {"rel": 0.05},
+                                 {"rel": 1e-6, "slack": 0.0, "abs": 1e-3}])
+def test_classifier_matches_the_scalar_loop(chain10, tol):
+    # reference: the per-monomial loop over Python scalars
+    ms = master_spectrum(chain10, select={"mode": "smallest", "count": 4},
+                         n_outer=6)
+    tol_ = dict(tol or {})
+    rel, slack = tol_.get("rel", 1e-3), tol_.get("slack", 1.0)
+    lam, outer = ms.lambdas, ms.outer_lambdas
+    scale = np.abs(np.concatenate([lam, outer])).max()
+    tol_abs = tol_.get("abs", 1e-8 * scale)
+    re_span = np.abs(lam.real).max()
+
+    def near(lam_l, mu, i):
+        bound = tol_abs + rel * abs(mu)
+        return (abs(lam_l.imag - mu.imag) <= bound
+                and abs(lam_l.real - mu.real)
+                <= bound + slack * (i + 1) * re_span)
+
+    report = classify_resonances(ms, 5, tol)
+    for i in range(2, 6):
+        tuples = MultiIndexSet(i, 4).tuples()
+        sums = [complex(sum(lam[k] for k in t)) for t in tuples]
+        assert report.inner.get(i, []) == [
+            (pos, tuples[pos], j) for pos, s in enumerate(sums)
+            for j, mu in enumerate(lam) if near(s, mu, i)]
+        assert report.outer.get(i, []) == [
+            (pos, tuples[pos], complex(mu)) for pos, s in enumerate(sums)
+            for mu in outer if near(s, mu, i)]
+    assert report.has_outer() == (tol == {"rel": 0.05})
+
+
 def test_describe_names_modes_one_based(chain_mode2_master):
     report = classify_resonances(chain_mode2_master, 3)
     lines = report.describe()
@@ -222,14 +256,37 @@ def test_inconsistent_singular_block_raises():
             compute_manifold(sys, ms, order=3, on_outer="warn")
 
 
-def test_thread_count_does_not_change_results(chain10_forced,
-                                              chain_mode2_master,
-                                              chain_mode2_man5):
-    man2 = compute_manifold(chain10_forced, chain_mode2_master, order=5,
-                            style="normal-form", threads=2)
+def _conservative_chain(sparse):
+    mech = oscillator_chain(10, m=1.0, k=1.0, c=0.0, kappa=0.3)
+    if sparse:
+        mech = MechanicalSystem(sp.csr_matrix(mech.M), sp.csr_matrix(mech.C),
+                                sp.csr_matrix(mech.K), mech.f_coeffs)
+    return build_first_order(mech)
+
+
+def test_dense_and_sparse_pencils_give_the_same_expansion():
+    # undamped: the order-3 and order-5 blocks at the master eigenvalue
+    # are exactly singular, and both paths must remove the same kernel
+    dense = _conservative_chain(sparse=False)
+    csr = _conservative_chain(sparse=True)
+    assert sp.issparse(csr.A) and sp.issparse(csr.B)
+    ms = master_spectrum(dense, select={"mode": "pair", "pair": 2},
+                         n_outer=8)
+    man_d = compute_manifold(dense, ms, order=5)
+    man_s = compute_manifold(csr, ms, order=5)
+    assert sum(info["lstsq_columns"]
+               for info in man_d.diagnostics["orders"]) > 0
     for i in range(1, 6):
-        assert np.array_equal(man2.W[i], chain_mode2_man5.W[i])
-        assert np.array_equal(man2.R[i], chain_mode2_man5.R[i])
+        assert np.abs(man_d.W[i] - man_s.W[i]).max() <= 1e-12
+        assert np.abs(man_d.R[i] - man_s.R[i]).max() <= 1e-12
+    gam_d = extract_polar_rom(man_d).gammas
+    gam_s = extract_polar_rom(man_s).gammas
+    assert np.abs(gam_d - gam_s).max() <= 1e-12
+    # sparse blocks carry no LAPACK condition estimate
+    assert all(info["min_rcond"] is None
+               for info in man_s.diagnostics["orders"])
+    assert all(info["min_rcond"] is not None
+               for info in man_d.diagnostics["orders"])
 
 
 def test_expansion_roundtrips_through_json(tmp_path, chain_mode2_man5):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ssmkit import (FirstOrderSystem, ValidationError, as_first_order,
                     leading_order, master_spectrum, oscillator_chain)
@@ -97,6 +98,24 @@ def test_exactly_resonant_undamped_harmonic():
     # the kernel direction is projected out through the B inner product
     assert abs(np.vdot(ms.U[:, row], B @ x0)) < 1e-9
     assert harmonic_defect(chain, ms, nonaut, (1,)) < 1e-9
+
+
+def test_exactly_resonant_undamped_harmonic_on_a_sparse_pencil():
+    chain = oscillator_chain(10, m=1.0, k=1.0, c=0.0, kappa=0.3,
+                             forcing_amplitude=np.linspace(0.1, 1.0, 10),
+                             eps=0.05)
+    ms = master_spectrum(chain, select={"mode": "pair", "pair": 2},
+                         n_outer=4)
+    fo = as_first_order(chain)
+    csr = FirstOrderSystem(sp.csr_matrix(fo.A), sp.csr_matrix(fo.B),
+                           fo.F_coeffs, forcing=fo.forcing, eps=fo.eps)
+    row = 0 if ms.lambdas[0].imag > 0 else 1
+    nu = ms.lambdas[row].imag
+    x0 = leading_order(csr, ms, nu).x0((1,))
+    # the sparse LU does not fail on the singular block, so the kernel
+    # projection has to run on its solution as well
+    assert abs(np.vdot(ms.U[:, row], csr.B @ x0)) < 1e-9
+    assert np.abs(x0 - leading_order(chain, ms, nu).x0((1,))).max() < 1e-9
 
 
 def test_static_harmonic_comes_out_real(chain10_forced, chain_mode2_master):

@@ -173,6 +173,18 @@ def test_singular_b_rejected():
         FirstOrderSystem(np.eye(2), np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_singular_auxiliary_block_rejected(sparse):
+    # a free-free pair: K is singular, so N = -K makes B singular
+    K = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    mats = (np.eye(2), 0.1 * np.eye(2), K)
+    if sparse:
+        mats = tuple(sp.csr_matrix(m) for m in mats)
+    mech = MechanicalSystem(*mats)
+    with pytest.raises(ValidationError, match="singular"):
+        build_first_order(mech, variant="L1", n_choice="minus-k")
+
+
 def test_nonlinearity_shape_rejected():
     fc = PolyCoeffs.from_entries(2, 3, 3, [(0, (0, 0), 1.0)])
     with pytest.raises(ValidationError, match="does not match"):

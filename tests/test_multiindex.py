@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ssmkit.errors import ValidationError
-from ssmkit.multiindex import (MultiIndexSet, index_set, decode_positions,
+from ssmkit.multiindex import (MultiIndexSet, decode_positions,
                                encode_positions, kron_power,
-                               kron_power_dirderiv, kron_sum_lambdas,
-                               conjugate_permutation)
+                               kron_sum_lambdas, conjugate_permutation)
 
 
 def test_set_size_and_order():
@@ -18,7 +17,7 @@ def test_set_size_and_order():
 
 
 def test_position_tuple_roundtrip():
-    s = index_set(4, 3)
+    s = MultiIndexSet(4, 3)
     for pos in range(len(s)):
         assert s.position(s.index_tuple(pos)) == pos
 
@@ -67,16 +66,6 @@ def test_kron_power_matches_np_kron():
     p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     expected = np.kron(np.kron(p, p), p)
     assert np.allclose(kron_power(p, 3), expected)
-
-
-def test_dirderiv_is_the_t_derivative():
-    # d/dt (p + t q)^(x)k at t=0 by central difference
-    rng = np.random.default_rng(5)
-    p = rng.standard_normal(3)
-    q = rng.standard_normal(3)
-    h = 1e-6
-    fd = (kron_power(p + h * q, 3) - kron_power(p - h * q, 3)) / (2 * h)
-    assert np.allclose(kron_power_dirderiv(p, q, 3), fd, atol=1e-7)
 
 
 def test_kron_sum_lambdas_positions():

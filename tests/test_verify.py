@@ -37,10 +37,13 @@ def test_odd_nonlinearity_overshoots_the_generic_band(chain10_forced,
     man3 = compute_manifold(chain10_forced, chain_mode2_master, order=3)
     report = invariance_residual(man3, np.logspace(-2, -1, 7))
     # cubic-only force laws have no even orders, so the first missing
-    # term is degree 5 and the decay beats order + 1 by one
+    # term is degree 5 and the decay beats order + 1 by one; the band
+    # follows the model's parity and accepts it
     assert report.slope is not None
     assert 4.5 <= report.slope <= 5.5
-    assert not report.passed
+    assert report.decay_degree == 5
+    assert report.band == (4.5, 5.5)
+    assert report.passed
 
 
 def test_quadratic_variant_restores_the_generic_rate(chain10):
@@ -53,6 +56,7 @@ def test_quadratic_variant_restores_the_generic_rate(chain10):
     report = invariance_residual(man, SPEC_RADII)
     assert report.slope is not None
     assert 3.5 <= report.slope <= 4.5
+    assert report.band == (3.5, 4.5)
     assert report.passed
 
 
