@@ -209,32 +209,29 @@ class BackboneCurve:
         }
 
 
-def _pair_point(manifold, rho, theta):
-    p = np.zeros(2, dtype=complex)
-    rom_row = 0 if manifold.master.lambdas[0].imag > 0 else 1
-    p[rom_row] = rho * np.exp(1j * theta)
-    p[1 - rom_row] = rho * np.exp(-1j * theta)
-    return p
-
-
 def physical_amplitude(manifold, rho, psi, dof, nonaut=None, eps=0.0,
                        eta=1, n_phases=128):
     """
-    Peak amplitude of one state over a response cycle.
+    Peak amplitude of one state (a float) or of a sequence of states
+    (an array) over a response cycle.
 
     The reduced phase advances as theta = psi + eta * phi with phi the
     forcing phase; the state is the manifold evaluation plus the
-    order-eps time-periodic correction when one is supplied.
+    order-eps time-periodic correction when one is supplied. One
+    batched evaluation covers every phase and state.
     """
+    rows = np.atleast_1d(np.asarray(dof, dtype=np.int64))
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
-    peak = 0.0
-    for phi in phases:
-        p = _pair_point(manifold, rho, psi + eta * phi)
-        z = manifold.evaluate(p).real
-        if nonaut is not None and eps:
-            z = z + eps * nonaut.correction([phi])
-        peak = max(peak, abs(float(z[dof])))
-    return peak
+    theta = psi + eta * phases
+    row = 0 if manifold.master.lambdas[0].imag > 0 else 1
+    p = np.empty((2, n_phases), dtype=complex)
+    p[row] = rho * np.exp(1j * theta)
+    p[1 - row] = rho * np.exp(-1j * theta)
+    z = manifold.evaluate(p, rows=rows).real
+    if nonaut is not None and eps:
+        z = z + eps * nonaut.correction(phases[None, :], rows=rows)
+    peak = np.abs(z).max(axis=1)
+    return float(peak[0]) if np.ndim(dof) == 0 else peak
 
 
 def backbone(manifold, rho_max, n=40, dof=0, n_phases=128,
@@ -497,10 +494,10 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
             tr = J[0, 0] + J[1, 1]
             det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
             stable = bool(tr < 0.0 and det > 0.0)
-            amps = {d: physical_amplitude(manifold, rho, psi, d,
-                                          nonaut=nonaut, eps=eps, eta=eta,
-                                          n_phases=n_phases)
-                    for d in dofs}
+            peaks = physical_amplitude(manifold, rho, psi, dofs,
+                                       nonaut=nonaut, eps=eps, eta=eta,
+                                       n_phases=n_phases)
+            amps = dict(zip(dofs, peaks.tolist()))
             points.append({"Omega": float(Omega), "rho": rho, "psi": psi,
                            "stable": stable, "amp": amps})
     points.sort(key=lambda pt: (pt["Omega"], pt["rho"]))

@@ -46,7 +46,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, OuterResonanceError, ValidationError
 from .model import as_first_order
-from .multiindex import MultiIndexSet, conjugate_permutation, decode_positions
+from .multiindex import (MultiIndexSet, conjugate_permutation,
+                         decode_positions, kron_step)
 from .polytensor import apply_kron_sum, compose
 from .spectrum import MasterSubspace
 
@@ -83,9 +84,6 @@ class ResonanceReport:
     def inner_at(self, order):
         """Set of (position, mode) pairs flagged at one order."""
         return {(pos, j) for pos, _, j in self.inner.get(order, [])}
-
-    def outer_at(self, order):
-        return self.outer.get(order, [])
 
     def has_outer(self):
         return any(self.outer.values())
@@ -449,48 +447,43 @@ class ManifoldExpansion:
     def N(self):
         return self.W[1].shape[0]
 
-    def evaluate(self, p):
-        """Embed reduced coordinates: z = sum_i W_i p^(kron i)."""
-        p = np.asarray(p, dtype=complex).reshape(-1)
-        out = np.zeros(self.N, dtype=complex)
-        kp = np.ones(1, dtype=complex)
+    def _series(self, blocks, p, rows):
+        """sum_i blocks[i][rows] p^(kron i), one product per order."""
+        p = np.asarray(p, dtype=complex)
+        kp = np.ones((1,) + p.shape[1:])
+        out = 0
         for i in range(1, self.order + 1):
-            kp = np.kron(kp, p)
-            out = out + self.W[i] @ kp
+            kp = kron_step(kp, p)
+            out = out + (blocks[i] if rows is None else blocks[i][rows]) @ kp
         return out
+
+    def evaluate(self, p, rows=None):
+        """
+        Embed reduced coordinates: z = sum_i W_i p^(kron i), shape (N,)
+        at a point (M,) and (N, n) on a batch (M, n) of columns. Only the
+        state indices in ``rows`` are computed when it is given.
+        """
+        return self._series(self.W, p, rows)
 
     def reduced_rhs(self, p):
-        """Reduced vector field: p' = sum_i R_i p^(kron i)."""
-        p = np.asarray(p, dtype=complex).reshape(-1)
-        out = np.zeros(self.dim, dtype=complex)
-        kp = np.ones(1, dtype=complex)
-        for i in range(1, self.order + 1):
-            kp = np.kron(kp, p)
-            out = out + self.R[i] @ kp
-        return out
+        """Reduced vector field p' = sum_i R_i p^(kron i): (M,) or (M, n)."""
+        return self._series(self.R, p, None)
 
     def tangent(self, p):
-        """Jacobian dW/dp at p, shape (N, M)."""
-        p = np.asarray(p, dtype=complex).reshape(-1)
+        """Jacobian dW/dp, (N, M) at a point and (N, M, n) on a batch; the
+        power derivatives along each e_j, D_i = D_{i-1} (x) p + p^(kron
+        i-1) (x) e_j, cost one product with W_i per order."""
+        p = np.asarray(p, dtype=complex)
         M = self.dim
-        out = np.zeros((self.N, M), dtype=complex)
+        col = p.reshape(M, 1, -1)
+        kp = np.ones((1, 1, col.shape[2]))
+        dkp = np.zeros((1, M, col.shape[2]))
+        out = 0
         for i in range(1, self.order + 1):
-            if i == 1:
-                out += self.W[1]
-                continue
-            blk = self.W[i].reshape((self.N,) + (M,) * i)
-            for k in range(i):
-                # contract all slots but k with p
-                axes = list(range(1, i + 1))
-                sub = blk
-                shift = 0
-                for s, ax in enumerate(axes):
-                    if s == k:
-                        continue
-                    sub = np.tensordot(sub, p, axes=([ax - shift], [0]))
-                    shift += 1
-                out += sub
-        return out
+            dkp = kron_step(dkp, col) + kron_step(kp, np.eye(M)[:, :, None])
+            kp = kron_step(kp, col)
+            out = out + self.W[i] @ dkp.reshape(M**i, -1)
+        return out.reshape((self.N, M) + p.shape[1:])
 
     def coefficient(self, degree, row, exponents):
         """One W coefficient by (degree, row, exponent tuple)."""

@@ -72,21 +72,24 @@ class NonAutonomousLeading:
     def s0(self, kappa):
         return self.harmonics[tuple(kappa)]["s0"]
 
-    def correction(self, phase):
-        """Physical deformation shape at a phase vector (real)."""
+    def _harmonic_sum(self, key, phase, rows=None):
         phase = np.atleast_1d(np.asarray(phase, dtype=float))
         out = 0.0
         for kt in sorted(self.harmonics):
-            out = out + self.harmonics[kt]["x0"] * np.exp(1j * np.dot(kt, phase))
-        return np.real(out)
+            vec = self.harmonics[kt][key]
+            vec = vec if rows is None else vec[rows]
+            vec = vec if phase.ndim == 1 else vec[:, None]
+            out = out + vec * np.exp(1j * np.dot(kt, phase))
+        return out
+
+    def correction(self, phase, rows=None):
+        """Physical deformation shape (real) at a phase vector (K,), or
+        (N, n) at the columns of a (K, n) batch; ``rows`` picks states."""
+        return np.real(self._harmonic_sum("x0", phase, rows))
 
     def reduced(self, phase):
         """Reduced forcing term at a phase vector (complex M-vector)."""
-        phase = np.atleast_1d(np.asarray(phase, dtype=float))
-        out = 0.0
-        for kt in sorted(self.harmonics):
-            out = out + self.harmonics[kt]["s0"] * np.exp(1j * np.dot(kt, phase))
-        return np.asarray(out, dtype=complex)
+        return np.asarray(self._harmonic_sum("s0", phase), dtype=complex)
 
     def to_dict(self):
         return {

@@ -118,22 +118,37 @@ def encode_positions(factors, nvars):
     return pos
 
 
+def kron_step(a, b):
+    """Row-wise Kronecker product, row ``i*len(b) + j`` = ``a[i] * b[j]``;
+    trailing axes broadcast, so columns of ``(A, n)`` and ``(B, n)``
+    give the ``np.kron`` of each column pair."""
+    prod = a[:, None] * b[None, :]
+    return prod.reshape((-1,) + prod.shape[2:])
+
+
 def kron_power(p, degree):
     """
-    The ``degree``-fold Kronecker power of a vector.
+    The ``degree``-fold Kronecker power of a vector, or of every column
+    of an ``(m, n)`` batch at once.
 
     Entry ``l`` of the result is ``p[l_1]*...*p[l_k]`` for the tuple at
-    lexicographic position ``l``, matching :class:`MultiIndexSet` order.
+    lexicographic position ``l``, matching :class:`MultiIndexSet` order
+    and ``np.kron``. A batch gives shape ``(m**degree, n)``.
 
     Examples
     --------
     >>> kron_power(np.array([2.0, 3.0]), 2)
     array([4., 6., 6., 9.])
+    >>> kron_power(np.array([[2.0, 1.0], [3.0, -1.0]]), 2)
+    array([[ 4.,  1.],
+           [ 6., -1.],
+           [ 6., -1.],
+           [ 9.,  1.]])
     """
     p = np.asarray(p)
-    out = np.ones(1, dtype=p.dtype)
+    out = np.ones((1,) + p.shape[1:], dtype=p.dtype)
     for _ in range(degree):
-        out = np.kron(out, p)
+        out = kron_step(out, p)
     return out
 
 
@@ -147,7 +162,7 @@ def kron_sum_lambdas(lambdas, degree):
     Examples
     --------
     >>> kron_sum_lambdas(np.array([1j, -1j]), 2)
-    array([ 0.+2.j,  0.+0.j,  0.+0.j, -0.-2.j])
+    array([0.+2.j, 0.+0.j, 0.+0.j, 0.-2.j])
     """
     lambdas = np.asarray(lambdas)
     out = np.zeros(1, dtype=lambdas.dtype)

@@ -123,16 +123,19 @@ class PolyCoeffs:
 
     def evaluate(self, z):
         """
-        Evaluate the polynomial at one state ``z`` (length ``nvars``).
-
-        Returns a length-``nrows`` vector. Vectorized over the stored
-        entries, so repeated calls inside integrators stay cheap.
+        Evaluate the polynomial at one state ``z`` (length ``nvars``), or
+        at each column of an ``(nvars, n)`` batch, giving ``(nrows,)`` or
+        ``(nrows, n)``. Vectorized over the stored entries, so repeated
+        calls inside integrators stay cheap.
         """
         z = np.asarray(z)
-        prod = self.values * z[self.factors[0]]
+        values, shape = self.values, self.nrows
+        if z.ndim > 1:
+            values, shape = values[:, None], (shape, z.shape[1])
+        prod = values * z[self.factors[0]]
         for axis in range(1, self.degree):
             prod = prod * z[self.factors[axis]]
-        out = np.zeros(self.nrows, dtype=np.result_type(prod, np.float64))
+        out = np.zeros(shape, dtype=np.result_type(prod, np.float64))
         np.add.at(out, self.rows, prod)
         return out
 
@@ -149,10 +152,6 @@ class PolyCoeffs:
         return PolyCoeffs(self.degree, nrows, nvars,
                           self.rows + row_offset, positions,
                           self.values * value_scale)
-
-    def max_variable(self):
-        """Largest variable index actually used (or -1 if empty)."""
-        return int(self.factors.max()) if self.nnz else -1
 
     def __repr__(self):
         return ("PolyCoeffs(degree=%d, nrows=%d, nvars=%d, nnz=%d)"

@@ -229,16 +229,19 @@ def _shift_invert_eigen(A, B, k, shift, symmetric):
             "factorization of (A - sigma B) failed at sigma=%s: %s; "
             "pick a shift away from the spectrum" % (sigma, exc)) from exc
     n = A.shape[0]
+    # a fixed start makes sparse results repeatable; a random one, unlike
+    # a constant, is not orthogonal to the antisymmetric modes
+    v0 = np.random.default_rng(0).standard_normal(n) + 0j
     op = spla.LinearOperator((n, n), matvec=lambda x: lu.solve(B @ x),
                              dtype=complex)
-    nu, VR = spla.eigs(op, k=k)
+    nu, VR = spla.eigs(op, k=k, v0=v0)
     w = sigma + 1.0 / nu
     UL = None
     if not symmetric:
         lu_t = spla.splu((A - sigma * B).T.tocsc().astype(complex))
         op_t = spla.LinearOperator((n, n), matvec=lambda x: lu_t.solve(B.T @ x),
                                    dtype=complex)
-        nu_l, YL = spla.eigs(op_t, k=k)
+        nu_l, YL = spla.eigs(op_t, k=k, v0=v0)
         w_l = sigma + 1.0 / nu_l
         # match the left set to the right set by eigenvalue
         UL = np.empty_like(YL)

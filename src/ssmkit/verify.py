@@ -105,22 +105,20 @@ class ResidualReport:
 
 
 def _symmetric_directions(master, n_dirs, seed):
-    """Random unit directions mapped to themselves by conjugation."""
+    """Conjugation-invariant random unit directions, columns of (M, n)."""
     rng = np.random.default_rng(seed)
     M = master.dim
     pairing = master.pairing
-    dirs = []
-    for _ in range(n_dirs):
-        p = np.zeros(M, dtype=complex)
+    dirs = np.zeros((M, n_dirs), dtype=complex)
+    for d in dirs.T:
         for j in range(M):
             if pairing[j] == j:
-                p[j] = rng.standard_normal()
+                d[j] = rng.standard_normal()
             elif pairing[j] > j:
                 c = rng.standard_normal() + 1j * rng.standard_normal()
-                p[j] = c
-                p[pairing[j]] = np.conj(c)
-        p /= la.norm(p)
-        dirs.append(p)
+                d[j] = c
+                d[pairing[j]] = np.conj(c)
+        d /= la.norm(d)
     return dirs
 
 
@@ -163,14 +161,13 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0, floor=1e-11):
     dirs = _symmetric_directions(manifold.master, n_dirs, seed)
     res = np.zeros(radii.size)
     for k, r in enumerate(radii):
-        worst = 0.0
-        for d in dirs:
-            p = r * d
-            z = manifold.evaluate(p)
-            lhs = B @ (manifold.tangent(p) @ manifold.reduced_rhs(p))
-            rhs = A @ z + _f_eval_complex(system, z)
-            worst = max(worst, float(la.norm(lhs - rhs)))
-        res[k] = worst
+        # every direction of a radius in one batch, columns of P
+        P = r * dirs
+        Z = manifold.evaluate(P)
+        lhs = B @ np.einsum("imk,mk->ik", manifold.tangent(P),
+                            manifold.reduced_rhs(P))
+        rhs = A @ Z + sum(fc.evaluate(Z) for fc in system.F_coeffs)
+        res[k] = float(la.norm(lhs - rhs, axis=0).max())
     slope = None
     if (res > floor).any() and radii.size >= 2:
         mask = res > 0
@@ -183,13 +180,6 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0, floor=1e-11):
     degree = manifold.order + (2 if odd and manifold.order % 2 else 1)
     return ResidualReport(radii, res, slope, manifold.order, degree, floor,
                           n_dirs, seed)
-
-
-def _f_eval_complex(system, z):
-    out = np.zeros(system.N, dtype=complex)
-    for fc in system.F_coeffs:
-        out = out + fc.evaluate(z)
-    return out
 
 
 def _b_solver(B):

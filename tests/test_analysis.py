@@ -124,6 +124,44 @@ def test_frc_amplitudes_match_the_lift(chain_mode2_man5):
         assert abs(pt["amp"][4] - want) < 1e-12
 
 
+def _per_phase_amplitude(manifold, rho, psi, dof, nonaut=None, eps=0.0,
+                         eta=1, n_phases=128):
+    """The amplitude lift one phase at a time: one single-point
+    evaluate (and correction) per phase."""
+    row = 0 if manifold.master.lambdas[0].imag > 0 else 1
+    peak = 0.0
+    for phi in 2.0 * np.pi * np.arange(n_phases) / n_phases:
+        theta = psi + eta * phi
+        p = np.zeros(2, dtype=complex)
+        p[row] = rho * np.exp(1j * theta)
+        p[1 - row] = rho * np.exp(-1j * theta)
+        z = manifold.evaluate(p).real
+        if nonaut is not None and eps:
+            z = z + eps * nonaut.correction([phi])
+        peak = max(peak, abs(float(z[dof])))
+    return peak
+
+
+def test_physical_amplitude_matches_the_per_phase_loop(chain_mode2_man5):
+    man = chain_mode2_man5
+    result = frc_sweep(man, [0.58, 0.6158], dofs=(4, 0, 9))
+    for pt in result.points:
+        _, nonaut = resonant_coefficient(man, pt["Omega"])
+        kw = dict(nonaut=nonaut, eps=result.eps, eta=result.eta)
+        many = physical_amplitude(man, pt["rho"], pt["psi"], [4, 0, 9], **kw)
+        for k, dof in enumerate((4, 0, 9)):
+            want = _per_phase_amplitude(man, pt["rho"], pt["psi"], dof, **kw)
+            one = physical_amplitude(man, pt["rho"], pt["psi"], dof, **kw)
+            assert isinstance(one, float)
+            for got in (one, many[k], pt["amp"][dof]):
+                assert abs(got - want) <= 1e-15 * want
+    # unforced lift, as backbone curves use it
+    for rho in (1e-3, 0.05):
+        want = _per_phase_amplitude(man, rho, 0.3, 4, n_phases=64)
+        got = physical_amplitude(man, rho, 0.3, 4, n_phases=64)
+        assert abs(got - want) <= 1e-15 * want
+
+
 def test_frc_validations(chain10, chain10_forced, chain_mode2_master,
                          chain_mode2_man5):
     unforced = compute_manifold(chain10, chain_mode2_master, order=3)

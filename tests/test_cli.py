@@ -8,6 +8,7 @@ import pytest
 from ssmkit import ManifoldExpansion, save_system
 from ssmkit.cli import main
 from test_cohomology import twin_rotor
+from test_spectrum import csr_chain
 
 FORCING = "[1,0,0,0,0,0,0,0,0,0]"
 
@@ -99,6 +100,24 @@ def test_identical_configs_give_identical_bytes(capsys, monkeypatch,
         assert main(argv) == 0
         capsys.readouterr()
         outs.append((tmp_path / name).read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_sparse_manifest_gives_identical_bytes(capsys, monkeypatch,
+                                               tmp_path):
+    monkeypatch.chdir(tmp_path)
+    # a long uniform chain has near-integer frequency ratios, so no
+    # outer modes are screened here (they would flag a resonance)
+    manifest = save_system(csr_chain(310), tmp_path / "model", name="bar")
+    outs = []
+    for name in ("one.json", "two.json"):
+        assert main(["ssm", "--system.manifest", str(manifest),
+                     "--ssm.select.pair", "1", "--ssm.order", "3",
+                     "--ssm.n_outer", "0",
+                     "--ssm.output", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        outs.append((tmp_path / name).read_bytes())
+    assert ManifoldExpansion.load(tmp_path / "one.json").N == 620
     assert outs[0] == outs[1]
 
 

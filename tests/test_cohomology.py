@@ -83,7 +83,7 @@ def test_invariance_defect_scales_away(lorenz_man3, chain_mode2_man5):
         assert manifold_residual(chain_mode2_man5, [c, np.conj(c)]) < 1e-8
 
 
-def test_tangent_matches_finite_differences(lorenz_man3):
+def test_tangent_matches_finite_differences(lorenz_man3, chain_mode2_man5):
     rng = np.random.default_rng(11)
     p = rng.normal(size=2) * 0.1
     jac = lorenz_man3.tangent(p)
@@ -93,6 +93,46 @@ def test_tangent_matches_finite_differences(lorenz_man3):
         e[j] = h
         col = (lorenz_man3.evaluate(p + e) - lorenz_man3.evaluate(p - e)) / (2 * h)
         assert np.abs(jac[:, j] - col).max() < 1e-7
+    # a batch of conjugate-symmetric chain points, differenced as a batch
+    c = 0.05 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    P = np.array([c, np.conj(c)])
+    jac = chain_mode2_man5.tangent(P)
+    assert jac.shape == (20, 2, 6)
+    for j in range(2):
+        E = np.zeros((2, 1))
+        E[j] = h
+        col = (chain_mode2_man5.evaluate(P + E)
+               - chain_mode2_man5.evaluate(P - E)) / (2 * h)
+        assert np.abs(jac[:, j, :] - col).max() < 1e-7
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def test_batch_evaluation_stacks_single_points(chain_mode2_man5):
+    """evaluate, reduced_rhs and tangent on an (M, n) batch give the
+    single-point results column by column; single points keep their
+    shapes, and rows= computes only the rows asked for."""
+    man = chain_mode2_man5
+    rng = np.random.default_rng(8)
+    c = 0.08 * (rng.normal(size=7) + 1j * rng.normal(size=7))
+    P = np.array([c, np.conj(c)])
+    singles = [P[:, k] for k in range(P.shape[1])]
+    assert man.evaluate(singles[0]).shape == (20,)
+    assert man.reduced_rhs(singles[0]).shape == (2,)
+    assert man.tangent(singles[0]).shape == (20, 2)
+    for method in (man.evaluate, man.reduced_rhs, man.tangent):
+        batch = method(P)
+        stacked = np.stack([method(p) for p in singles], axis=-1)
+        assert batch.shape == stacked.shape
+        assert _rel(batch, stacked) <= 1e-14
+    rows = [4, 0, 9]
+    assert _rel(man.evaluate(P, rows=rows), man.evaluate(P)[rows]) <= 1e-14
+    assert man.evaluate(singles[0], rows=rows).shape == (3,)
+    # conjugate-symmetric points embed to real states, batched too
+    Z = man.evaluate(P)
+    assert np.abs(Z.imag).max() <= 1e-14 * np.abs(Z).max()
 
 
 def test_classifier_damped_pair(chain_mode2_master):

@@ -142,6 +142,19 @@ def test_correction_is_a_real_shape(chain10_forced, chain_mode2_master):
     assert red.shape == (2,)
 
 
+def test_correction_on_a_phase_batch_stacks_single_phases(
+        chain10_forced, chain_mode2_master):
+    nonaut = leading_order(chain10_forced, chain_mode2_master, 0.6)
+    phases = np.linspace(0.0, 6.0, 9)
+    batch = nonaut.correction(phases[None, :])
+    assert batch.shape == (20, 9)
+    for k, phi in enumerate(phases):
+        assert np.array_equal(batch[:, k], nonaut.correction([phi]))
+    rows = [4, 1]
+    assert np.array_equal(nonaut.correction(phases[None, :], rows=rows),
+                          batch[rows])
+
+
 def test_two_base_frequencies(chain10_forced, chain_mode2_master):
     fo = as_first_order(chain10_forced)
     v = np.zeros(20)

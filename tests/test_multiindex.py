@@ -68,6 +68,19 @@ def test_kron_power_matches_np_kron():
     assert np.allclose(kron_power(p, 3), expected)
 
 
+def test_kron_power_of_a_batch_is_per_column_np_kron():
+    rng = np.random.default_rng(12)
+    P = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    for degree in range(4):
+        got = kron_power(P, degree)
+        assert got.shape == (3**degree, 5)
+        for j in range(5):
+            want = np.ones(1, dtype=complex)
+            for _ in range(degree):
+                want = np.kron(want, P[:, j])
+            assert np.array_equal(got[:, j], want)
+
+
 def test_kron_sum_lambdas_positions():
     lam = np.array([1.0 + 2j, -3.0])
     out = kron_sum_lambdas(lam, 2)

@@ -32,6 +32,17 @@ def test_evaluate_matches_dense_kron():
     assert np.allclose(fc.evaluate(z), fc.to_dense() @ kron_power(z, 3))
 
 
+def test_evaluate_on_a_batch_stacks_single_states():
+    rng = np.random.default_rng(5)
+    fc = PolyCoeffs(3, 4, 3, rng.integers(0, 4, 12), rng.integers(0, 27, 12),
+                    rng.standard_normal(12))
+    Z = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    got = fc.evaluate(Z)
+    assert got.shape == (4, 6)
+    for j in range(6):
+        assert np.array_equal(got[:, j], fc.evaluate(Z[:, j]))
+
+
 def test_from_entries_and_entries_roundtrip():
     entries = [(0, (1, 2), 2.5), (3, (0, 0), -1.0)]
     fc = PolyCoeffs.from_entries(2, 4, 3, entries)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ssmkit import (FirstOrderSystem, oscillator_chain, lorenz_extended,
-                    master_spectrum, check_normalization, MasterSubspace)
+from ssmkit import (FirstOrderSystem, MechanicalSystem, oscillator_chain,
+                    lorenz_extended, master_spectrum, check_normalization,
+                    MasterSubspace, build_first_order)
 from ssmkit.errors import NumericalError, ValidationError
 from ssmkit.spectrum import check_norm_arrays
 
@@ -142,6 +144,25 @@ def test_shift_invert_nonsymmetric():
     assert np.allclose(np.sort_complex(si.lambdas),
                        np.sort_complex(dense.lambdas), atol=1e-8)
     assert check_normalization(si, sys) <= 1e-8
+
+
+def csr_chain(n, c=0.05):
+    """The builtin chain with CSR matrices."""
+    mech = oscillator_chain(n, c=c)
+    return MechanicalSystem(sp.csr_matrix(mech.M), sp.csr_matrix(mech.C),
+                            sp.csr_matrix(mech.K), mech.f_coeffs)
+
+
+@pytest.mark.parametrize("variant", ["L1", "L2"])
+def test_sparse_spectrum_is_repeatable(variant):
+    # N = 620 > 600 takes the shift-invert path; L1 also runs the
+    # transposed solve for the left vectors
+    sys = build_first_order(csr_chain(310), variant=variant)
+    assert sp.issparse(sys.A) and sys.N > 600
+    one, two = (master_spectrum(sys, select={"mode": "pair", "pair": 1},
+                                n_outer=4) for _ in range(2))
+    for attr in ("lambdas", "V", "U"):
+        assert np.array_equal(getattr(one, attr), getattr(two, attr))
 
 
 def test_subspace_dict_roundtrip(chain10):

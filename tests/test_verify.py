@@ -10,6 +10,7 @@ from ssmkit import (FirstOrderSystem, NumericalError, ValidationError,
                     steady_state_amplitude)
 from ssmkit.cohomology import ManifoldExpansion
 from ssmkit.polytensor import PolyCoeffs
+from ssmkit.verify import _symmetric_directions
 
 SPEC_RADII = np.logspace(-4, -2, 7)
 
@@ -68,6 +69,56 @@ def test_linear_truncation_is_exact(chain10):
     report = invariance_residual(man, SPEC_RADII)
     assert report.at_floor
     assert report.passed
+
+
+def _per_direction_residuals(man, radii, n_dirs=16, seed=0):
+    """The residual one point at a time: single-point evaluate, tangent
+    and reduced_rhs, the worst 2-norm over directions per radius."""
+    sys = man.system
+    dirs = _symmetric_directions(man.master, n_dirs, seed)
+    out = []
+    for r in np.sort(radii):
+        worst = 0.0
+        for d in dirs.T:
+            p = r * d
+            z = man.evaluate(p)
+            lhs = sys.B @ (man.tangent(p) @ man.reduced_rhs(p))
+            rhs = sys.A @ z + sum(fc.evaluate(z) for fc in sys.F_coeffs)
+            worst = max(worst, float(la.norm(lhs - rhs)))
+        out.append(worst)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["lorenz", "chain3", "chain5"])
+def test_batched_residual_matches_the_per_direction_loop(
+        case, lorenz_man3, chain10_forced, chain_mode2_master,
+        chain_mode2_man5):
+    if case == "lorenz":
+        man, radii = lorenz_man3, SPEC_RADII
+    elif case == "chain3":
+        man = compute_manifold(chain10_forced, chain_mode2_master, order=3)
+        radii = np.logspace(-2, -1, 7)
+    else:
+        man, radii = chain_mode2_man5, SPEC_RADII
+    report = invariance_residual(man, radii)
+    want = _per_direction_residuals(man, radii)
+    above = want > report.floor
+    assert np.array_equal(report.residuals > report.floor, above)
+    # the two sum in different orders; the residual is a difference of
+    # O(r) terms, so besides 1e-9 relative they may differ by the
+    # rounding of those terms (measured: at most 5.1e-17 r above the floor)
+    gap = np.abs(report.residuals - want)
+    assert (gap <= 1e-9 * want + 1e-15 * report.radii)[above].all()
+    # the verdicts and the slope the loop's residuals give
+    assert report.at_floor == bool((want <= report.floor).all())
+    if report.slope is None:
+        assert report.at_floor
+    else:
+        # the fit takes in residuals near rounding too (chain order 3:
+        # 3e-14 at r = 0.01, 4e-6 apart), which moves it by 1.4e-6
+        slope = np.polyfit(np.log(report.radii), np.log(want), 1)[0]
+        assert abs(report.slope - slope) <= 1e-5
+        assert report.passed == (report.band[0] <= slope <= report.band[1])
 
 
 def test_residual_radii_are_validated(chain_mode2_man5):
