@@ -101,6 +101,12 @@ def _validate_forcing(forcing, n):
                 "state-dependent forcing is not supported; each harmonic "
                 "must be a constant vector")
         kt = kappa_tuple(kappa)
+        nfreq = len(next(iter(table), kt))  # set by the first label
+        if len(kt) != nfreq:
+            raise ValidationError(
+                "forcing harmonic %r has %d frequencies, the first one %d; "
+                "every label needs one entry per frequency"
+                % (kt, len(kt), nfreq))
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         if vec.size != n:
             raise ValidationError(
@@ -206,6 +212,9 @@ class FirstOrderSystem:
         Homogeneous nonlinearity pieces over the N state variables.
     forcing : list of (kappa tuple, complex vector)
         Normalized forcing table, closed under conjugation.
+    nfreq : int
+        Number of forcing base frequencies, the length of every label
+        (0 when unforced).
     eps : float
     symmetric : bool
         True when A and B are both symmetric (within 1e-12 relative),
@@ -230,6 +239,14 @@ class FirstOrderSystem:
                 raise ValidationError(
                     "nonlinearity block %r does not match N=%d" % (fc, N))
         self.forcing = _validate_forcing(forcing, N)
+        # the table as one (N, K) matrix of vectors and (K, nfreq) labels
+        nharm = len(self.forcing)
+        self.nfreq = len(self.forcing[0][0]) if self.forcing else 0
+        self._forcing_vectors = np.zeros((N, nharm), dtype=complex)
+        for col, (_, vec) in enumerate(self.forcing):
+            self._forcing_vectors[:, col] = vec
+        self._harmonics = np.array([kt for kt, _ in self.forcing],
+                                   dtype=float).reshape(nharm, self.nfreq)
         self.eps = float(eps)
         self.variant = variant
         self.mech = mech
@@ -255,11 +272,11 @@ class FirstOrderSystem:
         frequency): ``sum_kappa f_kappa exp(i <kappa, phi>)``. Real for
         conjugation-closed tables.
         """
+        if not self.forcing:
+            return np.zeros(self.N)
         phase = np.atleast_1d(np.asarray(phase, dtype=float))
-        out = np.zeros(self.N, dtype=complex)
-        for kt, vec in self.forcing:
-            out += vec * np.exp(1j * np.dot(kt, phase))
-        return out.real
+        return (self._forcing_vectors
+                @ np.exp(1j * (self._harmonics @ phase))).real
 
     def __repr__(self):
         return ("FirstOrderSystem(N=%d, degrees=%r, harmonics=%d, "

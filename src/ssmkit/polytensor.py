@@ -127,17 +127,30 @@ class PolyCoeffs:
         at each column of an ``(nvars, n)`` batch, giving ``(nrows,)`` or
         ``(nrows, n)``. Vectorized over the stored entries, so repeated
         calls inside integrators stay cheap.
+
+        Each output is summed over its entries in storage order by
+        ``np.bincount`` on (row, column) bins, which gives the same sums
+        as an ``np.add.at`` scatter, bit for bit.
         """
         z = np.asarray(z)
-        values, shape = self.values, self.nrows
+        values, bins, size = self.values, self.rows, self.nrows
         if z.ndim > 1:
-            values, shape = values[:, None], (shape, z.shape[1])
+            # result (row, column) is bin row * n + column
+            n = z.shape[1]
+            values = values[:, None]
+            bins = (bins[:, None] * n + np.arange(n)).ravel()
+            size *= n
         prod = values * z[self.factors[0]]
         for axis in range(1, self.degree):
             prod = prod * z[self.factors[axis]]
-        out = np.zeros(shape, dtype=np.result_type(prod, np.float64))
-        np.add.at(out, self.rows, prod)
-        return out
+        prod = prod.ravel()
+        shape = (self.nrows,) + z.shape[1:]
+        if not np.iscomplexobj(prod):
+            return np.bincount(bins, prod, size).reshape(shape)
+        out = np.empty(size, dtype=complex)
+        out.real = np.bincount(bins, prod.real, size)
+        out.imag = np.bincount(bins, prod.imag, size)
+        return out.reshape(shape)
 
     def relabel(self, nrows, nvars, row_offset=0, value_scale=1.0):
         """

@@ -144,6 +144,34 @@ def test_forcing_validation():
                          forcing=[((1,), [1, 0]), ((1,), [1, 0]),
                                   ((-1,), [1, 0])])
 
+    with pytest.raises(ValidationError, match="one entry per frequency"):
+        MechanicalSystem(eye, eye, eye,
+                         forcing=[((1,), [1, 0]), ((-1,), [1, 0]),
+                                  ((1, 1), [0, 1]), ((-1, -1), [0, 1])])
+    with pytest.raises(ValidationError, match="one entry per frequency"):
+        FirstOrderSystem(eye, eye, forcing=[((1, 0), [1, 0]), (-1, [1, 0])])
+
+
+def test_forcing_eval_matches_the_per_harmonic_loop():
+    # two base frequencies, a combination harmonic and a static load
+    rng = np.random.default_rng(3)
+    a, b = (rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            for _ in range(2))
+    table = [((1, 0), a), ((-1, 0), a.conj()), ((1, -2), b),
+             ((-1, 2), b.conj()), ((0, 0), rng.standard_normal(4))]
+    sys = FirstOrderSystem(np.eye(4), np.eye(4), forcing=table, eps=1.0)
+    assert sys.nfreq == 2
+    for phase in ([0.0, 0.0], [0.7, -1.3], [12.5, 3.1]):
+        want = np.zeros(4, dtype=complex)
+        for kt, vec in sys.forcing:
+            want += vec * np.exp(1j * np.dot(kt, phase))
+        got = sys.forcing_eval(phase)
+        assert got.dtype.kind == "f"
+        assert np.allclose(got, want.real, rtol=1e-14, atol=1e-14)
+    unforced = FirstOrderSystem(np.eye(4), np.eye(4))
+    assert unforced.nfreq == 0
+    assert np.array_equal(unforced.forcing_eval([0.3]), np.zeros(4))
+
 
 def test_forcing_eval_is_real_cosine():
     # L2 layout keeps the force balance in the first block rows

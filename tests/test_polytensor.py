@@ -43,6 +43,40 @@ def test_evaluate_on_a_batch_stacks_single_states():
         assert np.array_equal(got[:, j], fc.evaluate(Z[:, j]))
 
 
+def add_at_evaluate(fc, z):
+    """Reference evaluation: gather-product, then an np.add.at scatter."""
+    z = np.asarray(z)
+    values, shape = fc.values, fc.nrows
+    if z.ndim > 1:
+        values, shape = values[:, None], (shape, z.shape[1])
+    prod = values * z[fc.factors[0]]
+    for axis in range(1, fc.degree):
+        prod = prod * z[fc.factors[axis]]
+    out = np.zeros(shape, dtype=np.result_type(prod, np.float64))
+    np.add.at(out, fc.rows, prod)
+    return out
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_evaluate_is_bitwise_the_add_at_scatter(complex_values):
+    # 60 entries on 4 rows, so every output sums many terms
+    fc = random_poly(3, 4, 5, 60, seed=7, complex_values=complex_values)
+    rng = np.random.default_rng(8)
+    state = rng.standard_normal(5)
+    batch = rng.standard_normal((5, 9))
+    for z in (state, state + 1j * rng.standard_normal(5),
+              batch, batch + 1j * rng.standard_normal((5, 9))):
+        got, want = fc.evaluate(z), add_at_evaluate(fc, z)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_without_entries_gives_zeros():
+    fc = PolyCoeffs(2, 3, 2, [], [], [])
+    assert np.array_equal(fc.evaluate(np.ones(2)), np.zeros(3))
+    assert np.array_equal(fc.evaluate(np.ones((2, 4))), np.zeros((3, 4)))
+
+
 def test_from_entries_and_entries_roundtrip():
     entries = [(0, (1, 2), 2.5), (3, (0, 0), -1.0)]
     fc = PolyCoeffs.from_entries(2, 4, 3, entries)

@@ -144,6 +144,18 @@ def test_adaptive_integration_matches_matrix_exponential(chain10):
     assert np.abs(out["z"][:, -1] - want).max() < 1e-7
 
 
+def test_adaptive_forced_chain_matches_a_tight_reference(chain10_forced):
+    Omega = 0.6158
+    t_end = 5 * 2.0 * np.pi / Omega
+    t_eval = np.linspace(0.0, t_end, 101)
+    z0 = np.random.default_rng(6).normal(size=20) * 0.1
+    ref = integrate_full(chain10_forced, z0, (0.0, t_end), Omega=Omega,
+                         rtol=1e-12, atol=1e-14, t_eval=t_eval)["z"]
+    got = integrate_full(chain10_forced, z0, (0.0, t_end), Omega=Omega,
+                         t_eval=t_eval)["z"]
+    assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
+
+
 def test_trapezoid_preserves_quadratic_energy():
     chain = oscillator_chain(6, m=1.0, k=1.0, c=0.0, kappa=0.0)
     fo = as_first_order(chain)
@@ -182,8 +194,14 @@ def test_integrate_full_validations(chain10_forced, chain10):
                        method="trapezoid")
     with pytest.raises(ValidationError, match="method must be"):
         integrate_full(chain10, np.zeros(20), (0.0, 1.0), method="euler")
+    with pytest.raises(ValidationError, match="expect 1"):
+        integrate_full(chain10_forced, np.zeros(20), (0.0, 1.0),
+                       Omega=[0.6, 0.7])
     with pytest.raises(ValidationError, match="expected 20"):
         integrate_full(chain10, np.zeros(7), (0.0, 1.0))
+    with pytest.raises(ValidationError, match="takes no t_eval"):
+        integrate_full(chain10, np.zeros(20), (0.0, 1.0),
+                       method="trapezoid", dt=0.1, t_eval=[0.5])
 
 
 def test_forced_linear_steady_state_matches_transfer_function():
@@ -205,3 +223,5 @@ def test_steady_state_validations(chain10, chain10_forced):
         steady_state_amplitude(chain10_forced, -0.6, 4)
     with pytest.raises(ValidationError, match="outside the state"):
         steady_state_amplitude(chain10_forced, 0.6, 25)
+    with pytest.raises(ValidationError, match="integer state index"):
+        steady_state_amplitude(chain10_forced, 0.6, 2.7)
