@@ -25,6 +25,7 @@ Jacobian, and lifts reduced amplitudes back to physical coordinates.
 """
 
 import json
+import numbers
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -188,6 +189,15 @@ def stability_jacobian(rom, rho, Omega=None):
     ])
 
 
+def _dof_index(dof):
+    """An integer state index as int; a fractional one is refused, not
+    truncated."""
+    if not isinstance(dof, numbers.Integral):
+        raise ValidationError("dof must be an integer state index, got %r"
+                              % (dof,))
+    return int(dof)
+
+
 class BackboneCurve:
     """Amplitude-frequency relation of an unforced conservative pair."""
 
@@ -195,7 +205,7 @@ class BackboneCurve:
         self.rho = np.asarray(rho, dtype=float)
         self.omega = np.asarray(omega, dtype=float)
         self.amp = np.asarray(amp, dtype=float)
-        self.dof = int(dof)
+        self.dof = _dof_index(dof)
         self.rom = rom
 
     def to_dict(self):
@@ -448,7 +458,7 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
 
     if not dofs:
         dofs = [int(np.argmax(np.abs(master.V[:, rom.row])))]
-    dofs = [int(d) for d in dofs]
+    dofs = [_dof_index(d) for d in dofs]
 
     points = []
     consistency_worst = 0.0
@@ -580,7 +590,7 @@ def write_frc_svg(result, path, dof=None, width=640, height=420):
     Self-contained response-curve plot: amplitude of one state against
     forcing frequency, stable points filled, unstable points open.
     """
-    dof = result.dofs[0] if dof is None else int(dof)
+    dof = result.dofs[0] if dof is None else _dof_index(dof)
     xs = [pt["Omega"] for pt in result.points]
     ys = [pt["amp"][dof] for pt in result.points]
     if not xs:

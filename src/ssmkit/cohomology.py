@@ -37,7 +37,9 @@ out through ``U^H B``.
 """
 
 import json
+import re
 import warnings
+from operator import itemgetter
 
 import numpy as np
 import scipy.linalg as la
@@ -47,7 +49,7 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError, OuterResonanceError, ValidationError
 from .model import as_first_order
 from .multiindex import (MultiIndexSet, conjugate_permutation,
-                         decode_positions, kron_step)
+                         decode_positions, encode_positions, kron_step)
 from .polytensor import apply_kron_sum, compose
 from .spectrum import MasterSubspace
 
@@ -418,6 +420,117 @@ def compute_manifold(system, master, order, style="normal-form",
                              {"orders": infos})
 
 
+# save() dumps the header with a token in place of each record list:
+# json escapes the control character, so the token reads "\u0000<k>"
+# in the text, and no other string of the header holds a NUL
+_HOLD = "\x00%d"
+_HOLD_RE = re.compile(r'"\\u0000(\d+)"')
+RECORDS_PER_WRITE = 1024
+
+
+def _triplets(block, degree, M):
+    """
+    The nonzero entries of one coefficient block as 1-based columns:
+    rows (n,), factor indices (degree, n) and real and imaginary parts
+    (n,), sorted by row, then by column (``np.nonzero`` scans row-major).
+    """
+    rows, cols = np.nonzero(np.abs(block) > 0)
+    vals = block[rows, cols]
+    factors = decode_positions(cols, degree, M) + 1
+    return rows + 1, factors, vals.real, vals.imag
+
+
+def _json_scalars(arr):
+    """Python scalars whose ``str`` is json's spelling of each entry:
+    ``float.__repr__`` for finite numbers, Infinity, -Infinity, NaN."""
+    out = arr.tolist()
+    if arr.dtype.kind == "f":
+        for k in np.flatnonzero(~np.isfinite(arr)).tolist():
+            out[k] = json.dumps(out[k])
+    return out
+
+
+def _write_records(fh, columns, shape, depth):
+    """
+    Write a JSON list of records, one per entry of the equal-length
+    ``columns``, as ``json.dump(..., indent=1)`` lays it out with its
+    items at indent ``depth``. ``shape`` is one record with None at each
+    scalar, filled from the columns in order.
+    """
+    pad = "\n" + " " * depth
+    template = pad + json.dumps(shape, indent=1).replace(
+        "null", "%s").replace("\n", pad)
+    n = len(columns[0])
+    if n == 0:
+        fh.write("[]")
+        return
+    for start in range(0, n, RECORDS_PER_WRITE):
+        part = [_json_scalars(c[start:start + RECORDS_PER_WRITE])
+                for c in columns]
+        fh.write(("," if start else "[")
+                 + ",".join(map(template.__mod__, zip(*part))))
+    fh.write(pad[:-1] + "]")
+
+
+def _index_array(values, shape, what, name, high, need):
+    """``values`` as an int64 array of ``shape`` with entries in 1..high,
+    else ValidationError naming the block; ``need`` says what each entry
+    must hold."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ValidationError("manifold block %s: each entry needs %s"
+                              % (what, need))
+    if arr.dtype.kind not in "iu":
+        raise ValidationError("manifold block %s: %ss must be integers"
+                              % (what, name))
+    if arr.min() < 1 or arr.max() > high:
+        bad = arr[(arr < 1) | (arr > high)][0]
+        raise ValidationError("manifold block %s: %s %s outside 1..%d"
+                              % (what, name, bad, high))
+    return arr.astype(np.int64, copy=False)
+
+
+def _unpack(entries, what, degree, nrows, M):
+    """A dense (nrows, M**degree) block from 1-based triplets."""
+    mis = MultiIndexSet(degree, M)
+    block = np.zeros((nrows, mis.size), dtype=complex)
+    if not entries:
+        return block
+    try:
+        shapes = set(map(len, entries))
+    except TypeError:
+        shapes = None
+    if shapes != {4}:
+        raise ValidationError("manifold block %s: entries must be "
+                              "[row, [i1, .., ik], re, im]" % what)
+    n = len(entries)
+    rows = _index_array(list(map(itemgetter(0), entries)), (n,), what, "row",
+                        nrows, "one row")
+    factors = _index_array(list(map(itemgetter(1), entries)), (n, degree),
+                           what, "factor", M, "a tuple of %d factors" % degree)
+    factors -= 1
+    flat = (rows - 1) * mis.size + encode_positions(factors.T, M)
+    ordered = np.sort(flat)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValidationError("manifold block %s: a (row, tuple) entry is "
+                              "given twice" % what)
+    try:
+        parts = np.asarray((list(map(itemgetter(2), entries)),
+                            list(map(itemgetter(3), entries))))
+    except ValueError:  # ragged nesting
+        parts = None
+    if parts is None or parts.shape != (2, n) or parts.dtype.kind not in "iuf":
+        raise ValidationError("manifold block %s: values must be numbers"
+                              % what)
+    # parts set apart: 1j * inf would spoil the real part
+    view = block.reshape(-1)
+    view.real[flat], view.imag[flat] = parts
+    return block
+
+
 class ManifoldExpansion:
     """
     Polynomial manifold ``z = W(p)`` with reduced dynamics ``p' = R(p)``.
@@ -495,20 +608,9 @@ class ManifoldExpansion:
         mis = MultiIndexSet(degree, self.dim)
         return self.R[degree][mode, mis.position(tuple(exponents))]
 
-    def to_dict(self):
-        """JSON-ready dict; polynomial data as sparse 1-based triplets."""
-        def pack(block, degree):
-            mis = MultiIndexSet(degree, self.dim)
-            entries = []
-            rows, cols = np.nonzero(np.abs(block) > 0)
-            order_idx = np.lexsort((cols, rows))
-            for k in order_idx:
-                r, c = int(rows[k]), int(cols[k])
-                t = mis.index_tuple(c)
-                v = block[r, c]
-                entries.append([r + 1, [i + 1 for i in t], v.real, v.imag])
-            return entries
-
+    def _layout(self, pack):
+        """The :meth:`to_dict` layout with ``pack(block, degree)`` standing
+        for each W and R block."""
         return {
             "kind": "manifold-expansion",
             "order": self.order,
@@ -521,32 +623,82 @@ class ManifoldExpansion:
             "resonances": self.resonances.to_dict() if self.resonances else None,
         }
 
+    def to_dict(self):
+        """
+        JSON-ready dict; W and R as lists of 1-based triplets
+        ``[row, [i1, .., ik], re, im]``, one per nonzero coefficient,
+        sorted by row, then by column. :meth:`from_dict` rejects a row
+        outside 1..nrows, a tuple whose length is not the degree, a
+        factor outside 1..dim and a repeated (row, tuple) entry.
+        """
+        def pack(block, degree):
+            rows, factors, real, imag = _triplets(block, degree, self.dim)
+            return [list(e) for e in zip(rows.tolist(), factors.T.tolist(),
+                                         real.tolist(), imag.tolist())]
+
+        return self._layout(pack)
+
     def save(self, path):
+        """
+        Write :meth:`to_dict` as indent-1 JSON with sorted keys and a
+        final newline, byte for byte what ``json.dump(self.to_dict(),
+        fh, indent=1, sort_keys=True)`` writes. W, R and the master V
+        and U matrices stream to the file in chunks of records, one ``%``
+        template per record shape. :meth:`load` rejects what
+        :meth:`from_dict` rejects.
+        """
+        records = []
+
+        def hold(columns, shape):
+            records.append((columns, shape))
+            return _HOLD % (len(records) - 1)
+
+        def hold_triplets(block, degree):
+            rows, factors, real, imag = _triplets(block, degree, self.dim)
+            return hold([rows, *factors, real, imag],
+                        [None, [None] * degree, None, None])
+
+        def hold_rows(mat):
+            return hold(list(mat.T), [None] * mat.shape[1])
+
+        header = self._layout(hold_triplets)
+        for name, mat in (("V", self.master.V), ("U", self.master.U)):
+            header["master"][name] = {"real": hold_rows(mat.real),
+                                      "imag": hold_rows(mat.imag)}
+        text = json.dumps(header, indent=1, sort_keys=True)
+        pieces = _HOLD_RE.split(text)
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
+            fh.write(pieces[0])
+            for k in range(1, len(pieces), 2):
+                # the record list opens on its key's line, one level up
+                line = pieces[k - 1].rpartition("\n")[2]
+                depth = len(line) - len(line.lstrip(" ")) + 1
+                _write_records(fh, *records[int(pieces[k])], depth)
+                fh.write(pieces[k + 1])
             fh.write("\n")
 
     @classmethod
     def from_dict(cls, data, system=None):
+        """
+        Rebuild from :meth:`to_dict` data. A W or R entry that is not
+        ``[row, [i1, .., ik], re, im]`` with integer indices and numeric
+        values, a row outside 1..nrows, a tuple whose length is not the
+        degree, a factor outside 1..dim, or a (row, tuple) given twice
+        raises ValidationError naming the block (``W3``, ``R2``).
+        """
         M = int(data["dim"])
         N = int(data["state_dim"])
         master = MasterSubspace.from_dict(data["master"])
-
-        def unpack(entries, degree, nrows):
-            mis = MultiIndexSet(degree, M)
-            block = np.zeros((nrows, mis.size), dtype=complex)
-            for row, t, re, im in entries:
-                pos = mis.position(tuple(i - 1 for i in t))
-                block[row - 1, pos] = re + 1j * im
-            return block
-
-        W = {int(i): unpack(e, int(i), N) for i, e in data["W"].items()}
-        R = {int(i): unpack(e, int(i), M) for i, e in data["R"].items()}
+        W = {int(i): _unpack(e, "W" + i, int(i), N, M)
+             for i, e in data["W"].items()}
+        R = {int(i): _unpack(e, "R" + i, int(i), M, M)
+             for i, e in data["R"].items()}
         return cls(system, master, int(data["order"]), data["style"], W, R,
                    None)
 
     @classmethod
     def load(cls, path, system=None):
+        """Read a file written by :meth:`save`; see :meth:`from_dict`."""
         with open(path) as fh:
             return cls.from_dict(json.load(fh), system=system)
 

@@ -178,6 +178,18 @@ def test_frc_validations(chain10, chain10_forced, chain_mode2_master,
         frc_sweep(detached, [0.6])
 
 
+def test_fractional_dofs_are_refused(tmp_path, chain_mode2_man5):
+    # 4.5 used to be truncated to state 4 without a word
+    with pytest.raises(ValidationError, match="integer state index"):
+        frc_sweep(chain_mode2_man5, [0.6], dofs=(4.5,))
+    with pytest.raises(ValidationError, match="integer state index"):
+        backbone(duffing_manifold(order=3), rho_max=0.1, n=3, dof=0.5)
+    result = frc_sweep(chain_mode2_man5, [0.6], dofs=(np.int64(4),))
+    assert result.dofs == [4]
+    with pytest.raises(ValidationError, match="integer state index"):
+        write_frc_svg(result, tmp_path / "frc.svg", dof=4.5)
+
+
 def test_stability_jacobian_rejects_the_origin(chain_mode2_man5):
     rom = extract_polar_rom(chain_mode2_man5)
     with pytest.raises(ValidationError, match="singular at rho = 0"):

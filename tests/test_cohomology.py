@@ -1,6 +1,7 @@
 """Resonance classification and the order-by-order manifold solve."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ssmkit import (FirstOrderSystem, ManifoldExpansion, MechanicalSystem,
                     oscillator_chain)
 from ssmkit.multiindex import MultiIndexSet
 from ssmkit.polytensor import PolyCoeffs
+from test_spectrum import csr_chain
 
 
 def sym_coeff(rom, degree, row, factors):
@@ -342,6 +344,140 @@ def test_expansion_roundtrips_through_json(tmp_path, chain_mode2_man5):
         assert np.array_equal(back.R[i], chain_mode2_man5.R[i])
     assert np.array_equal(back.master.lambdas,
                           chain_mode2_man5.master.lambdas)
+
+
+def _per_entry_save(man, path):
+    """The manifold writer kept as the byte reference: one index_tuple
+    call per stored entry, then json.dump with indent 1 and sorted keys."""
+    def pack(block, degree):
+        mis = MultiIndexSet(degree, man.dim)
+        entries = []
+        rows, cols = np.nonzero(np.abs(block) > 0)
+        for k in np.lexsort((cols, rows)):
+            r, c = int(rows[k]), int(cols[k])
+            v = block[r, c]
+            entries.append([r + 1, [i + 1 for i in mis.index_tuple(c)],
+                            v.real, v.imag])
+        return entries
+
+    data = {
+        "kind": "manifold-expansion",
+        "order": man.order,
+        "style": man.style,
+        "dim": man.dim,
+        "state_dim": man.N,
+        "master": man.master.to_dict(),
+        "W": {str(i): pack(man.W[i], i) for i in sorted(man.W)},
+        "R": {str(i): pack(man.R[i], i) for i in sorted(man.R)},
+        "resonances": man.resonances.to_dict() if man.resonances else None,
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _hand_set_manifold(request):
+    # stored entries with a signed zero part, a tiny, a huge and an
+    # infinite part: json spells the last one Infinity
+    man = request.getfixturevalue("lorenz_man3")
+    W = {i: b.copy() for i, b in man.W.items()}
+    R = {i: b.copy() for i, b in man.R.items()}
+    W[2][0] = [complex(-0.0, 1e-20), complex(1e300, -0.0),
+               complex(np.inf, 1.0), complex(1.0, -np.inf)]
+    R[3][1, 5] = complex(-1e-20, 1e300)
+    return ManifoldExpansion(man.system, man.master, man.order, man.style,
+                             W, R, man.resonances)
+
+
+def _first_pair_manifold(system, order):
+    master = master_spectrum(system, select={"mode": "pair", "pair": 1},
+                             n_outer=0)
+    return compute_manifold(system, master, order=order)
+
+
+BYTE_CASES = {
+    # the README chain, pair 2, normal form
+    "readme-order7": lambda rq: compute_manifold(
+        rq.getfixturevalue("chain10_forced"),
+        rq.getfixturevalue("chain_mode2_master"), order=7),
+    "graph-M4-order5": lambda rq: compute_manifold(
+        rq.getfixturevalue("chain10_forced"),
+        master_spectrum(rq.getfixturevalue("chain10_forced"),
+                        select={"mode": "smallest", "count": 4}, n_outer=8),
+        order=5, style="graph"),
+    # N = 620 takes the shift-invert path; the odd force law leaves the
+    # order-2 blocks empty
+    "csr-N620": lambda rq: _first_pair_manifold(
+        build_first_order(csr_chain(310)), order=3),
+    # degrees 10 and 11 sort before 2 among the keys
+    "M2-order11": lambda rq: _first_pair_manifold(
+        oscillator_chain(2, c=0.05, kappa=0.3), order=11),
+    "hand-set-values": _hand_set_manifold,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_save_writes_the_bytes_of_the_per_entry_writer(case, request,
+                                                       tmp_path):
+    man = BYTE_CASES[case](request)
+    man.save(tmp_path / "new.json")
+    _per_entry_save(man, tmp_path / "ref.json")
+    text = (tmp_path / "new.json").read_bytes()
+    assert text == (tmp_path / "ref.json").read_bytes()
+    if case == "csr-N620":
+        assert man.N == 620 and b'"2": []' in text
+    if case == "M2-order11":
+        assert text.index(b'"10": [') < text.index(b'"2": [')
+    if case == "hand-set-values":
+        assert b"-Infinity" in text and b"-0.0" in text
+    # stored entries come back bit for bit; the file holds no zero
+    # entries, so a signed zero entry comes back as +0
+    for back in (ManifoldExpansion.load(tmp_path / "new.json"),
+                 ManifoldExpansion.from_dict(man.to_dict())):
+        for got, blocks in ((back.W, man.W), (back.R, man.R)):
+            assert sorted(got) == sorted(blocks)
+            for i in blocks:
+                stored = np.abs(blocks[i]) > 0
+                assert got[i].shape == blocks[i].shape
+                assert got[i][stored].tobytes() == blocks[i][stored].tobytes()
+                assert not got[i][~stored].any()
+
+
+def _corrupt(man, block, edit):
+    data = man.to_dict()
+    edit(data[block[0]][block[1:]])
+    return data
+
+
+@pytest.mark.parametrize("block,edit,message", [
+    ("W3", lambda e: e[0].__setitem__(0, 0), "W3: row 0 outside 1..4"),
+    ("W3", lambda e: e[0].__setitem__(0, 5), "W3: row 5 outside 1..4"),
+    ("R2", lambda e: e[0].__setitem__(0, 3), "R2: row 3 outside 1..2"),
+    ("W3", lambda e: e[0].__setitem__(0, 1.5), "W3: rows must be integers"),
+    ("W3", lambda e: e[1].__setitem__(1, [1, 2]),
+     "W3: each entry needs a tuple of 3 factors"),
+    ("R2", lambda e: e[0].__setitem__(1, [1, 2, 1]),
+     "R2: each entry needs a tuple of 2 factors"),
+    ("W3", lambda e: e[0].__setitem__(0, [1]), "W3: each entry needs one row"),
+    ("W3", lambda e: e[2].__setitem__(1, [1, 3, 1]),
+     "W3: factor 3 outside 1..2"),
+    ("W2", lambda e: e[0].__setitem__(1, [0, 1]),
+     "W2: factor 0 outside 1..2"),
+    ("W3", lambda e: e.append(list(e[3])),
+     r"W3: a \(row, tuple\) entry is given twice"),
+    ("W3", lambda e: e[0].pop(), r"W3: entries must be \[row"),
+    ("W3", lambda e: e[0].__setitem__(2, "0.5"), "W3: values must be"),
+    ("W3", lambda e: e[0].__setitem__(3, [0.5]), "W3: values must be"),
+])
+def test_load_rejects_malformed_entries(tmp_path, lorenz_man3, block, edit,
+                                        message):
+    data = _corrupt(lorenz_man3, block, edit)
+    with pytest.raises(ValidationError, match=message):
+        ManifoldExpansion.from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match=message):
+        ManifoldExpansion.load(path)
 
 
 def test_coefficient_accessors_index_kron_columns(lorenz_man3):
