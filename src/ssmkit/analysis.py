@@ -189,12 +189,16 @@ def stability_jacobian(rom, rho, Omega=None):
     ])
 
 
-def _dof_index(dof):
+def _dof_index(dof, n=None):
     """An integer state index as int; a fractional one is refused, not
-    truncated."""
+    truncated, and so is one outside 0..n-1 when the state count n is
+    given (a negative index would silently count from the end)."""
     if not isinstance(dof, numbers.Integral):
         raise ValidationError("dof must be an integer state index, got %r"
                               % (dof,))
+    if n is not None and not 0 <= dof < n:
+        raise ValidationError("dof %d outside the states 0..%d"
+                              % (dof, n - 1))
     return int(dof)
 
 
@@ -230,7 +234,8 @@ def physical_amplitude(manifold, rho, psi, dof, nonaut=None, eps=0.0,
     order-eps time-periodic correction when one is supplied. One
     batched evaluation covers every phase and state.
     """
-    rows = np.atleast_1d(np.asarray(dof, dtype=np.int64))
+    rows = np.array([_dof_index(d, manifold.N) for d in np.atleast_1d(dof)],
+                    dtype=np.int64)
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
     theta = psi + eta * phases
     row = 0 if manifold.master.lambdas[0].imag > 0 else 1
@@ -283,6 +288,7 @@ def backbone(manifold, rho_max, n=40, dof=0, n_phases=128,
             "response sweep instead." % rom.lam)
     if rho_max <= 0:
         raise ValidationError("rho_max must be positive")
+    dof = _dof_index(dof, manifold.N)
     rho = np.linspace(0.0, float(rho_max), int(n))
     omega = rom.phase_velocity(rho)
     amp = np.array([physical_amplitude(manifold, r, 0.0, dof,
@@ -458,7 +464,7 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
 
     if not dofs:
         dofs = [int(np.argmax(np.abs(master.V[:, rom.row])))]
-    dofs = [_dof_index(d) for d in dofs]
+    dofs = [_dof_index(d, manifold.N) for d in dofs]
 
     points = []
     consistency_worst = 0.0
@@ -591,6 +597,9 @@ def write_frc_svg(result, path, dof=None, width=640, height=420):
     forcing frequency, stable points filled, unstable points open.
     """
     dof = result.dofs[0] if dof is None else _dof_index(dof)
+    if dof not in result.dofs:
+        raise ValidationError("dof %d is not among the swept dofs %s"
+                              % (dof, result.dofs))
     xs = [pt["Omega"] for pt in result.points]
     ys = [pt["amp"][dof] for pt in result.points]
     if not xs:

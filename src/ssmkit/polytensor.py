@@ -142,7 +142,7 @@ class PolyCoeffs:
             size *= n
         prod = values * z[self.factors[0]]
         for axis in range(1, self.degree):
-            prod = prod * z[self.factors[axis]]
+            prod *= z[self.factors[axis]]
         prod = prod.ravel()
         shape = (self.nrows,) + z.shape[1:]
         if not np.iscomplexobj(prod):

@@ -21,8 +21,9 @@ at its tolerances (rtol 1e-8, atol 1e-10) it needs 40 % fewer
 right-hand sides than the 5(4) pair RK45. The trapezoidal
 rule is the natural companion for stiff models and conservative checks,
 because it preserves quadratic invariants exactly and has no artificial
-damping. Either way B is factored once per call, and the trapezoidal
-Newton matrix B - (h/2) A once per call as well.
+damping. The adaptive path factors B once per call; the trapezoidal
+path factors only its Newton matrix B - (h/2) A, once per call, and
+never solves with B.
 """
 
 import numbers
@@ -209,9 +210,6 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     """
     Integrate the full model B z' = A z + F(z) + eps Fext(Omega t).
 
-    B is factored once per call, and every right-hand side is one solve
-    with those factors.
-
     Parameters
     ----------
     system : FirstOrderSystem
@@ -222,19 +220,42 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         required when the system is forced with eps != 0.
     method : {"adaptive", "trapezoid"}, optional
         "adaptive" is the explicit Runge-Kutta pair of order 8(5,3)
-        (DOP853 of Hairer, Norsett & Wanner) with error control;
-        "trapezoid" is the fixed-step implicit trapezoidal rule solved
-        by Newton chord iterations with the constant matrix
-        B - (h/2) A, factored once per call.
+        (DOP853 of Hairer, Norsett & Wanner) with error control; B is
+        factored once per call and every right-hand side is one solve
+        with those factors. "trapezoid" is the fixed-step implicit
+        trapezoidal rule, solved by chord Newton iterations with the
+        constant matrix J = B - (h/2) A, factored once per call; it
+        never factors or solves with B.
     dt : float, optional
-        Step size, required for "trapezoid".
+        Step size, required for "trapezoid"; the span is split into
+        the nearest whole number of equal steps h.
+    rtol, atol : float, optional
+        Error tolerances of "adaptive".
     t_eval : array_like, optional
         Output times ("adaptive" only; "trapezoid" returns every step
         and rejects ``t_eval``).
+    newton_tol : float, optional
+        Relative tolerance of the chord iteration ("trapezoid" only):
+        with Newton step Delta_k, the iteration stops once
+        ``|Delta_k| <= newton_tol * (1 + |z|)``, or once the estimate
+        ``theta_k / (1 - theta_k) * |Delta_k|`` of the remaining error
+        is within that bound, where the contraction rate
+        ``theta_k = |Delta_k| / |Delta_(k-1)|`` is below 1 (Hairer &
+        Wanner, Solving ODEs II, 1996, section IV.8).
+    max_newton : int, optional
+        Chord iterations allowed per step ("trapezoid" only); a step
+        that needs more raises NumericalError.
+
+    Each trapezoidal step solves
+    ``J z - (h/2) F(z) = (B + (h/2) A) z_k + (h/2) (F(z_k) + f_k + f_(k+1))``
+    with ``f_k = eps Fext(Omega t_k)``, starting from the linear
+    extrapolation ``2 z_k - z_(k-1)`` (``z_0`` on the first step).
 
     Returns
     -------
-    dict with keys "t" ((n,) times) and "z" ((N, n) states).
+    dict with keys "t" ((n,) times) and "z" ((N, n) states);
+    "trapezoid" adds "newton_iterations", the chord iterations summed
+    over all steps.
     """
     system = as_first_order(system)
     z0 = np.asarray(z0, dtype=float).reshape(-1)
@@ -252,19 +273,19 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
             "Omega has %d frequencies; the forcing labels expect %d"
             % (Om.size, system.nfreq))
     A, B = system.A, system.B
-    solveB = _solver(B)
     eps = system.eps
 
-    def raw_rhs(t, z):
-        g = A @ z + system.F_eval(z)
-        if forced:
-            g = g + eps * system.forcing_eval(Om * t)
-        return g
-
     if method == "adaptive":
-        sol = solve_ivp(lambda t, z: solveB(raw_rhs(t, z)), t_span, z0,
-                        method="DOP853", rtol=rtol, atol=atol,
-                        t_eval=t_eval)
+        solveB = _solver(B)
+
+        def rhs(t, z):
+            g = A @ z + system.F_eval(z)
+            if forced:
+                g = g + eps * system.forcing_eval(Om * t)
+            return solveB(g)
+
+        sol = solve_ivp(rhs, t_span, z0, method="DOP853", rtol=rtol,
+                        atol=atol, t_eval=t_eval)
         if not sol.success:
             raise NumericalError("integration failed: %s" % sol.message)
         return {"t": sol.t, "z": sol.y}
@@ -278,30 +299,45 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     t0, t1 = float(t_span[0]), float(t_span[1])
     n = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n
-    solveJ = _solver(B - 0.5 * h * A)
+    half = 0.5 * h
+
+    def forcing(t):
+        return eps * system.forcing_eval(Om * t) if forced else 0.0
+
+    J = B - half * A
+    P = B + half * A
+    solveJ = _solver(J)
     ts = t0 + h * np.arange(n + 1)
     zs = np.empty((system.N, n + 1))
     zs[:, 0] = z0
-    z = z0.copy()
+    z, z_prev = z0, z0
+    f = forcing(ts[0])
+    iterations = 0
     for k in range(n):
-        t, tn = ts[k], ts[k + 1]
-        gk = raw_rhs(t, z)
-        rhs_const = B @ z + 0.5 * h * gk
-        znew = z + h * solveB(gk)
+        f_next = forcing(ts[k + 1])
+        c = P @ z + half * (system.F_eval(z) + f + f_next)
+        znew = 2.0 * z - z_prev
+        size_prev = None
         for it in range(max_newton):
-            G = B @ znew - 0.5 * h * raw_rhs(tn, znew) - rhs_const
-            step = solveJ(G)
+            step = solveJ(J @ znew - half * system.F_eval(znew) - c)
             znew = znew - step
-            if (np.linalg.norm(step)
-                    <= newton_tol * (1.0 + np.linalg.norm(znew))):
+            size = np.linalg.norm(step)
+            bound = newton_tol * (1.0 + np.linalg.norm(znew))
+            if size <= bound:
                 break
+            if size_prev is not None and size < size_prev:
+                theta = size / size_prev
+                if theta / (1.0 - theta) * size <= bound:
+                    break
+            size_prev = size
         else:
             raise NumericalError(
                 "trapezoidal Newton iteration stalled at t=%.6g; "
-                "reduce dt" % tn)
-        z = znew
+                "reduce dt" % ts[k + 1])
+        iterations += it + 1
+        z_prev, z, f = z, znew, f_next
         zs[:, k + 1] = z
-    return {"t": ts, "z": zs}
+    return {"t": ts, "z": zs, "newton_iterations": iterations}
 
 
 def steady_state_amplitude(system, Omega, dof, n_transient=300,

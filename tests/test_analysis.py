@@ -190,6 +190,34 @@ def test_fractional_dofs_are_refused(tmp_path, chain_mode2_man5):
         write_frc_svg(result, tmp_path / "frc.svg", dof=4.5)
 
 
+def test_dofs_outside_the_states_are_refused(tmp_path, chain_mode2_man5):
+    # the README chain has N = 20 states; 25 used to raise a bare
+    # IndexError and -1 was reported as state 19 under key -1
+    man = chain_mode2_man5
+    assert man.N == 20
+    for dof in (25, -1, 20):
+        with pytest.raises(ValidationError, match="outside the states"):
+            frc_sweep(man, [0.6], dofs=(dof,))
+        with pytest.raises(ValidationError, match="outside the states"):
+            physical_amplitude(man, 0.05, 0.0, dof)
+        with pytest.raises(ValidationError, match="outside the states"):
+            physical_amplitude(man, 0.05, 0.0, [4, dof])
+    # 0.5 used to lift state 0
+    with pytest.raises(ValidationError, match="integer state index"):
+        physical_amplitude(man, 0.05, 0.0, 0.5)
+    duff = duffing_manifold(order=3)
+    with pytest.raises(ValidationError, match="outside the states"):
+        backbone(duff, rho_max=0.1, n=3, dof=2)
+    with pytest.raises(ValidationError, match="outside the states"):
+        backbone(duff, rho_max=0.1, n=3, dof=-1)
+    result = frc_sweep(man, [0.6], dofs=(4, 19))
+    assert result.dofs == [4, 19]
+    write_frc_svg(result, tmp_path / "frc.svg", dof=19)
+    # a state the sweep did not lift used to raise a bare KeyError
+    with pytest.raises(ValidationError, match="not among the swept"):
+        write_frc_svg(result, tmp_path / "frc.svg", dof=0)
+
+
 def test_stability_jacobian_rejects_the_origin(chain_mode2_man5):
     rom = extract_polar_rom(chain_mode2_man5)
     with pytest.raises(ValidationError, match="singular at rho = 0"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from ssmkit import (FirstOrderSystem, NumericalError, ValidationError,
                     as_first_order, compute_manifold, integrate_full,
@@ -184,6 +185,38 @@ def test_trapezoid_converges_at_second_order():
         errs.append(np.abs(out["z"][:, -1] - ref).max())
     ratio = errs[0] / errs[1]
     assert 3.5 < ratio < 4.5
+
+
+def _trapezoid_period(system, **kw):
+    """One forcing period of the README chain at Omega = 0.6158, in
+    128 trapezoidal steps."""
+    Omega = 0.6158
+    period = 2.0 * np.pi / Omega
+    z0 = np.random.default_rng(6).normal(size=20) * 0.1
+    return integrate_full(system, z0, (0.0, period), Omega=Omega,
+                          method="trapezoid", dt=period / 128, **kw)
+
+
+def test_trapezoid_does_not_depend_on_matrix_storage(chain10_forced):
+    dense = as_first_order(chain10_forced)
+    assert not sp.issparse(dense.A) and not sp.issparse(dense.B)
+    csr = FirstOrderSystem(sp.csr_matrix(dense.A), sp.csr_matrix(dense.B),
+                           dense.F_coeffs, dense.forcing, dense.eps)
+    one = _trapezoid_period(dense, newton_tol=1e-9)
+    two = _trapezoid_period(csr, newton_tol=1e-9)
+    assert one["newton_iterations"] == two["newton_iterations"]
+    assert (np.abs(one["z"] - two["z"]).max()
+            <= 1e-12 * np.abs(one["z"]).max())
+
+
+def test_trapezoid_newton_work_and_accuracy(chain10_forced):
+    got = _trapezoid_period(chain10_forced, newton_tol=1e-9)
+    assert got["z"].shape[1] == 129
+    assert got["newton_iterations"] <= 3 * 128
+    ref = _trapezoid_period(chain10_forced, newton_tol=1e-14,
+                            max_newton=200)
+    assert (np.abs(got["z"] - ref["z"]).max()
+            <= 1e-8 * np.abs(ref["z"]).max())
 
 
 def test_integrate_full_validations(chain10_forced, chain10):
