@@ -10,7 +10,16 @@ plain text triplet format, one monomial per line::
     4  2 2 2    1.0
 
 Indices are 1-based in files and converted on load (the in-memory
-convention is 0-based). Duplicate monomial entries are summed. The
+convention is 0-based). Duplicate monomial entries are summed. Blank
+lines and lines whose first non-blank character is '#' or '%' are
+skipped; a comment after an entry is not allowed. A file is read in
+one ``np.loadtxt`` pass, so numbers follow numpy's syntax: Python's
+digit separators (``1_000``) and non-ASCII digits are refused, and the
+row and index columns take integers only. NaN and infinite values are
+refused. Only when that pass fails are the lines parsed one at a time,
+to name the first bad one. The writer formats every entry through one
+line template. It refuses complex values with nonzero imaginary parts,
+and ``save_system`` writes no file for a block without entries. The
 manifest looks like::
 
     {
@@ -26,8 +35,10 @@ manifest looks like::
 Paths are resolved relative to the manifest.
 """
 
+import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 import scipy.io
@@ -46,57 +57,119 @@ def read_tensor_text(path, nrows, nvars):
     """
     Read one homogeneous polynomial block from a triplet text file.
 
-    The degree is inferred from the column count (columns minus two).
-    Lines starting with '#' or '%' and blank lines are skipped. Indices
-    are 1-based; zero or out-of-range indices raise ValidationError
-    naming the offending line.
+    The degree is inferred from the column count of the first data line
+    (columns minus two). Lines whose first non-blank character is '#'
+    or '%' and blank lines are skipped. All data lines are parsed in one
+    ``np.loadtxt`` pass, so numbers follow numpy's syntax (see the
+    module notes). Indices are 1-based; unparsable lines, zero or
+    out-of-range indices and non-finite values raise ValidationError
+    naming the first offending line.
     """
-    entries = []
-    degree = None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.strip()
-            if not body or body[0] in "#%":
-                continue
-            parts = body.split()
-            if degree is None:
-                degree = len(parts) - 2
-                if degree < 1:
-                    raise ValidationError(
-                        "%s:%d: expected 'row i1 .. ik value'" % (path, lineno))
-            elif len(parts) != degree + 2:
-                raise ValidationError(
-                    "%s:%d: expected %d columns, found %d"
-                    % (path, lineno, degree + 2, len(parts)))
-            try:
-                row = int(parts[0])
-                idx = tuple(int(p) for p in parts[1:-1])
-                value = float(parts[-1])
-            except ValueError as exc:
-                raise ValidationError("%s:%d: %s" % (path, lineno, exc)) from exc
-            if not 1 <= row <= nrows:
-                raise ValidationError(
-                    "%s:%d: row %d outside 1..%d (indices are 1-based)"
-                    % (path, lineno, row, nrows))
-            for i in idx:
-                if not 1 <= i <= nvars:
-                    raise ValidationError(
-                        "%s:%d: index %d outside 1..%d (indices are 1-based)"
-                        % (path, lineno, i, nvars))
-            entries.append((row - 1, tuple(i - 1 for i in idx), value))
-    if degree is None:
+        # split as file iteration does, so line numbers match an editor's
+        lines = fh.read().split("\n")
+    # "" (a blank line) is in "#%"; the digit test only saves the strip
+    keep = [line[:1].isdigit() or line.lstrip()[:1] not in "#%"
+            for line in lines]
+    data = list(itertools.compress(lines, keep))
+    if not data:
         raise ValidationError("%s: no entries found" % path)
-    return PolyCoeffs.from_entries(degree, nrows, nvars, entries)
+
+    def lineno(k):
+        """File line number of data line k."""
+        return next(itertools.islice(
+            itertools.compress(itertools.count(1), keep), k, None))
+
+    degree = len(data[0].split()) - 2
+    if degree < 1:
+        raise ValidationError(
+            "%s:%d: expected 'row i1 .. ik value'" % (path, lineno(0)))
+    dtype = np.dtype([("row", np.int64), ("idx", np.int64, (degree,)),
+                      ("val", np.float64)])
+    try:
+        table, fault = _parse_lines(data, dtype), None
+    except ValueError:
+        table, fault = _parse_prefix(data, dtype)
+    rows, factors, values = table["row"], table["idx"].T, table["val"]
+    # a fault in the parsed prefix comes first in the file
+    fault = _first_bad_entry(rows, factors, values, nrows, nvars) or fault
+    if fault is not None:
+        k, reason = fault
+        raise ValidationError("%s:%d: %s" % (path, lineno(k), reason))
+    return PolyCoeffs.from_factors(degree, nrows, nvars, rows - 1,
+                                   factors - 1, values)
+
+
+def _parse_lines(lines, dtype):
+    """One ``np.loadtxt`` pass over data lines; ValueError if any is bad."""
+    with warnings.catch_warnings():
+        # a numpy that still reads "1.5" into an integer column through
+        # float warns with DeprecationWarning; make that a refusal too
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from exc
+
+
+def _parse_prefix(data, dtype):
+    """
+    Parse data lines one at a time up to the first that numpy refuses.
+    Returns the table of the lines before it and ``(index, reason)``.
+    """
+    ncols = dtype["idx"].shape[0] + 2
+    parsed = [np.empty(0, dtype)]
+    for k, line in enumerate(data):
+        found = len(line.split())
+        if found != ncols:
+            return (np.concatenate(parsed),
+                    (k, "expected %d columns, found %d" % (ncols, found)))
+        try:
+            parsed.append(_parse_lines([line], dtype))
+        except ValueError as exc:
+            # numpy counts rows of its own input; only the reason is kept
+            return np.concatenate(parsed), (k, str(exc).split(" at row ")[0])
+    return np.concatenate(parsed), None
+
+
+def _first_bad_entry(rows, factors, values, nrows, nvars):
+    """``(index, reason)`` of the first entry out of range or non-finite."""
+    bad = ((rows < 1) | (rows > nrows)
+           | ((factors < 1) | (factors > nvars)).any(axis=0)
+           | ~np.isfinite(values))
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    if not 1 <= rows[k] <= nrows:
+        return k, ("row %d outside 1..%d (indices are 1-based)"
+                   % (rows[k], nrows))
+    for i in factors[:, k]:
+        if not 1 <= i <= nvars:
+            return k, ("index %d outside 1..%d (indices are 1-based)"
+                       % (i, nvars))
+    return k, "value %r is not finite" % float(values[k])
 
 
 def write_tensor_text(path, coeffs):
-    """Write one block in the triplet text format (1-based indices)."""
+    """
+    Write one block in the triplet text format (1-based indices), all
+    entries through one line template. Complex values must have zero
+    imaginary parts; otherwise ValidationError is raised.
+    """
+    values = coeffs.values
+    if np.iscomplexobj(values):
+        if np.any(values.imag != 0):
+            raise ValidationError(
+                "%s: the text format holds real values, but the degree-%d "
+                "block has nonzero imaginary parts" % (path, coeffs.degree))
+        values = values.real
+    header = ("# columns: row  %s  value\n"
+              % "  ".join("i%d" % (k + 1) for k in range(coeffs.degree)))
+    template = "%d  " + " ".join(["%d"] * coeffs.degree) + "  %.17g\n"
+    columns = [(coeffs.rows + 1).tolist(), *(coeffs.factors + 1).tolist(),
+               values.tolist()]
     with open(path, "w") as fh:
-        fh.write("# columns: row  %s  value\n"
-                 % "  ".join("i%d" % (k + 1) for k in range(coeffs.degree)))
-        for row, idx, value in coeffs.entries():
-            fh.write("%d  %s  %.17g\n"
-                     % (row + 1, " ".join("%d" % (i + 1) for i in idx), value))
+        fh.write(header + "".join(map(template.__mod__, zip(*columns))))
 
 
 def _read_matrix(path):
@@ -230,6 +303,9 @@ def save_system(system, directory, name="system"):
         manifest["matrices"][label] = fname
     manifest["tensors"] = {}
     for block in blocks:
+        if block.nnz == 0:
+            # a file must hold at least one entry; an empty block adds nothing
+            continue
         fname = "%s_f%d.txt" % (name, block.degree)
         write_tensor_text(os.path.join(directory, fname), block)
         manifest["tensors"][str(block.degree)] = fname

@@ -83,18 +83,40 @@ class PolyCoeffs:
         self.factors = decode_positions(positions, degree, nvars)
 
     @classmethod
+    def from_factors(cls, degree, nrows, nvars, rows, factors, values):
+        """
+        Build from 0-based ``rows``, ``values`` and a ``(degree, nnz)``
+        array of 0-based index ``factors``, one column per entry.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        factors = np.asarray(factors, dtype=np.int64)
+        if factors.shape != (degree, rows.size):
+            raise ValidationError(
+                "factors have shape %r, expected (degree, nnz) = (%d, %d)"
+                % (factors.shape, degree, rows.size))
+        if factors.size and (factors.min() < 0 or factors.max() >= nvars):
+            raise ValidationError(
+                "index entry out of range 0..%d" % (nvars - 1))
+        return cls(degree, nrows, nvars, rows,
+                   encode_positions(factors, nvars), values)
+
+    @classmethod
     def from_entries(cls, degree, nrows, nvars, entries):
         """
         Build from an iterable of ``(row, index_tuple, value)`` triples
         with 0-based rows and index tuples.
         """
-        iset = MultiIndexSet(degree, nvars)
-        rows, positions, values = [], [], []
-        for row, idx, val in entries:
-            rows.append(row)
-            positions.append(iset.position(idx))
-            values.append(val)
-        return cls(degree, nrows, nvars, rows, positions, values)
+        entries = list(entries)
+        for _, idx, _ in entries:
+            if len(idx) != degree:
+                raise ValidationError(
+                    "index tuple %r has length %d, expected degree %d"
+                    % (tuple(idx), len(idx), degree))
+        factors = np.array([idx for _, idx, _ in entries], dtype=np.int64)
+        return cls.from_factors(degree, nrows, nvars,
+                                [row for row, _, _ in entries],
+                                factors.reshape(len(entries), degree).T,
+                                [val for _, _, val in entries])
 
     @property
     def nnz(self):

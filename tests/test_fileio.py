@@ -10,7 +10,64 @@ from ssmkit import (MechanicalSystem, FirstOrderSystem, oscillator_chain,
                     load_system, save_system)
 from ssmkit.errors import ValidationError
 from ssmkit.fileio import read_tensor_text, write_tensor_text
+from ssmkit.multiindex import MultiIndexSet
 from ssmkit.polytensor import PolyCoeffs
+
+
+def reference_read(path, nrows, nvars):
+    """
+    The per-line reader that the one-pass parse replaced, kept as the
+    reference: Python's int and float on each field, and
+    MultiIndexSet.position on each index tuple.
+    """
+    rows, positions, values = [], [], []
+    degree = None
+    with open(path) as fh:
+        for line in fh:
+            body = line.strip()
+            if not body or body[0] in "#%":
+                continue
+            parts = body.split()
+            if degree is None:
+                degree = len(parts) - 2
+                iset = MultiIndexSet(degree, nvars)
+            assert len(parts) == degree + 2
+            rows.append(int(parts[0]) - 1)
+            positions.append(
+                iset.position(tuple(int(p) - 1 for p in parts[1:-1])))
+            values.append(float(parts[-1]))
+    return PolyCoeffs(degree, nrows, nvars, rows, positions, values)
+
+
+def reference_write(path, coeffs):
+    """The per-entry writer that the one-template writer replaced."""
+    with open(path, "w") as fh:
+        fh.write("# columns: row  %s  value\n"
+                 % "  ".join("i%d" % (k + 1) for k in range(coeffs.degree)))
+        for row, idx, value in coeffs.entries():
+            fh.write("%d  %s  %.17g\n"
+                     % (row + 1, " ".join("%d" % (i + 1) for i in idx), value))
+
+
+def assert_bitwise_equal(a, b):
+    assert (a.degree, a.nrows, a.nvars) == (b.degree, b.nrows, b.nvars)
+    for name in ("rows", "positions", "values", "factors"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def random_lines(rng, count, n, degree=3):
+    """Data lines of a random block in assorted number spellings."""
+    spell = ["%r", "%.17g", "%.6e", "%g", "%.3f", "%+.10E"]
+    lines = []
+    for _ in range(count):
+        idx = " ".join(str(i) for i in rng.integers(1, n + 1, degree))
+        value = float(rng.standard_normal() * 10.0 ** rng.integers(-30, 30))
+        fmt = spell[rng.integers(len(spell))]
+        lines.append("%d %s %s" % (rng.integers(1, n + 1), idx,
+                                   fmt % value))
+    return lines
 
 
 def test_tensor_text_roundtrip(tmp_path):
@@ -55,6 +112,131 @@ def test_tensor_text_errors_name_the_line(tmp_path):
     path.write_text("# only comments\n")
     with pytest.raises(ValidationError, match="no entries"):
         read_tensor_text(path, 2, 2)
+
+
+def test_one_pass_read_is_bitwise_the_per_line_read(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "f3.txt"
+    # 10^4 entries over 12 variables: many duplicates to sum
+    path.write_text("# random block\n"
+                    + "\n".join(random_lines(rng, 10_000, 12)) + "\n")
+    assert_bitwise_equal(read_tensor_text(path, 12, 12),
+                         reference_read(path, 12, 12))
+
+
+def test_one_pass_read_takes_the_per_line_syntax(tmp_path):
+    path = tmp_path / "f3.txt"
+    path.write_bytes(
+        b"# header\r\n"
+        b"   # indented hash comment\r\n"
+        b"\t% indented percent comment\r\n"
+        b"\r\n"
+        b"  \t \r\n"
+        b"+1\t01 2 3\t.5\r\n"
+        b"  2 1 +3 1 -1.25e-3  \r\n"
+        b"3\t\t3 3 3 1E+2\n"
+        b"1 2 1 1 -.75\n"
+        b"4 001 1 1 1.\n"
+        b"2 2 2 2 6.02214076e23\n"
+        b"\n"
+        b"% trailing comment\n"
+        b"3 1 2 3 -0e0\n"
+        b"1 1 1 1 +7E-310\r"
+        b"2 3 3 1 0.25\n"
+        b"4 3 2 1 12")
+    fc = read_tensor_text(path, 4, 3)
+    assert_bitwise_equal(fc, reference_read(path, 4, 3))
+    assert fc.nnz == 10
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("1 1 1 0.5", "expected 5 columns, found 4"),
+    ("1 1 1 1 0.5 0.5", "expected 5 columns, found 6"),
+    ("1 1 1.5 1 0.5", "1.5"),
+    ("1 1 1 1 0.5x", "0.5x"),
+    ("5 1 1 1 0.5", "row 5 outside 1..4"),
+    ("0 1 1 1 0.5", "row 0 outside 1..4"),
+    ("1 1 4 1 0.5", "index 4 outside 1..3"),
+    ("1 1 1 1 nan", "not finite"),
+    ("1 1 1 1 -inf", "not finite"),
+    ("1 1 1 1 1e400", "not finite"),
+])
+def test_each_fault_names_its_line_after_good_lines(tmp_path, line, reason):
+    rng = np.random.default_rng(3)
+    good = random_lines(rng, 5000, 3)
+    good = [" ".join(["%d" % (1 + int(g.split()[0]) % 4)] + g.split()[1:])
+            for g in good]
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(good + [line] + good[:10]) + "\n")
+    with pytest.raises(ValidationError, match=r"bad\.txt:5001: .*" + reason):
+        read_tensor_text(path, 4, 3)
+
+
+def test_the_first_fault_in_the_file_is_named(tmp_path):
+    path = tmp_path / "bad.txt"
+    # a range fault on line 2 comes before a parse fault on line 3
+    path.write_text("1 1 1 1.0\n9 1 1 1.0\n1 1 1 abc\n")
+    with pytest.raises(ValidationError, match=r"bad\.txt:2: row 9"):
+        read_tensor_text(path, 2, 2)
+    # CRLF endings and comments count as lines
+    path.write_bytes(b"# c\r\n1 1 1 1.0\r\n\r\n% c\r\n1 1 3 1.0\r\n")
+    with pytest.raises(ValidationError, match=r"bad\.txt:5: index 3"):
+        read_tensor_text(path, 2, 2)
+
+
+def test_python_only_number_syntax_is_refused(tmp_path):
+    # Python's int and float take digit separators and non-ASCII
+    # digits; numpy's parser does not
+    path = tmp_path / "bad.txt"
+    for line in ("1 1 1 1_000", "1_0 1 1 1.0", "1 1 1 1.5_0",
+                 "\u0661 1 1 1.0", "1 1 1 \uff12"):
+        path.write_text("1 1 1 1.0\n%s\n" % line, encoding="utf-8")
+        reference_read(path, 20, 2)
+        with pytest.raises(ValidationError, match=r"bad\.txt:2: "):
+            read_tensor_text(path, 20, 2)
+
+
+def test_one_template_write_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(5)
+    for degree in (1, 2, 3):
+        src = tmp_path / "src.txt"
+        src.write_text("\n".join(random_lines(rng, 2000, 6, degree)) + "\n")
+        fc = read_tensor_text(src, 6, 6)
+        write_tensor_text(tmp_path / "new.txt", fc)
+        reference_write(tmp_path / "old.txt", fc)
+        assert ((tmp_path / "new.txt").read_bytes()
+                == (tmp_path / "old.txt").read_bytes())
+        assert_bitwise_equal(read_tensor_text(tmp_path / "new.txt", 6, 6), fc)
+
+
+def test_complex_values_write_only_when_real(tmp_path):
+    real = PolyCoeffs.from_entries(2, 2, 2, [(0, (0, 1), 1.5),
+                                             (1, (1, 1), -2.0)])
+    path = tmp_path / "f2.txt"
+    write_tensor_text(path, real)
+    expected = path.read_bytes()
+    zero_imag = PolyCoeffs(2, 2, 2, real.rows, real.positions,
+                           real.values + 0j)
+    write_tensor_text(path, zero_imag)
+    assert path.read_bytes() == expected
+    lossy = PolyCoeffs(2, 2, 2, real.rows, real.positions,
+                       real.values + [0j, 2j])
+    with pytest.raises(ValidationError, match="imaginary"):
+        write_tensor_text(path, lossy)
+
+
+def test_empty_blocks_are_not_written(tmp_path):
+    F2 = PolyCoeffs.from_entries(2, 3, 3, [(1, (0, 2), -2.0)])
+    F3 = PolyCoeffs(3, 3, 3, [], [], [])
+    sys = FirstOrderSystem(-np.eye(3), np.eye(3), [F2, F3])
+    manifest = save_system(sys, tmp_path, name="fo")
+    with open(manifest) as fh:
+        assert json.load(fh)["tensors"] == {"2": "fo_f2.txt"}
+    assert not (tmp_path / "fo_f3.txt").exists()
+    back = load_system(manifest)
+    assert [b.degree for b in back.F_coeffs] == [2]
+    z = np.array([0.3, -1.0, 2.0])
+    assert np.array_equal(back.F_eval(z), sys.F_eval(z))
 
 
 def test_mech_roundtrip(tmp_path):

@@ -83,6 +83,37 @@ def test_from_entries_and_entries_roundtrip():
     assert sorted(fc.entries()) == sorted(entries)
 
 
+def test_from_factors_matches_positions():
+    entries = [(0, (1, 2), 2.5), (3, (0, 0), -1.0), (0, (1, 2), 0.5)]
+    factors = np.array([[1, 0, 1], [2, 0, 2]])
+    fc = PolyCoeffs.from_factors(2, 4, 3, [0, 3, 0], factors,
+                                 [2.5, -1.0, 0.5])
+    iset = MultiIndexSet(2, 3)
+    ref = PolyCoeffs(2, 4, 3, [0, 3, 0],
+                     [iset.position(idx) for _, idx, _ in entries],
+                     [2.5, -1.0, 0.5])
+    for name in ("rows", "positions", "values", "factors"):
+        assert np.array_equal(getattr(fc, name), getattr(ref, name))
+    assert fc.nnz == 2 and fc.to_dense()[0, iset.position((1, 2))] == 3.0
+
+
+def test_from_factors_and_entries_validate():
+    with pytest.raises(ValidationError, match="shape"):
+        PolyCoeffs.from_factors(2, 2, 2, [0], [[0, 1]], [1.0])
+    with pytest.raises(ValidationError, match="shape"):
+        PolyCoeffs.from_factors(2, 2, 2, [0, 1], [[0], [1]], [1.0, 1.0])
+    with pytest.raises(ValidationError, match="out of range"):
+        PolyCoeffs.from_factors(2, 2, 2, [0], [[0], [2]], [1.0])
+    with pytest.raises(ValidationError, match="out of range"):
+        PolyCoeffs.from_factors(2, 2, 2, [0], [[-1], [0]], [1.0])
+    with pytest.raises(ValidationError, match="length 1, expected degree 2"):
+        PolyCoeffs.from_entries(2, 2, 2, [(0, (0, 1), 1.0), (1, (0,), 1.0)])
+    with pytest.raises(ValidationError, match="out of range"):
+        PolyCoeffs.from_entries(2, 2, 2, [(0, (0, 2), 1.0)])
+    empty = PolyCoeffs.from_entries(3, 2, 2, [])
+    assert empty.nnz == 0 and empty.factors.shape == (3, 0)
+
+
 def test_from_dense_roundtrip():
     fc = random_poly(2, 3, 4, 9, seed=7)
     back = PolyCoeffs.from_dense(2, 4, fc.to_dense())
