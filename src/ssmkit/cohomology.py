@@ -270,8 +270,7 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     M = master.dim
     N = system.N
     B = system.B
-    mis = MultiIndexSet(order, M)
-    n_pos = mis.size
+    n_pos = MultiIndexSet(order, M).size
 
     C = compose(system.F_coeffs, w_blocks, order, M, nrows=N)
     for j in range(2, order):
@@ -290,23 +289,28 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     R_i = np.zeros((M, n_pos), dtype=complex)
 
     # canonical positions (each conjugate orbit solved once)
-    canonical = [pos for pos in range(n_pos) if sigma[pos] >= pos]
+    canonical = np.flatnonzero(sigma >= np.arange(n_pos))
 
     # group by sorted exponent multiset so equal eigenvalue sums share
-    # a factorization, then merge near-equal sums across multisets
-    groups = {}
-    for pos in canonical:
-        groups.setdefault(tuple(sorted(mis.index_tuple(pos))), []).append(pos)
+    # a factorization, then merge near-equal sums across multisets.
+    # Sorted tuples encode to positions in the order of the tuples, so
+    # the groups come in sorted-key order, each in position order.
+    keys = np.sort(decode_positions(canonical, order, M), axis=0)
+    _, first, group = np.unique(encode_positions(keys, M),
+                                return_index=True, return_inverse=True)
+    by_group = canonical[np.argsort(group, kind="stable")]
+    bounds = np.cumsum(np.bincount(group))[:-1]
     scale = max(float(np.abs(lam).max()), 1.0)
     merged = []
-    for key in sorted(groups):
+    for key, members in zip(keys[:, first].T.tolist(),
+                            np.split(by_group, bounds)):
         lam_l = complex(sum(lam[k] for k in key))
         for entry in merged:
             if abs(entry["lam"] - lam_l) <= LAMBDA_MERGE_RTOL * scale:
-                entry["pos"].extend(groups[key])
+                entry["pos"].extend(members.tolist())
                 break
         else:
-            merged.append({"lam": lam_l, "pos": list(groups[key])})
+            merged.append({"lam": lam_l, "pos": members.tolist()})
 
     V, U = master.V, master.U
     c_scale = float(np.abs(C).max()) if C.size else 1.0

@@ -153,8 +153,9 @@ def _first_bad_entry(rows, factors, values, nrows, nvars):
 def write_tensor_text(path, coeffs):
     """
     Write one block in the triplet text format (1-based indices), all
-    entries through one line template. Complex values must have zero
-    imaginary parts; otherwise ValidationError is raised.
+    entries through one line template. Values must be finite, and
+    complex values must have zero imaginary parts; otherwise
+    ValidationError is raised and the file is not written.
     """
     values = coeffs.values
     if np.iscomplexobj(values):
@@ -163,6 +164,10 @@ def write_tensor_text(path, coeffs):
                 "%s: the text format holds real values, but the degree-%d "
                 "block has nonzero imaginary parts" % (path, coeffs.degree))
         values = values.real
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(
+            "%s: the degree-%d block has non-finite values, which "
+            "load_system would refuse" % (path, coeffs.degree))
     header = ("# columns: row  %s  value\n"
               % "  ".join("i%d" % (k + 1) for k in range(coeffs.degree)))
     template = "%d  " + " ".join(["%d"] * coeffs.degree) + "  %.17g\n"

@@ -78,6 +78,26 @@ def _check_nonsingular(mat, name):
         raise ValidationError("%s is singular or numerically rank-deficient" % name)
 
 
+def _checked_nonlinearity(blocks, name, n):
+    """
+    The homogeneous pieces of a nonlinearity over ``n`` variables as a
+    list: degrees >= 2, ``n`` rows and variables, and real values (a
+    complex dtype is accepted when every imaginary part is zero).
+    """
+    blocks = list(blocks) if blocks else []
+    for fc in blocks:
+        if fc.degree < 2:
+            raise ValidationError("nonlinearity degrees must be >= 2")
+        if fc.nrows != n or fc.nvars != n:
+            raise ValidationError(
+                "nonlinearity block %r does not match %s=%d" % (fc, name, n))
+        if np.iscomplexobj(fc.values) and np.any(fc.values.imag != 0):
+            raise ValidationError(
+                "the degree-%d nonlinearity block has nonzero imaginary "
+                "parts; the nonlinearity must be real" % fc.degree)
+    return blocks
+
+
 def kappa_tuple(kappa):
     """Normalize a harmonic label to a tuple of ints."""
     if isinstance(kappa, numbers.Integral):
@@ -171,13 +191,7 @@ class MechanicalSystem:
         if self.C.shape != (n, n) or self.K.shape != (n, n):
             raise ValidationError("M, C, K must share one shape")
         self.n = n
-        self.f_coeffs = list(f_coeffs) if f_coeffs else []
-        for fc in self.f_coeffs:
-            if fc.degree < 2:
-                raise ValidationError("nonlinearity degrees must be >= 2")
-            if fc.nrows != n or fc.nvars != n:
-                raise ValidationError(
-                    "nonlinearity block %r does not match n=%d" % (fc, n))
+        self.f_coeffs = _checked_nonlinearity(f_coeffs, "n", n)
         self.forcing = _validate_forcing(forcing, n)
         self.eps = float(eps)
         _check_nonsingular(self.M, "mass matrix M")
@@ -231,13 +245,7 @@ class FirstOrderSystem:
         if self.A.shape != (N, N) or self.B.shape != (N, N):
             raise ValidationError("A and B must be square with one shape")
         self.N = N
-        self.F_coeffs = list(F_coeffs) if F_coeffs else []
-        for fc in self.F_coeffs:
-            if fc.degree < 2:
-                raise ValidationError("nonlinearity degrees must be >= 2")
-            if fc.nrows != N or fc.nvars != N:
-                raise ValidationError(
-                    "nonlinearity block %r does not match N=%d" % (fc, N))
+        self.F_coeffs = _checked_nonlinearity(F_coeffs, "N", N)
         self.forcing = _validate_forcing(forcing, N)
         # the table as one (N, K) matrix of vectors and (K, nfreq) labels
         nharm = len(self.forcing)

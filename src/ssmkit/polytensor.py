@@ -13,12 +13,20 @@ The order-collection helpers at the bottom (``compose``,
 ``apply_kron_sum``) are the kernels of the invariance-equation solver
 and work on dense ``(nrows, m**i)`` coefficient blocks, which is the
 cheap representation at the small numbers of master variables these
-expansions use.
+expansions use. ``compose`` forms one row-Kronecker product per
+distinct ordered factor tuple of F, not per stored entry, so each
+(F_j, composition) term of order i costs ``distinct tuples * m**i``
+multiplies, then one sparse product of that term's entries adds the
+products onto F's rows. Each output row is summed from zero in
+(F_j, composition, storage) order, the order of an entry-by-entry
+scatter, so the result has its bits.
 """
 
-import itertools
-
 import numpy as np
+# the CSR kernel behind scipy's sparse-dense product; called directly
+# because it adds into a given output, which the public product, with
+# its freshly zeroed result, does not
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import ValidationError
 from .multiindex import MultiIndexSet, decode_positions, encode_positions
@@ -49,6 +57,8 @@ class PolyCoeffs:
     -----
     ``factors`` (shape ``(degree, nnz)``) caches the decoded index
     tuples so evaluation is a plain gather-product-scatter.
+    ``distinct_factors`` is built on first use: entries on different
+    rows often share one tuple, and ``compose`` works per tuple.
     """
 
     def __init__(self, degree, nrows, nvars, rows, positions, values):
@@ -81,6 +91,7 @@ class PolyCoeffs:
         self.positions = positions
         self.values = values
         self.factors = decode_positions(positions, degree, nvars)
+        self._distinct = None
 
     @classmethod
     def from_factors(cls, degree, nrows, nvars, rows, factors, values):
@@ -121,6 +132,22 @@ class PolyCoeffs:
     @property
     def nnz(self):
         return self.rows.size
+
+    @property
+    def distinct_factors(self):
+        """
+        ``(tuples, index)``: the distinct ordered factor tuples as a
+        ``(degree, ntuples)`` array in position order, and for each
+        stored entry the column of its tuple.
+        """
+        # set in __init__ and filled here rather than a cached_property,
+        # whose write through __dict__ slows every later attribute read
+        # of the instance, and evaluate is called per integration step
+        if self._distinct is None:
+            _, first, index = np.unique(self.positions, return_index=True,
+                                        return_inverse=True)
+            self._distinct = (self.factors[:, first], index)
+        return self._distinct
 
     def entries(self):
         """Yield ``(row, index_tuple, value)`` triples in storage order."""
@@ -209,12 +236,18 @@ def compositions(total, parts):
             yield (first,) + rest
 
 
-def _row_kron(blocks):
-    """Row-wise Kronecker product of 2d blocks with equal row counts."""
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = (out[:, :, None] * b[:, None, :]).reshape(out.shape[0], -1)
-    return out
+def _row_kron(blocks, out):
+    """Row-wise Kronecker product of 2d blocks with equal row counts,
+    written into the preallocated 2d ``out``."""
+    acc = blocks[0]
+    for b in blocks[1:-1]:
+        acc = (acc[:, :, None] * b[:, None, :]).reshape(acc.shape[0], -1)
+    if len(blocks) == 1:
+        out[...] = acc
+        return
+    last = blocks[-1]
+    np.multiply(acc[:, :, None], last[:, None, :],
+                out=out.reshape(acc.shape[0], acc.shape[1], last.shape[1]))
 
 
 def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
@@ -246,8 +279,19 @@ def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
     -----
     The collected term is ``sum_j F_j sum_{|q|=order} W_{q_1} (x) ...
     (x) W_{q_j}`` over ordered positive integer compositions q. Only the
-    rows of the W blocks selected by the sparse F entries enter, so each
-    (F_j, q) pair costs ``nnz(F_j) * nvars**order`` multiplies.
+    rows of the W blocks selected by the sparse F entries enter, and
+    entries that share an ordered factor tuple share its row-Kronecker
+    product, so each (F_j, q) pair costs ``ntuples(F_j) * nvars**order``
+    multiplies into one preallocated block K (one row per tuple), and
+    one CSR product ``out += S_j @ K`` with ``S_j`` the entries of F_j
+    (row, tuple, value) in storage order. Each output row is summed
+    from zero in (F_j, q, storage) order, which is the order an
+    entry-by-entry ``np.add.at`` scatter adds in, so the result has
+    the same bits; a product per term added into ``out`` afterwards
+    would re-associate those sums. ``S_j`` is complex even for real F:
+    the product then multiplies by an exact zero imaginary part, where
+    a real ``S_j`` over split real and imaginary parts could be fused
+    into one rounding of ``y + v * K``.
     """
     for q in range(1, order):
         if q not in w_blocks:
@@ -257,16 +301,26 @@ def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
         if not f_coeffs:
             raise ValidationError("compose needs nrows when f_coeffs is empty")
         nrows = f_coeffs[0].nrows
-    out = np.zeros((nrows, nvars**order), dtype=complex)
+    ncols = nvars**order
+    # flat buffers: the kernel writes into a copy of a non-contiguous
+    # output, which would lose the sums
+    out = np.zeros(nrows * ncols, dtype=complex)
     for fj in f_coeffs:
         j = fj.degree
         if j > order or fj.nnz == 0:
             continue
+        tuples, index = fj.distinct_factors
+        # F_j in CSR: its storage order is row-major
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(fj.rows, minlength=nrows), out=indptr[1:])
+        values = fj.values.astype(complex)
+        K = np.empty(tuples.shape[1] * ncols, dtype=complex)
         for q in compositions(order, j):
-            blocks = [w_blocks[q[slot]][fj.factors[slot]] for slot in range(j)]
-            contrib = fj.values[:, None] * _row_kron(blocks)
-            np.add.at(out, fj.rows, contrib)
-    return out
+            _row_kron([w_blocks[q[slot]][tuples[slot]] for slot in range(j)],
+                      K.reshape(tuples.shape[1], ncols))
+            csr_matvecs(nrows, tuples.shape[1], ncols, indptr, index, values,
+                        K, out)
+    return out.reshape(nrows, ncols)
 
 
 def apply_kron_sum(r_block, w_block, order, w_order, nvars):

@@ -225,6 +225,20 @@ def test_complex_values_write_only_when_real(tmp_path):
         write_tensor_text(path, lossy)
 
 
+def test_non_finite_values_are_not_written(tmp_path):
+    F2 = PolyCoeffs.from_entries(2, 3, 3, [(0, (0, 1), 1.0),
+                                           (1, (0, 2), np.nan)])
+    sys = FirstOrderSystem(-np.eye(3), np.eye(3), [F2])
+    with pytest.raises(ValidationError,
+                       match=r"fo_f2\.txt: the degree-2 block .*non-finite"):
+        save_system(sys, tmp_path, name="fo")
+    assert not (tmp_path / "fo_f2.txt").exists()
+    for bad in (np.inf, -np.inf, complex(np.nan, 0.0)):
+        F3 = PolyCoeffs.from_entries(3, 3, 3, [(2, (0, 1, 2), bad)])
+        with pytest.raises(ValidationError, match="degree-3 .*non-finite"):
+            write_tensor_text(tmp_path / "f3.txt", F3)
+
+
 def test_empty_blocks_are_not_written(tmp_path):
     F2 = PolyCoeffs.from_entries(2, 3, 3, [(1, (0, 2), -2.0)])
     F3 = PolyCoeffs(3, 3, 3, [], [], [])

@@ -222,6 +222,23 @@ def test_nonlinearity_shape_rejected():
         MechanicalSystem(np.eye(2), np.eye(2), np.eye(2), f_coeffs=[lin])
 
 
+def test_complex_nonlinearity_rejected():
+    # the cubic block of a Duffing oscillator with value 1 + 0.5j
+    cubic = PolyCoeffs.from_entries(3, 1, 1, [(0, (0, 0, 0), 1.0 + 0.5j)])
+    with pytest.raises(ValidationError, match="imaginary"):
+        MechanicalSystem(np.eye(1), 0.1 * np.eye(1), np.eye(1),
+                         f_coeffs=[cubic])
+    lifted = PolyCoeffs.from_entries(3, 2, 2, [(1, (0, 0, 0), -1.0 - 0.5j)])
+    with pytest.raises(ValidationError, match="imaginary"):
+        FirstOrderSystem(-np.eye(2), np.eye(2), [lifted])
+    # a complex dtype with zero imaginary parts is a real nonlinearity
+    real = PolyCoeffs.from_entries(3, 1, 1, [(0, (0, 0, 0), 1.0 + 0j)])
+    mech = MechanicalSystem(np.eye(1), 0.1 * np.eye(1), np.eye(1),
+                            f_coeffs=[real])
+    z = np.array([0.5, 0.0])
+    assert np.array_equal(build_first_order(mech).F_eval(z), [-0.125, 0.0])
+
+
 def test_lorenz_extended_model():
     sys = lorenz_extended()
     A, B = sys.dense_pencil()

@@ -1,10 +1,13 @@
 """Sparse polynomial blocks against dense Kronecker-product oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ssmkit import build_first_order, oscillator_chain
 from ssmkit.errors import ValidationError
-from ssmkit.multiindex import MultiIndexSet, kron_power
+from ssmkit.multiindex import MultiIndexSet, encode_positions, kron_power
 from ssmkit.polytensor import PolyCoeffs, compositions, compose, apply_kron_sum
 
 
@@ -178,6 +181,113 @@ def test_compose_matches_dense_oracle():
         got = compose(f_coeffs, w_blocks, order, nvars)
         want = dense_compose_oracle(f_coeffs, w_blocks, order, nvars, nstates)
         assert np.allclose(got, want)
+
+
+def add_at_compose(f_coeffs, w_blocks, order, nvars, nrows):
+    """
+    Reference composition: a row-Kronecker product for every stored
+    entry, scaled by its value and scattered with ``np.add.at``.
+    """
+    out = np.zeros((nrows, nvars**order), dtype=complex)
+    for fj in f_coeffs:
+        j = fj.degree
+        if j > order or fj.nnz == 0:
+            continue
+        for q in compositions(order, j):
+            kron = w_blocks[q[0]][fj.factors[0]]
+            for slot in range(1, j):
+                block = w_blocks[q[slot]][fj.factors[slot]]
+                kron = (kron[:, :, None] * block[:, None, :]).reshape(
+                    kron.shape[0], -1)
+            np.add.at(out, fj.rows, fj.values[:, None] * kron)
+    return out
+
+
+def shared_tuple_poly(degree, nrows, nvars, nnz, seed, complex_values=False):
+    """Entries on random rows drawn from a few index tuples, so most
+    tuples serve several rows."""
+    rng = np.random.default_rng(seed)
+    positions = rng.choice(nvars**degree, 5, replace=False)[
+        rng.integers(0, 5, nnz)]
+    values = rng.standard_normal(nnz)
+    if complex_values:
+        values = values + 1j * rng.standard_normal(nnz)
+    return PolyCoeffs(degree, nrows, nvars, rng.integers(0, nrows, nnz),
+                      positions, values)
+
+
+def test_distinct_factors_are_built_on_first_use():
+    fc = shared_tuple_poly(3, 6, 4, 40, seed=1)
+    assert fc._distinct is None
+    tuples, index = fc.distinct_factors
+    assert tuples.shape == (3, 5) and index.shape == (fc.nnz,)
+    assert np.array_equal(tuples[:, index], fc.factors)
+    # distinct and in position order
+    assert np.array_equal(encode_positions(tuples, 4), np.unique(fc.positions))
+    assert fc.distinct_factors is fc.distinct_factors
+
+
+@pytest.mark.parametrize("complex_w", [False, True])
+def test_compose_is_bitwise_the_add_at_scatter(complex_w):
+    nvars, nstates = 2, 7
+    rng = np.random.default_rng(11)
+    w_blocks = {}
+    for q in (1, 2, 3, 4):
+        w_blocks[q] = rng.standard_normal((nstates, nvars**q))
+        if complex_w:
+            w_blocks[q] = w_blocks[q] + 1j * rng.standard_normal(
+                (nstates, nvars**q))
+    w_blocks[3] = np.zeros_like(w_blocks[3])
+    f_coeffs = [shared_tuple_poly(2, nstates, nstates, 30, seed=2),
+                PolyCoeffs(3, nstates, nstates, [], [], []),
+                random_poly(3, nstates, nstates, 40, seed=3),
+                shared_tuple_poly(3, nstates, nstates, 50, seed=4)]
+    for order in (2, 3, 4, 5):
+        got = compose(f_coeffs, w_blocks, order, nvars)
+        want = add_at_compose(f_coeffs, w_blocks, order, nvars, nstates)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        linear = compose([], w_blocks, order, nvars, nrows=nstates)
+        assert linear.tobytes() == add_at_compose(
+            [], w_blocks, order, nvars, nstates).tobytes()
+
+
+def test_compose_of_complex_f_agrees_to_rounding():
+    # complex F is refused by the systems, and the complex product may
+    # round differently from numpy's
+    nvars, nstates = 2, 6
+    rng = np.random.default_rng(12)
+    w_blocks = {q: rng.standard_normal((nstates, nvars**q))
+                + 1j * rng.standard_normal((nstates, nvars**q))
+                for q in (1, 2, 3)}
+    f_coeffs = [shared_tuple_poly(2, nstates, nstates, 30, seed=5,
+                                  complex_values=True),
+                shared_tuple_poly(3, nstates, nstates, 30, seed=6,
+                                  complex_values=True)]
+    for order in (2, 3, 4):
+        got = compose(f_coeffs, w_blocks, order, nvars)
+        want = add_at_compose(f_coeffs, w_blocks, order, nvars, nstates)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6, 7])
+def test_compose_peak_memory_is_no_higher_than_the_scatter(order):
+    # the lifted cubic of a 40-mass chain: each spring's tuples serve
+    # both of its masses
+    system = build_first_order(oscillator_chain(40))
+    rng = np.random.default_rng(order)
+    w_blocks = {q: rng.standard_normal((system.N, 2**q))
+                + 1j * rng.standard_normal((system.N, 2**q))
+                for q in range(1, order)}
+    peaks = []
+    for fn in (compose, add_at_compose):
+        tracemalloc.start()
+        try:
+            fn(system.F_coeffs, w_blocks, order, 2, system.N)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_compose_value_check():
