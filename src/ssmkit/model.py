@@ -63,14 +63,16 @@ def _is_symmetric(mat, rtol=1e-12):
 def _check_nonsingular(mat, name):
     """Factorization-based singularity check, dense or sparse."""
     if sp.issparse(mat):
+        import scipy.sparse.linalg as spla
         try:
-            import scipy.sparse.linalg as spla
             lu = spla.splu(mat.tocsc())
-            du = np.abs(lu.U.diagonal())
-            if du.min() <= 1e-14 * max(du.max(), 1.0):
-                raise ValidationError("%s is singular" % name)
         except RuntimeError as exc:
             raise ValidationError("%s is singular (%s)" % (name, exc)) from exc
+        du = np.abs(lu.U.diagonal())
+        ratio = du.min() / max(du.max(), 1.0)
+        if ratio <= 1e-14:
+            raise ValidationError("%s is singular or ill-conditioned (LU "
+                                  "pivot ratio %.1e)" % (name, ratio))
         return
     if mat.shape[0] == 0:
         return
@@ -82,19 +84,23 @@ def _checked_nonlinearity(blocks, name, n):
     """
     The homogeneous pieces of a nonlinearity over ``n`` variables as a
     list: degrees >= 2, ``n`` rows and variables, and real values (a
-    complex dtype is accepted when every imaginary part is zero).
+    complex dtype is accepted when every imaginary part is zero, and
+    such a block is returned with real values).
     """
     blocks = list(blocks) if blocks else []
-    for fc in blocks:
+    for k, fc in enumerate(blocks):
         if fc.degree < 2:
             raise ValidationError("nonlinearity degrees must be >= 2")
         if fc.nrows != n or fc.nvars != n:
             raise ValidationError(
                 "nonlinearity block %r does not match %s=%d" % (fc, name, n))
-        if np.iscomplexobj(fc.values) and np.any(fc.values.imag != 0):
-            raise ValidationError(
-                "the degree-%d nonlinearity block has nonzero imaginary "
-                "parts; the nonlinearity must be real" % fc.degree)
+        if np.iscomplexobj(fc.values):
+            if np.any(fc.values.imag != 0):
+                raise ValidationError(
+                    "the degree-%d nonlinearity block has nonzero imaginary "
+                    "parts; the nonlinearity must be real" % fc.degree)
+            blocks[k] = PolyCoeffs.from_factors(fc.degree, n, n, fc.rows,
+                                                fc.factors, fc.values.real)
     return blocks
 
 

@@ -16,9 +16,11 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Hard cap on the number of addressable positions m**k. Past this the
-# position arithmetic no longer fits comfortably in an int64 and the
-# computation would not be feasible anyway.
+# Hard cap on the number of addressable positions m**k, which guards
+# the dense blocks indexed by position (the manifold's W and R): past it
+# the position arithmetic no longer fits comfortably in an int64 and a
+# dense block would not fit in memory. Sparse polynomial blocks are
+# keyed by factor tuples and have no such cap.
 MAX_POSITIONS = 2**48
 
 

@@ -3,8 +3,9 @@ Sparse homogeneous polynomial tensors in Kronecker-power coordinates.
 
 A degree-``k`` map ``F_k`` from ``m`` variables to ``nrows`` outputs is
 a ``nrows x m**k`` matrix acting on the Kronecker power ``z^(x)k``. The
-entries are kept as coordinate triplets (row, position, value) with the
-lexicographic position convention of :mod:`ssmkit.multiindex`. No
+entries are kept as coordinate triplets (row, factor tuple, value). The
+tuple's lexicographic position (:mod:`ssmkit.multiindex`) is formed only
+for dense blocks, so a sparse block is bounded by memory alone. No
 symmetrization is imposed, so raw and symmetrized tensors are both
 representable; only the symmetrized part matters when the polynomial is
 evaluated, since permuted index tuples multiply the same monomial.
@@ -13,13 +14,7 @@ The order-collection helpers at the bottom (``compose``,
 ``apply_kron_sum``) are the kernels of the invariance-equation solver
 and work on dense ``(nrows, m**i)`` coefficient blocks, which is the
 cheap representation at the small numbers of master variables these
-expansions use. ``compose`` forms one row-Kronecker product per
-distinct ordered factor tuple of F, not per stored entry, so each
-(F_j, composition) term of order i costs ``distinct tuples * m**i``
-multiplies, then one sparse product of that term's entries adds the
-products onto F's rows. Each output row is summed from zero in
-(F_j, composition, storage) order, the order of an entry-by-entry
-scatter, so the result has its bits.
+expansions use.
 """
 
 import numpy as np
@@ -29,11 +24,32 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import ValidationError
-from .multiindex import MultiIndexSet, decode_positions, encode_positions
+from .multiindex import decode_positions, encode_positions
 
 __all__ = [
     "PolyCoeffs", "compositions", "compose", "apply_kron_sum",
 ]
+
+
+def _runs(keys):
+    """Stable lexicographic order of the columns of ``keys``, and its run starts."""
+    order = np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return order, starts
+
+
+def _summed(rows, factors, values):
+    """The entries in (row, tuple) order, duplicates summed from zero."""
+    rows, values = np.asarray(rows, dtype=np.int64), np.asarray(values)
+    if rows.ndim != 1 or values.shape != rows.shape:
+        raise ValidationError("rows and values must be equal-length 1d arrays")
+    order, starts = _runs(np.vstack([rows, factors]))
+    summed = np.zeros(starts.sum(), np.result_type(values, np.float64))
+    np.add.at(summed, np.cumsum(starts) - 1, values[order])
+    kept = order[starts]
+    return rows[kept], factors.take(kept, axis=1), summed
 
 
 class PolyCoeffs:
@@ -55,43 +71,30 @@ class PolyCoeffs:
 
     Notes
     -----
-    ``factors`` (shape ``(degree, nnz)``) caches the decoded index
-    tuples so evaluation is a plain gather-product-scatter.
+    The entries are ``rows``, ``factors`` (one tuple per column of a
+    ``(degree, nnz)`` array) and ``values``, in (row, tuple) order.
     ``distinct_factors`` is built on first use: entries on different
     rows often share one tuple, and ``compose`` works per tuple.
     """
 
     def __init__(self, degree, nrows, nvars, rows, positions, values):
-        iset = MultiIndexSet(degree, nvars)
-        rows = np.asarray(rows, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
-        values = np.asarray(values)
-        if not (rows.shape == positions.shape == values.shape) or rows.ndim != 1:
+        if positions.shape != np.shape(rows):
             raise ValidationError("rows, positions, values must be equal-length 1d arrays")
-        if rows.size and (rows.min() < 0 or rows.max() >= nrows):
-            raise ValidationError("row index out of range 0..%d" % (nrows - 1))
-        if positions.size and (positions.min() < 0 or positions.max() >= len(iset)):
+        size = int(nvars)**degree  # exact: it may overflow int64
+        if positions.size and (positions.min() < 0 or int(positions.max()) >= size):
             raise ValidationError("position out of range for degree %d over %d vars"
                                   % (degree, nvars))
-        # sum duplicates and store in deterministic (row, position) order
-        if rows.size:
-            key = rows * len(iset) + positions
-            order = np.argsort(key, kind="stable")
-            key, rows, positions, values = key[order], rows[order], positions[order], values[order]
-            uniq, inverse = np.unique(key, return_inverse=True)
-            summed = np.zeros(uniq.size, dtype=np.result_type(values, np.float64))
-            np.add.at(summed, inverse, values)
-            rows = (uniq // len(iset)).astype(np.int64)
-            positions = (uniq % len(iset)).astype(np.int64)
-            values = summed
-        self.degree = degree
-        self.nrows = nrows
-        self.nvars = nvars
-        self.rows = rows
-        self.positions = positions
-        self.values = values
-        self.factors = decode_positions(positions, degree, nvars)
+        self._store(degree, nrows, nvars, *_summed(
+            rows, decode_positions(positions, degree, nvars), values))
+
+    def _store(self, degree, nrows, nvars, rows, factors, values):
+        if rows.size and (rows.min() < 0 or rows.max() >= nrows):
+            raise ValidationError("row index out of range 0..%d" % (nrows - 1))
+        self.degree, self.nrows, self.nvars = degree, nrows, nvars
+        self.rows, self.factors, self.values = rows, factors, values
         self._distinct = None
+        return self
 
     @classmethod
     def from_factors(cls, degree, nrows, nvars, rows, factors, values):
@@ -102,14 +105,12 @@ class PolyCoeffs:
         rows = np.asarray(rows, dtype=np.int64)
         factors = np.asarray(factors, dtype=np.int64)
         if factors.shape != (degree, rows.size):
-            raise ValidationError(
-                "factors have shape %r, expected (degree, nnz) = (%d, %d)"
-                % (factors.shape, degree, rows.size))
+            raise ValidationError("factors have shape %r, expected (degree, nnz) = (%d, %d)"
+                                  % (factors.shape, degree, rows.size))
         if factors.size and (factors.min() < 0 or factors.max() >= nvars):
-            raise ValidationError(
-                "index entry out of range 0..%d" % (nvars - 1))
-        return cls(degree, nrows, nvars, rows,
-                   encode_positions(factors, nvars), values)
+            raise ValidationError("index entry out of range 0..%d" % (nvars - 1))
+        return cls.__new__(cls)._store(degree, nrows, nvars,
+                                       *_summed(rows, factors, values))
 
     @classmethod
     def from_entries(cls, degree, nrows, nvars, entries):
@@ -123,11 +124,9 @@ class PolyCoeffs:
                 raise ValidationError(
                     "index tuple %r has length %d, expected degree %d"
                     % (tuple(idx), len(idx), degree))
-        factors = np.array([idx for _, idx, _ in entries], dtype=np.int64)
-        return cls.from_factors(degree, nrows, nvars,
-                                [row for row, _, _ in entries],
-                                factors.reshape(len(entries), degree).T,
-                                [val for _, _, val in entries])
+        rows, factors, values = zip(*entries) if entries else ((), (), ())
+        return cls.from_factors(degree, nrows, nvars, rows,
+                                np.reshape(factors, (-1, degree)).T, values)
 
     @property
     def nnz(self):
@@ -137,29 +136,30 @@ class PolyCoeffs:
     def distinct_factors(self):
         """
         ``(tuples, index)``: the distinct ordered factor tuples as a
-        ``(degree, ntuples)`` array in position order, and for each
-        stored entry the column of its tuple.
+        ``(degree, ntuples)`` array in lexicographic order, and for
+        each stored entry the column of its tuple.
         """
-        # set in __init__ and filled here rather than a cached_property,
+        # set in _store and filled here rather than a cached_property,
         # whose write through __dict__ slows every later attribute read
         # of the instance, and evaluate is called per integration step
         if self._distinct is None:
-            _, first, index = np.unique(self.positions, return_index=True,
-                                        return_inverse=True)
-            self._distinct = (self.factors[:, first], index)
+            order, starts = _runs(self.factors)
+            index = np.empty(self.nnz, dtype=np.int64)
+            index[order] = np.cumsum(starts) - 1
+            self._distinct = (self.factors.take(order[starts], axis=1), index)
         return self._distinct
 
     def entries(self):
-        """Yield ``(row, index_tuple, value)`` triples in storage order."""
-        iset = MultiIndexSet(self.degree, self.nvars)
-        for r, p, v in zip(self.rows, self.positions, self.values):
-            yield int(r), iset.index_tuple(int(p)), v
+        """Iterate ``(row, index_tuple, value)`` triples in storage order."""
+        return zip(self.rows.tolist(), map(tuple, self.factors.T.tolist()),
+                   self.values)
 
     def to_dense(self):
         """Dense ``(nrows, nvars**degree)`` coefficient matrix."""
         out = np.zeros((self.nrows, self.nvars**self.degree),
                        dtype=np.result_type(self.values, np.float64))
-        np.add.at(out, (self.rows, self.positions), self.values)
+        np.add.at(out, (self.rows, encode_positions(self.factors, self.nvars)),
+                  self.values)
         return out
 
     @classmethod
@@ -210,10 +210,10 @@ class PolyCoeffs:
         """
         if self.nvars > nvars:
             raise ValidationError("cannot shrink variable count in relabel")
-        positions = encode_positions(self.factors, nvars)
-        return PolyCoeffs(self.degree, nrows, nvars,
-                          self.rows + row_offset, positions,
-                          self.values * value_scale)
+        # shifted rows keep the order; + 0.0 clears -0.0 as sums from zero do
+        return PolyCoeffs.__new__(PolyCoeffs)._store(
+            self.degree, nrows, nvars, self.rows + row_offset, self.factors,
+            self.values * value_scale + 0.0)
 
     def __repr__(self):
         return ("PolyCoeffs(degree=%d, nrows=%d, nvars=%d, nnz=%d)"

@@ -51,7 +51,7 @@ def reference_write(path, coeffs):
 
 def assert_bitwise_equal(a, b):
     assert (a.degree, a.nrows, a.nvars) == (b.degree, b.nrows, b.nvars)
-    for name in ("rows", "positions", "values", "factors"):
+    for name in ("rows", "values", "factors"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
@@ -215,12 +215,12 @@ def test_complex_values_write_only_when_real(tmp_path):
     path = tmp_path / "f2.txt"
     write_tensor_text(path, real)
     expected = path.read_bytes()
-    zero_imag = PolyCoeffs(2, 2, 2, real.rows, real.positions,
-                           real.values + 0j)
+    zero_imag = PolyCoeffs.from_factors(2, 2, 2, real.rows, real.factors,
+                                        real.values + 0j)
     write_tensor_text(path, zero_imag)
     assert path.read_bytes() == expected
-    lossy = PolyCoeffs(2, 2, 2, real.rows, real.positions,
-                       real.values + [0j, 2j])
+    lossy = PolyCoeffs.from_factors(2, 2, 2, real.rows, real.factors,
+                                    real.values + [0j, 2j])
     with pytest.raises(ValidationError, match="imaginary"):
         write_tensor_text(path, lossy)
 

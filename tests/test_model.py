@@ -201,6 +201,13 @@ def test_singular_b_rejected():
         FirstOrderSystem(np.eye(2), np.diag([1.0, 0.0]))
 
 
+def test_ill_conditioned_sparse_b_reports_its_pivot_ratio():
+    B = sp.diags([1.0, 1e-15], format="csr")
+    with pytest.raises(ValidationError, match=r"matrix B is singular or "
+                       r"ill-conditioned \(LU pivot ratio 1\.0e-15\)"):
+        FirstOrderSystem(-sp.identity(2, format="csr"), B)
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 def test_singular_auxiliary_block_rejected(sparse):
     # a free-free pair: K is singular, so N = -K makes B singular
@@ -236,7 +243,27 @@ def test_complex_nonlinearity_rejected():
     mech = MechanicalSystem(np.eye(1), 0.1 * np.eye(1), np.eye(1),
                             f_coeffs=[real])
     z = np.array([0.5, 0.0])
-    assert np.array_equal(build_first_order(mech).F_eval(z), [-0.125, 0.0])
+    got = build_first_order(mech).F_eval(z)
+    assert got.dtype == np.float64 and np.array_equal(got, [-0.125, 0.0])
+    lifted = PolyCoeffs.from_entries(3, 2, 2, [(1, (0, 0, 0), -1.0 + 0j)])
+    got = FirstOrderSystem(-np.eye(2), np.eye(2), [lifted]).F_eval(z)
+    assert got.dtype == np.float64 and np.array_equal(got, [0.0, -0.125])
+
+
+def test_sparse_lift_past_the_position_capacity():
+    # (2n)**3 = 5.1e14 positions for the lifted cubic, past MAX_POSITIONS
+    n = 4 * 10**4
+    eye = sp.identity(n, format="csr")
+    cubic = PolyCoeffs.from_entries(3, n, n, [(0, (0, 0, 0), 2.0),
+                                              (n - 1, (0, n - 2, n - 1), -1.5),
+                                              (n - 1, (n - 1, n - 1, 7), 0.5)])
+    mech = MechanicalSystem(eye, 0.01 * eye, eye, f_coeffs=[cubic])
+    system = build_first_order(mech, variant="L1")
+    assert system.N == 2 * n
+    z = np.random.default_rng(0).standard_normal(2 * n)
+    f = cubic.evaluate(z[:n])
+    assert np.count_nonzero(f) == 2
+    assert np.array_equal(system.F_eval(z), np.concatenate([np.zeros(n), -f]))
 
 
 def test_lorenz_extended_model():

@@ -7,7 +7,8 @@ import pytest
 
 from ssmkit import build_first_order, oscillator_chain
 from ssmkit.errors import ValidationError
-from ssmkit.multiindex import MultiIndexSet, encode_positions, kron_power
+from ssmkit.multiindex import (MultiIndexSet, decode_positions,
+                               encode_positions, kron_power)
 from ssmkit.polytensor import PolyCoeffs, compositions, compose, apply_kron_sum
 
 
@@ -95,7 +96,7 @@ def test_from_factors_matches_positions():
     ref = PolyCoeffs(2, 4, 3, [0, 3, 0],
                      [iset.position(idx) for _, idx, _ in entries],
                      [2.5, -1.0, 0.5])
-    for name in ("rows", "positions", "values", "factors"):
+    for name in ("rows", "values", "factors"):
         assert np.array_equal(getattr(fc, name), getattr(ref, name))
     assert fc.nnz == 2 and fc.to_dense()[0, iset.position((1, 2))] == 3.0
 
@@ -115,6 +116,74 @@ def test_from_factors_and_entries_validate():
         PolyCoeffs.from_entries(2, 2, 2, [(0, (0, 2), 1.0)])
     empty = PolyCoeffs.from_entries(3, 2, 2, [])
     assert empty.nnz == 0 and empty.factors.shape == (3, 0)
+
+
+def position_keyed(degree, nvars, rows, positions, values):
+    """
+    Reference normalization, keyed by flat positions: a stable sort on
+    ``row * nvars**degree + position``, duplicates summed by np.add.at
+    over np.unique's inverse. Returns the stored rows, factors and
+    values and the distinct tuples with each entry's column.
+    """
+    size = nvars**degree
+    key = np.asarray(rows) * size + np.asarray(positions)
+    order = np.argsort(key, kind="stable")
+    uniq, inverse = np.unique(key[order], return_inverse=True)
+    values = np.asarray(values)[order]
+    summed = np.zeros(uniq.size, dtype=np.result_type(values, np.float64))
+    np.add.at(summed, inverse, values)
+    factors = decode_positions(uniq % size, degree, nvars)
+    _, first, index = np.unique(uniq % size, return_index=True,
+                                return_inverse=True)
+    return uniq // size, factors, summed, factors[:, first], index
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_storage_is_bitwise_the_position_keyed_one(complex_values):
+    rng = np.random.default_rng(21)
+    for degree, nrows, nvars, nnz in [(1, 3, 4, 9), (2, 5, 3, 40),
+                                      (3, 4, 4, 80), (4, 2, 3, 60)]:
+        # few distinct (row, position) pairs, so most entries repeat one
+        rows = rng.integers(0, nrows, nnz)
+        positions = rng.choice(nvars**degree, 6)[rng.integers(0, 6, nnz)]
+        values = rng.standard_normal(nnz)
+        if complex_values:
+            values = values + 1j * rng.standard_normal(nnz)
+        want = position_keyed(degree, nvars, rows, positions, values)
+        factors = decode_positions(positions, degree, nvars)
+        for fc in (PolyCoeffs(degree, nrows, nvars, rows, positions, values),
+                   PolyCoeffs.from_factors(degree, nrows, nvars, rows,
+                                           factors, values)):
+            got = (fc.rows, fc.factors, fc.values) + fc.distinct_factors
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("degree, nvars", [(3, 10**6), (4, 2 * 10**5)])
+def test_blocks_past_the_position_capacity(degree, nvars):
+    # nvars**degree is 1e18 and 1.6e21 positions: far past MAX_POSITIONS,
+    # and at degree 4 past int64
+    nrows, m = 6, 2
+    rng = np.random.default_rng(degree)
+    factors = rng.integers(0, nvars, (degree, 8))[:, rng.integers(0, 8, 30)]
+    rows = rng.integers(0, nrows, 30)
+    fc = PolyCoeffs.from_factors(degree, nrows, nvars, rows, factors,
+                                 rng.standard_normal(30))
+    assert 0 < fc.nnz <= 30 and fc.distinct_factors[0].shape[1] <= 8
+    z = rng.standard_normal(nvars)
+    assert fc.evaluate(z).tobytes() == add_at_evaluate(fc, z).tobytes()
+    lifted = fc.relabel(2 * nrows, nvars + 1, row_offset=nrows,
+                        value_scale=-1.0)
+    assert np.array_equal(lifted.factors, fc.factors)
+    assert np.array_equal(lifted.evaluate(np.append(z, 3.0)),
+                          np.concatenate([np.zeros(nrows), -fc.evaluate(z)]))
+    # at order = degree only W_1 enters; the others stay untouched pages
+    w_blocks = {q: np.zeros((nvars, m**q)) for q in range(2, degree)}
+    w_blocks[1] = rng.standard_normal((nvars, m))
+    got = compose([fc], w_blocks, degree, m)
+    want = add_at_compose([fc], w_blocks, degree, m, nrows)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_from_dense_roundtrip():
@@ -223,7 +292,8 @@ def test_distinct_factors_are_built_on_first_use():
     assert tuples.shape == (3, 5) and index.shape == (fc.nnz,)
     assert np.array_equal(tuples[:, index], fc.factors)
     # distinct and in position order
-    assert np.array_equal(encode_positions(tuples, 4), np.unique(fc.positions))
+    assert np.array_equal(encode_positions(tuples, 4),
+                          np.unique(encode_positions(fc.factors, 4)))
     assert fc.distinct_factors is fc.distinct_factors
 
 
