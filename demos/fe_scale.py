@@ -10,6 +10,13 @@ first frequency and checks the invariance residual. It prints each
 stage's wall time and the peak resident set size, which must stay
 under 2 GB.
 
+Every shifted solve takes the second-order route: one sparse LU of the
+N/2 matrix lambda^2 M + lambda C + K per block (lambda = i Omega for a
+forcing block) instead of one of the 2N pencil lambda B - A.
+The forcing blocks at the sweep's two end frequencies are solved once
+more through ``leading_order``, whose route and normwise backward
+residual are printed; the residual must be at most 1e-12.
+
 The lift uses layout L1, whose B = diag(I, M) is as well conditioned as
 M. The default symmetric layout L2 has B = [[C, M], [M, 0]], whose LU
 pivot ratio falls with the mesh size (below 1e-15 here), so the lift
@@ -28,7 +35,7 @@ import time
 import numpy as np
 
 from ssmkit import (build_first_order, compute_manifold, frc_sweep,
-                    invariance_residual, master_spectrum)
+                    invariance_residual, leading_order, master_spectrum)
 from ssmkit.cli import DEFAULTS
 
 NODES = 10**5
@@ -69,8 +76,13 @@ def main():
     man = timed("manifold", compute_manifold, system, ms, order=3)
     omega1 = float(np.abs(ms.lambdas.imag).max())
     dof = system.N // 4
-    result = timed("frc", frc_sweep, man,
-                   omega1 * np.linspace(0.99, 1.05, 17), dofs=(dof,))
+    omegas = omega1 * np.linspace(0.99, 1.05, 17)
+    result = timed("frc", frc_sweep, man, omegas, dofs=(dof,))
+    # the sweep's end blocks, again through leading_order, for their
+    # solve route and backward residuals
+    ends = timed("forcing", lambda: [
+        leading_order(system, ms, [omega]).diagnostics
+        for omega in omegas[[0, -1]]])
     report = timed("verify", invariance_residual, man,
                    DEFAULTS["verify"]["radii"], n_dirs=4)
     peak = peak_rss_mb()
@@ -85,12 +97,20 @@ def main():
               % (pt["Omega"] / omega1, pt["rho"],
                  "yes" if pt["stable"] else "no", pt["amp"][dof]))
     print()
+    backward = []
+    for omega, diag in zip(omegas[[0, -1]], ends):
+        backward.append(max(diag["backward_residuals"].values()))
+        print("forcing block at %.2f omega_1: %s route, backward residual "
+              "%.1e" % (omega / omega1, diag["route"], backward[-1]))
+    print()
     for line in report.describe():
         print(line)
     print()
     print("total %.2f s, peak RSS %.0f MB" % (sum(times.values()), peak))
 
     assert result.points, "the sweep found no forced response"
+    assert max(backward) <= 1e-12, "forcing block backward residual %.1e" \
+        % max(backward)
     assert peak < RSS_BUDGET_MB, "peak RSS %.0f MB over budget" % peak
 
 

@@ -29,13 +29,20 @@ solved once and mirrored, so coefficient arrays are exactly conjugate
 symmetric and evaluations at conjugate-symmetric points are exactly
 real.
 
-Every block, here and in ``forcing``, goes through ``solve_shifted``:
-dense LU unless the condition estimate marks the block singular, sparse
-LU unless its residual fails, else minimum-norm least squares; on every
-path master directions whose eigenvalue sits on the shift are projected
-out through ``U^H B``.
+Every block, here and in ``forcing``, goes through ``solve_shifted``.
+A system lifted from a mechanical model (it carries ``mech``) takes the
+"second-order" route: the block reduces to one solve with the N/2
+matrix ``lam^2 M + lam C + K`` and one with the layout's auxiliary
+block, whatever the layout and auxiliary block. Any other system takes
+the "first-order" route on the 2N matrix ``lam B - A``. On either
+route the matrix gets dense LU unless the condition estimate marks it
+singular, sparse LU unless its residual fails, else minimum-norm least
+squares; master directions whose eigenvalue sits on the shift are then
+projected out through ``U^H B``. Each order's diagnostics name the
+route.
 """
 
+import functools
 import json
 import re
 import warnings
@@ -55,7 +62,8 @@ from .spectrum import MasterSubspace
 
 __all__ = [
     "ResonanceReport", "classify_resonances", "resonance_tolerance",
-    "is_resonant", "solve_shifted", "solve_order", "compute_manifold",
+    "is_resonant", "factorize", "shifted_route", "solve_shifted",
+    "solve_order", "compute_manifold",
     "ManifoldExpansion",
 ]
 
@@ -183,28 +191,101 @@ def classify_resonances(master, order, tol=None):
                            {key: tol[key] for key in ("rel", "slack", "abs")})
 
 
-def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
-    """
-    Solve ``(shift B - A) X = rhs`` for one (N,) or (N, k) block.
+@functools.lru_cache(maxsize=None)
+def _dense_lu(typecode):
+    """LAPACK getrf, gecon and getrs for one dtype."""
+    return la.get_lapack_funcs(("getrf", "gecon", "getrs"),
+                               dtype=np.dtype(typecode))
 
-    A dense block is singular when LAPACK's condition estimate is at most
-    ``RCOND_SINGULAR``, a sparse one when its sparse LU fails, is not
-    finite or leaves a relative residual above 1e-6. A singular block
-    takes the minimum-norm least-squares solution and must then satisfy
-    the system to 1e-6 relative to ``max(|rhs|, rhs_scale, 1)``, else
-    NumericalError names the block by ``what``. On every path, each
-    master direction whose eigenvalue lies within ``1e-8 * scale`` of
-    ``shift`` is removed: ``X -= v_k (u_k^H B X)``.
 
-    Returns (X, rcond, singular): rcond is the dense condition estimate
-    (None for sparse pencils), singular whether least squares was used.
+def factorize(mat):
     """
-    A, B = system.A, system.B
-    if sp.issparse(A) or sp.issparse(B):
-        mat = (shift * B - A).tocsc().astype(complex)
+    Factor ``mat`` once: SuperLU for a sparse matrix, LAPACK ``getrf``
+    for a dense one. Returns ``(solve, rcond)``: ``solve(v)`` applies
+    ``mat^-1`` to an (n,) or (n, k) array of ``mat``'s dtype through
+    SuperLU or ``getrs``, without the per-call checks of ``lu_solve``.
+    ``rcond`` is LAPACK's 1-norm condition estimate of a dense ``mat``
+    (0 when a pivot is exactly zero), None for a sparse one. SuperLU
+    raises RuntimeError on an exactly singular ``mat``.
+    """
+    if sp.issparse(mat):
+        return spla.splu(mat.tocsc()).solve, None
+    getrf, gecon, getrs = _dense_lu(mat.dtype.char)
+    lu, piv, info = getrf(mat)
+    anorm = np.linalg.norm(mat, 1)
+    rcond = float(gecon(lu, anorm)[0]) if anorm > 0 and info == 0 else 0.0
+    return (lambda v: getrs(lu, piv, v)[0]), rcond
+
+
+def shifted_route(system):
+    """
+    The route of :func:`solve_shifted` on ``system``: "second-order"
+    when it carries its mechanical model, else "first-order".
+    """
+    return "first-order" if system.mech is None else "second-order"
+
+
+class _SecondOrder:
+    """
+    The n = N/2 blocks of a lifted mechanical model, read from its
+    pencil under its layout: M, C and K, and the auxiliary block N
+    (``B[:n, :n]`` under L1, ``B[n:, :n]`` under L2), factored here.
+    Sparse M, C and K share one CSC pattern, their union, so that
+    ``Q(shift)`` costs one vector expression on their values.
+    """
+
+    def __init__(self, system):
+        n = system.N // 2
+        A, B = system.A, system.B
+        self.l1 = system.variant == "L1"
+        if self.l1:
+            M, C, K, Nb = B[n:, n:], -A[n:, n:], -A[n:, :n], B[:n, :n]
+        else:
+            M, C, K, Nb = B[:n, n:], B[:n, :n], -A[:n, :n], B[n:, :n]
+        self.n = n
+        self.solve_aux = factorize(Nb.astype(complex))[0]
+        self.pattern = None
+        if sp.issparse(M):
+            union = ((M != 0) + (C != 0) + (K != 0)).tocsc()
+            union.sort_indices()
+            rows = union.indices
+            cols = np.repeat(np.arange(n), np.diff(union.indptr))
+            self.pattern = (rows, union.indptr)
+            self.values = np.array([np.asarray(mat[rows, cols]).ravel()
+                                    for mat in (M, C, K)], dtype=float)
+            M, C, K = map(self._on_pattern, self.values)
+        self.M, self.C, self.K = M, C, K
+
+    def _on_pattern(self, values):
+        return sp.csc_matrix((values, *self.pattern), shape=(self.n, self.n))
+
+    def matrix(self, shift):
+        """``Q(shift) = shift^2 M + shift C + K``, dense or CSC, complex."""
+        shift = complex(shift)
+        if self.pattern is None:
+            return shift * shift * self.M + shift * self.C + self.K
+        m, c, k = self.values
+        return self._on_pattern((shift * shift) * m + shift * c + k)
+
+    def rhs(self, shift, rhs):
+        """The right-hand side of Q x and s = N^-1 rk for a 2N ``rhs``."""
+        n = self.n
+        rk, rd = (rhs[:n], rhs[n:]) if self.l1 else (rhs[n:], rhs[:n])
+        s = self.solve_aux(rk)
+        Ms = shift * (self.M @ s)
+        return rd + (Ms + self.C @ s if self.l1 else Ms), s
+
+
+def _lu_or_lstsq(mat, rhs):
+    """
+    ``mat X = rhs`` by LU unless ``mat`` is singular, then by minimum-norm
+    least squares; the tests are those of :func:`solve_shifted`.
+    Returns (X, rcond, singular).
+    """
+    if sp.issparse(mat):
         rcond = None
         try:
-            X = spla.splu(mat).solve(rhs)
+            X = factorize(mat)[0](rhs)
             singular = (not np.isfinite(X).all()
                         or np.abs(mat @ X - rhs).max()
                         > 1e-6 * max(np.abs(rhs).max(), 1.0))
@@ -213,26 +294,64 @@ def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
         if singular:
             mat = mat.toarray()
     else:
-        mat = shift * np.asarray(B, dtype=complex) - A
-        with warnings.catch_warnings():
-            # exactly singular blocks are expected at resonances and are
-            # routed to least squares via rcond, so LU may grumble
-            warnings.simplefilter("ignore", la.LinAlgWarning)
-            lu, piv = la.lu_factor(mat)
-        anorm = np.linalg.norm(mat, 1)
-        gecon = la.get_lapack_funcs("gecon", (mat,))
-        rcond = float(gecon(lu, anorm)[0]) if anorm > 0 else 0.0
+        solve, rcond = factorize(mat)
         singular = rcond <= RCOND_SINGULAR
         if not singular:
-            X = la.lu_solve((lu, piv), rhs)
+            X = solve(rhs)
     if singular:
         X = la.lstsq(mat, rhs, cond=RCOND_SINGULAR, lapack_driver="gelsd")[0]
-    lam, V, U = master.lambdas, master.V, master.U
-    for k in range(master.dim):
-        if abs(shift - lam[k]) <= 1e-8 * scale:
-            X -= np.multiply.outer(V[:, k], U[:, k].conj() @ (B @ X))
+    return X, rcond, singular
+
+
+def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
+    """
+    Solve ``(shift B - A) X = rhs`` for one (N,) or (N, k) block.
+
+    A system that carries its mechanical model (see
+    :func:`shifted_route`) is solved on the N/2 matrix
+    ``Q = shift^2 M + shift C + K`` (Tisseur & Meerbergen, SIAM Rev. 43,
+    2001). With ``rk`` the kinematic rows of ``rhs`` (the first n under
+    L1, the last n under L2), ``rd`` the dynamic ones and N the
+    auxiliary block, ``s = N^-1 rk`` and::
+
+        L1:  Q x = rd + (shift M + C) s       L2:  Q x = rd + shift M s
+
+    then ``X = [x; shift x - s]``. Any other system is solved on the 2N
+    matrix ``shift B - A``.
+
+    The matrix solved is singular when it is dense and LAPACK's
+    condition estimate is at most ``RCOND_SINGULAR``, or sparse and its
+    sparse LU fails, is not finite or leaves a relative residual above
+    1e-6. A singular block takes the minimum-norm least-squares solution
+    and must then satisfy ``(shift B - A) X = rhs`` to 1e-6 relative to
+    ``max(|rhs|, rhs_scale, 1)``, else NumericalError names the block by
+    ``what``. On every path, each master direction whose eigenvalue lies
+    within ``1e-8 * scale`` of ``shift`` is removed:
+    ``X -= v_k (u_k^H B X)``.
+
+    Returns (X, rcond, singular): rcond is the dense condition estimate
+    of the matrix solved (None when it is sparse), singular whether
+    least squares was used.
+    """
+    A, B = system.A, system.B
+    if system.mech is None:
+        if sp.issparse(A) or sp.issparse(B):
+            mat = (shift * B - A).tocsc().astype(complex)
+        else:
+            mat = shift * np.asarray(B, dtype=complex) - A
+        X, rcond, singular = _lu_or_lstsq(mat, rhs)
+    else:
+        if system._second_order is None:
+            system._second_order = _SecondOrder(system)
+        quad = system._second_order
+        rq, s = quad.rhs(shift, rhs)
+        x, rcond, singular = _lu_or_lstsq(quad.matrix(shift), rq)
+        X = np.concatenate([x, shift * x - s])
+    V, U = master.V, master.U
+    for k in np.flatnonzero(np.abs(shift - master.lambdas) <= 1e-8 * scale):
+        X -= np.multiply.outer(V[:, k], U[:, k].conj() @ (B @ X))
     if singular:
-        rnorm = float(np.abs(mat @ X - rhs).max())
+        rnorm = float(np.abs(shift * (B @ X) - A @ X - rhs).max())
         if rnorm > 1e-6 * max(np.abs(rhs).max(), rhs_scale, 1.0):
             raise NumericalError(
                 "%s is singular and inconsistent (residual %.3e); the "
@@ -264,7 +383,10 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     Returns
     -------
     (W_i, R_i, info) : two complex ndarrays of shapes (N, M**order) and
-        (M, M**order), and a diagnostics dict.
+        (M, M**order), and a diagnostics dict: the order, the number of
+        merged eigenvalue-sum groups, the smallest dense condition
+        estimate, the columns solved by least squares and the solve
+        route of :func:`shifted_route`.
     """
     lam = master.lambdas
     M = master.dim
@@ -278,12 +400,15 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
                                 order, j, M)
 
     sigma = conjugate_permutation(master.pairing, order)
-    # reduced-dynamics rows: the style's fixed rows plus flagged modes
-    fixed = (set(range(M)) if style == "graph" else
-             {int(g) for g in graph_modes} if style == "per-mode" else set())
-    flagged = {}
+    # active reduced-dynamics entries: the style's fixed rows plus the
+    # (position, mode) pairs flagged as near-resonant
+    active = np.zeros((M, n_pos), dtype=bool)
+    if style == "graph":
+        active[:] = True
+    elif style == "per-mode":
+        active[[int(g) for g in graph_modes]] = True
     for pos, j in report.inner_at(order):
-        flagged.setdefault(pos, set()).add(j)
+        active[j, pos] = True
 
     W_i = np.zeros((N, n_pos), dtype=complex)
     R_i = np.zeros((M, n_pos), dtype=complex)
@@ -319,14 +444,13 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     lstsq_cols = 0
     for entry in merged:
         positions = entry["pos"]
-        rhs = np.empty((N, len(positions)), dtype=complex)
-        for col, pos in enumerate(positions):
-            c = C[:, pos]
-            r = np.zeros(M, dtype=complex)
-            for j in sorted(fixed | flagged.get(pos, set())):
-                r[j] = np.vdot(U[:, j], c)
-            R_i[:, pos] = r
-            rhs[:, col] = c - B @ (V @ r)
+        rhs = C[:, positions]
+        act = active[:, positions]
+        modes = np.flatnonzero(act.any(axis=1))
+        if modes.size:
+            R_i[np.ix_(modes, positions)] = np.where(
+                act[modes], U[:, modes].conj().T @ rhs, 0)
+            rhs -= B @ (V @ R_i[:, positions])
         sols, rcond, singular = solve_shifted(
             system, master, entry["lam"], rhs, scale,
             "order-%d block at eigenvalue sum %s" % (order, entry["lam"]),
@@ -338,15 +462,12 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
         W_i[:, positions] = sols
 
     # mirror conjugate positions for exact symmetry
-    pairing = master.pairing
-    for pos in canonical:
-        mir = sigma[pos]
-        if mir != pos:
-            W_i[:, mir] = W_i[:, pos].conjugate()
-            R_i[:, mir] = R_i[pairing, pos].conjugate()
+    own = canonical[sigma[canonical] != canonical]
+    W_i[:, sigma[own]] = W_i[:, own].conjugate()
+    R_i[:, sigma[own]] = R_i[np.ix_(master.pairing, own)].conjugate()
 
     info = {"order": order, "groups": len(merged), "min_rcond": min_rcond,
-            "lstsq_columns": lstsq_cols}
+            "lstsq_columns": lstsq_cols, "route": shifted_route(system)}
     return W_i, R_i, info
 
 

@@ -25,8 +25,17 @@ master set cannot be absorbed either way; they are reported as a
 warning because they shrink the validity region in eps.
 
 Each block goes through ``cohomology.solve_shifted`` at the shift
-``i <kappa, Omega>``, on the same dense, sparse or least-squares path as
-an autonomous block of the same pencil, with the same kernel projection.
+``i <kappa, Omega>``, on the same route as an autonomous block of the
+same system: the N/2 matrix ``-nu^2 M + i nu C + K`` for a lifted
+mechanical model, else the 2N pencil, then the same dense, sparse or
+least-squares path and the same kernel projection. The diagnostics
+record the route and, per harmonic, the residual and the normwise
+backward residual
+
+    |(i nu B - A) x - rhs| / ((|nu| |B| + |A|) |x| + |rhs|)
+
+in the infinity norm, with ``nu = <kappa, Omega>`` and ``rhs = f_kappa
+- B V s_kappa``.
 
 Corrections of order eps times powers of the reduced coordinate are not
 computed; the diagnostics record this truncation.
@@ -36,7 +45,8 @@ import warnings
 
 import numpy as np
 
-from .cohomology import is_resonant, resonance_tolerance, solve_shifted
+from .cohomology import (is_resonant, resonance_tolerance, shifted_route,
+                         solve_shifted)
 from .errors import NumericalError, ValidationError
 from .model import as_first_order
 
@@ -170,6 +180,7 @@ def leading_order(system, master, Omega, style="normal-form",
     V, U = master.V, master.U
     outer = master.outer_lambdas
     A, B = system.A, system.B
+    norm_A, norm_B = system.inf_norms
     tol = resonance_tolerance(master, tol)
     kernel_scale = max(tol["scale"], 1.0)
 
@@ -184,6 +195,7 @@ def leading_order(system, master, Omega, style="normal-form",
 
     harmonics = {}
     residuals = {}
+    backward = {}
     outer_hits = []
     pairing = master.pairing
     for kt in sorted(table):
@@ -210,8 +222,11 @@ def leading_order(system, master, Omega, style="normal-form",
                            "harmonic %r" % (kt,),
                            rhs_scale=np.abs(f0).max())[0]
         harmonics[kt] = {"x0": x0, "s0": s0}
-        res = (1j * nu * (B @ x0) - A @ x0) - rhs
-        residuals[str(kt)] = float(np.abs(res).max())
+        res = float(np.abs((1j * nu * (B @ x0) - A @ x0) - rhs).max())
+        residuals[str(kt)] = res
+        size = ((abs(nu) * norm_B + norm_A) * np.abs(x0).max()
+                + np.abs(rhs).max())
+        backward[str(kt)] = res / size if size > 0 else 0.0
 
         neg = tuple(-k for k in kt)
         if neg != kt:
@@ -233,7 +248,9 @@ def leading_order(system, master, Omega, style="normal-form",
             "of convergence in eps" % msg)
 
     diag = {
+        "route": shifted_route(system),
         "residuals": residuals,
+        "backward_residuals": backward,
         "outer_resonances": [[list(kt), mu.real, mu.imag]
                              for kt, mu in outer_hits],
         "truncation": "response truncated at order eps; terms of order "

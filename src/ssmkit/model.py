@@ -23,6 +23,7 @@ Forcing is position-independent: each harmonic is a constant complex
 vector. State-dependent forcing input is rejected.
 """
 
+import functools
 import numbers
 
 import numpy as np
@@ -264,8 +265,16 @@ class FirstOrderSystem:
         self.eps = float(eps)
         self.variant = variant
         self.mech = mech
+        # cohomology's N/2 blocks, set at the first shifted solve
+        self._second_order = None
         self.symmetric = _is_symmetric(self.A) and _is_symmetric(self.B)
         _check_nonsingular(self.B, "pencil matrix B")
+
+    @functools.cached_property
+    def inf_norms(self):
+        """(||A||_inf, ||B||_inf), the largest absolute row sums."""
+        return tuple(float(np.asarray(abs(mat).sum(axis=1)).max(initial=0.0))
+                     for mat in (self.A, self.B))
 
     def dense_pencil(self):
         """Return (A, B) as dense arrays."""

@@ -369,18 +369,19 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
     else:
         Ut = UL[:, chosen].copy()
 
-    # cluster-wise Gram correction restores U^H B V = I. The unit-norm
-    # eigenvectors of a semisimple cluster give a Gram on the scale of
-    # ||B||; a Gram that is small against that scale means the cluster
-    # has too few independent eigenvectors.
+    # cluster-wise Gram correction restores U^H B V = I. A cluster's
+    # Gram G = U_c^H B V_c is bounded by ||U_c|| ||B V_c||; a G that is
+    # small against that bound means the cluster has too few independent
+    # eigenvectors. The bound is the cluster's own: ||B|| grows with the
+    # mesh of an FE model, and a simple pair's Gram does not.
     BV = B @ V
-    B_fro = (spla.norm(B) if sp.issparse(B) else la.norm(B))
     sel_cluster = cluster_id[chosen]
     for c in np.unique(sel_cluster):
         cols = np.nonzero(sel_cluster == c)[0]
         G = Ut[:, cols].conj().T @ BV[:, cols]
         svals = la.svdvals(G)
-        if svals[-1] <= 1e-10 * max(svals[0], B_fro, 1e-300):
+        bound = la.norm(Ut[:, cols]) * la.norm(BV[:, cols])
+        if svals[-1] <= 1e-10 * max(bound, 1e-300):
             raise ValidationError(
                 "eigenvalue %s is defective (non-semisimple); no "
                 "biorthogonal eigenbasis exists" % lambdas[cols[0]])

@@ -30,10 +30,9 @@ import numbers
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
+from .cohomology import factorize
 from .errors import NumericalError, ValidationError
 from .model import as_first_order
 
@@ -191,19 +190,6 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0, floor=1e-11):
                           n_dirs, seed)
 
 
-def _solver(mat):
-    """
-    Factor ``mat`` once and return the solve ``v -> mat^-1 v``: sparse
-    LU for a sparse matrix, else LAPACK ``getrs`` on the dense LU
-    factors, called without the per-call checks of ``lu_solve``.
-    """
-    if sp.issparse(mat):
-        return spla.splu(mat.tocsc()).solve
-    lu, piv = la.lu_factor(mat)
-    getrs = la.get_lapack_funcs("getrs", (lu,))
-    return lambda v: getrs(lu, piv, v)[0]
-
-
 def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
                    dt=None, rtol=1e-8, atol=1e-10, t_eval=None,
                    newton_tol=1e-12, max_newton=50):
@@ -276,7 +262,7 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     eps = system.eps
 
     if method == "adaptive":
-        solveB = _solver(B)
+        solveB = factorize(B)[0]
 
         def rhs(t, z):
             g = A @ z + system.F_eval(z)
@@ -306,7 +292,7 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
 
     J = B - half * A
     P = B + half * A
-    solveJ = _solver(J)
+    solveJ = factorize(J)[0]
     ts = t0 + h * np.arange(n + 1)
     zs = np.empty((system.N, n + 1))
     zs[:, 0] = z0

@@ -2,16 +2,20 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ssmkit import (FirstOrderSystem, ManifoldExpansion, MechanicalSystem,
                     NumericalError, OuterResonanceError, ValidationError,
                     as_first_order, build_first_order, classify_resonances,
-                    compute_manifold, extract_polar_rom, master_spectrum,
-                    oscillator_chain)
+                    compute_manifold, extract_polar_rom, leading_order,
+                    master_spectrum, oscillator_chain)
+from ssmkit import cohomology, forcing
 from ssmkit.multiindex import MultiIndexSet
 from ssmkit.polytensor import PolyCoeffs
 from test_spectrum import csr_chain
@@ -329,6 +333,140 @@ def test_dense_and_sparse_pencils_give_the_same_expansion():
                for info in man_s.diagnostics["orders"])
     assert all(info["min_rcond"] is not None
                for info in man_d.diagnostics["orders"])
+
+
+def reference_solve_shifted(system, master, shift, rhs, scale, what,
+                            rhs_scale=1.0):
+    """
+    ``solve_shifted`` on the 2N pencil ``shift B - A`` for every system:
+    SuperLU or ``lu_factor``/``lu_solve`` with the same singular tests,
+    least squares and kernel projection, the reference for the N/2 route.
+    """
+    A, B = system.A, system.B
+    if sp.issparse(A) or sp.issparse(B):
+        mat = (shift * B - A).tocsc().astype(complex)
+        rcond = None
+        try:
+            X = spla.splu(mat).solve(rhs)
+            singular = (not np.isfinite(X).all()
+                        or np.abs(mat @ X - rhs).max()
+                        > 1e-6 * max(np.abs(rhs).max(), 1.0))
+        except RuntimeError:
+            singular = True
+        if singular:
+            mat = mat.toarray()
+    else:
+        mat = shift * np.asarray(B, dtype=complex) - A
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", la.LinAlgWarning)
+            lu, piv = la.lu_factor(mat)
+        gecon = la.get_lapack_funcs("gecon", (mat,))
+        rcond = float(gecon(lu, np.linalg.norm(mat, 1))[0])
+        singular = rcond <= cohomology.RCOND_SINGULAR
+        if not singular:
+            X = la.lu_solve((lu, piv), rhs)
+    if singular:
+        X = la.lstsq(mat, rhs, cond=cohomology.RCOND_SINGULAR,
+                     lapack_driver="gelsd")[0]
+    for k in range(master.dim):
+        if abs(shift - master.lambdas[k]) <= 1e-8 * scale:
+            X -= np.multiply.outer(master.V[:, k],
+                                   master.U[:, k].conj() @ (B @ X))
+    if singular:
+        rnorm = np.abs(mat @ X - rhs).max()
+        assert rnorm <= 1e-6 * max(np.abs(rhs).max(), rhs_scale, 1.0)
+    return X, rcond, singular
+
+
+LAYOUTS = [("L1", "identity"), ("L1", "minus-k"), ("L2", "mass")]
+
+
+def _chain_layout(variant, n_choice, sparse, c):
+    mech = oscillator_chain(10, m=1.0, k=1.0, c=c, kappa=0.3,
+                            forcing_amplitude=np.linspace(0.1, 1.0, 10),
+                            eps=0.1)
+    if sparse:
+        mech = MechanicalSystem(sp.csr_matrix(mech.M), sp.csr_matrix(mech.C),
+                                sp.csr_matrix(mech.K), mech.f_coeffs,
+                                mech.forcing, eps=mech.eps)
+    return build_first_order(mech, variant=variant, n_choice=n_choice)
+
+
+def _expansions(monkeypatch, system, master, order, style, Omega):
+    """(manifold, forced response) on the solver's route, then on the
+    2N reference."""
+    out = [(compute_manifold(system, master, order, style=style),
+            leading_order(system, master, Omega, style=style))]
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "solve_shifted", reference_solve_shifted)
+        patch.setattr(forcing, "solve_shifted", reference_solve_shifted)
+        out.append((compute_manifold(system, master, order, style=style),
+                    leading_order(system, master, Omega, style=style)))
+    return out
+
+
+def _assert_blocks_agree(man, ref, rtol):
+    for blocks, ref_blocks in ((man.W, ref.W), (man.R, ref.R)):
+        for i in ref_blocks:
+            scale = np.abs(ref_blocks[i]).max()
+            assert np.abs(blocks[i] - ref_blocks[i]).max() <= rtol * scale
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("variant,n_choice", LAYOUTS)
+@pytest.mark.parametrize("select,order,style", [
+    ({"mode": "pair", "pair": 2}, 5, "normal-form"),
+    ({"mode": "smallest", "count": 4}, 3, "graph"),
+])
+def test_second_order_route_matches_the_2n_reference(
+        monkeypatch, variant, n_choice, sparse, select, order, style):
+    system = _chain_layout(variant, n_choice, sparse, c=0.1)
+    ms = master_spectrum(system, select=select, n_outer=8)
+    (man, nonaut), (ref, ref_nonaut) = _expansions(
+        monkeypatch, system, ms, order, style, 0.56)
+    assert all(info["route"] == "second-order"
+               for info in man.diagnostics["orders"])
+    assert nonaut.diagnostics["route"] == "second-order"
+    _assert_blocks_agree(man, ref, 1e-8)
+    for kt in ((1,), (-1,)):
+        for got, want in ((nonaut.x0(kt), ref_nonaut.x0(kt)),
+                          (nonaut.s0(kt), ref_nonaut.s0(kt))):
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+    assert max(nonaut.diagnostics["backward_residuals"].values()) <= 1e-14
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("variant,n_choice", LAYOUTS)
+def test_exactly_singular_blocks_still_take_least_squares(
+        monkeypatch, variant, n_choice, sparse):
+    # undamped: the order-3 and order-5 blocks at the master eigenvalue
+    # are exactly singular
+    system = _chain_layout(variant, n_choice, sparse, c=0.0)
+    ms = master_spectrum(system, select={"mode": "pair", "pair": 2},
+                         n_outer=8)
+    (man, _), (ref, _) = _expansions(monkeypatch, system, ms, 5,
+                                     "normal-form", 0.6)
+    lstsq = [info["lstsq_columns"] for info in man.diagnostics["orders"]]
+    assert lstsq == [info["lstsq_columns"]
+                     for info in ref.diagnostics["orders"]]
+    # a dense block is singular by its condition estimate; SuperLU
+    # factors these blocks, and the kernel projection does the rest
+    assert (sum(lstsq) > 0) == (not sparse)
+    _assert_blocks_agree(man, ref, 1e-8)
+
+
+def test_systems_without_the_mechanical_model_take_the_2n_route(
+        lorenz_man3, chain10_forced, chain_mode2_master):
+    assert all(info["route"] == "first-order"
+               for info in lorenz_man3.diagnostics["orders"])
+    fo = as_first_order(chain10_forced)
+    bare = FirstOrderSystem(fo.A, fo.B, fo.F_coeffs, forcing=fo.forcing,
+                            eps=fo.eps)
+    nonaut = leading_order(bare, chain_mode2_master, 0.6)
+    assert nonaut.diagnostics["route"] == "first-order"
+    lifted = leading_order(fo, chain_mode2_master, 0.6)
+    assert lifted.diagnostics["route"] == "second-order"
+    assert np.abs(nonaut.x0((1,)) - lifted.x0((1,))).max() <= 1e-12
 
 
 def test_expansion_roundtrips_through_json(tmp_path, chain_mode2_man5):

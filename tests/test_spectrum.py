@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from ssmkit import (FirstOrderSystem, MechanicalSystem, oscillator_chain,
                     lorenz_extended, master_spectrum, check_normalization,
-                    MasterSubspace, build_first_order)
+                    MasterSubspace, build_first_order, cosine_forcing)
 from ssmkit.errors import NumericalError, ValidationError
 from ssmkit.spectrum import check_norm_arrays
 
@@ -151,6 +151,37 @@ def csr_chain(n, c=0.05):
     mech = oscillator_chain(n, c=c)
     return MechanicalSystem(sp.csr_matrix(mech.M), sp.csr_matrix(mech.C),
                             sp.csr_matrix(mech.K), mech.f_coeffs)
+
+
+def csr_bar(n, seed):
+    """
+    A seeded linear CSR bar of n nodes between two walls, FE-scaled as
+    the benchmark's ``fe_bar``: lumped masses h = 1/(n+1), springs
+    (1 +- 25 %)/h, grounding springs 20 h, damping 0.002 K and a
+    uniform cosine load h at eps = 0.0067.
+    """
+    rng = np.random.default_rng(seed)
+    h = 1.0 / (n + 1)
+    ks = (1.0 + 0.25 * rng.uniform(-1.0, 1.0, n + 1)) / h
+    K = sp.diags([ks[:-1] + ks[1:] + 20.0 * h, -ks[1:-1], -ks[1:-1]],
+                 [0, 1, -1], format="csr")
+    return MechanicalSystem(sp.identity(n, format="csr") * h, 0.002 * K, K,
+                            forcing=cosine_forcing(h * np.ones(n)),
+                            eps=0.0067)
+
+
+def test_defect_test_scales_with_the_cluster_not_with_b():
+    # under L1 "minus-k", B = diag(-K, M) and ||B||_F grows with the
+    # mesh; at 10^4 nodes it once made the simple first pair (next
+    # eigenvalue 2.2 away) look defective
+    sys = build_first_order(csr_bar(10**4, 4), variant="L1",
+                            n_choice="minus-k")
+    ms = master_spectrum(sys, select={"mode": "pair", "pair": 1}, n_outer=8)
+    rep = ms.lambdas[ms.pair_representatives()[0]]
+    assert rep.real == pytest.approx(-0.0297, abs=1e-4)
+    assert rep.imag == pytest.approx(5.448, abs=1e-3)
+    assert np.abs(ms.outer_lambdas - rep).min() > 1.0
+    assert check_normalization(ms, sys) <= 1e-10
 
 
 @pytest.mark.parametrize("variant", ["L1", "L2"])
