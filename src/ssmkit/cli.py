@@ -31,8 +31,7 @@ from .analysis import (_fmt, backbone, frc_sweep, write_backbone_csv,
 from .cohomology import compute_manifold
 from .errors import NumericalError, OuterResonanceError, ValidationError
 from .fileio import load_system, save_system
-from .model import (MechanicalSystem, build_first_order, lorenz_extended,
-                    oscillator_chain)
+from .model import as_first_order, lorenz_extended, oscillator_chain
 from .spectrum import check_normalization, master_spectrum
 from .verify import invariance_residual
 
@@ -45,7 +44,6 @@ DEFAULTS = {
         "forcing_amplitude": None,
         "eps": None,
     },
-    "first_order": {"variant": None, "n_choice": None},
     "model": {"output_dir": None, "name": "system"},
     "ssm": {
         "select": {"mode": "smallest", "count": 2, "indices": None,
@@ -156,24 +154,14 @@ def _load_config(argv):
 
 def _build_system(cfg):
     scfg = cfg["system"]
-    fcfg = cfg["first_order"]
     if scfg["manifest"]:
-        obj = load_system(scfg["manifest"])
-        if isinstance(obj, MechanicalSystem):
-            variant = fcfg["variant"] or getattr(obj, "variant_hint", None)
-            n_choice = fcfg["n_choice"] or getattr(obj, "n_choice_hint", None)
-            system = build_first_order(obj, variant=variant,
-                                       n_choice=n_choice)
-        else:
-            system = obj
+        system = as_first_order(load_system(scfg["manifest"]))
     elif scfg["builtin"] == "chain":
-        mech = oscillator_chain(
+        system = as_first_order(oscillator_chain(
             int(scfg["n"]), m=float(scfg["m"]), k=float(scfg["k"]),
             c=float(scfg["c"]), kappa=float(scfg["kappa"]),
             forcing_amplitude=scfg["forcing_amplitude"],
-            eps=float(scfg["eps"] or 0.0))
-        system = build_first_order(mech, variant=fcfg["variant"],
-                                   n_choice=fcfg["n_choice"])
+            eps=float(scfg["eps"] or 0.0)))
     elif scfg["builtin"] == "lorenz":
         system = lorenz_extended(sigma=float(scfg["sigma"]),
                                  beta=float(scfg["beta"]))
@@ -220,8 +208,8 @@ def _cmd_model(cfg):
     system = _build_system(cfg)
     info = {
         "state_dim": system.N,
-        "symmetric": bool(system.symmetric),
-        "variant": system.variant,
+        # the M, C, K symmetry that gives closed-form left eigenvectors
+        "symmetric": system.mech is not None and system.mech.symmetric,
         "degrees": sorted(fc.degree for fc in system.F_coeffs),
         "harmonics": [list(kt) for kt, _ in system.forcing],
         "eps": system.eps,

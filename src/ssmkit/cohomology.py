@@ -32,14 +32,14 @@ real.
 Every block, here and in ``forcing``, goes through ``solve_shifted``.
 A system lifted from a mechanical model (it carries ``mech``) takes the
 "second-order" route: the block reduces to one solve with the N/2
-matrix ``lam^2 M + lam C + K`` and one with the layout's auxiliary
-block, whatever the layout and auxiliary block. Any other system takes
-the "first-order" route on the 2N matrix ``lam B - A``. On either
-route the matrix gets dense LU unless the condition estimate marks it
-singular, sparse LU unless its residual fails, else minimum-norm least
-squares; master directions whose eigenvalue sits on the shift are then
-projected out through ``U^H B``. Each order's diagnostics name the
-route.
+matrix ``lam^2 M + lam C + K``. Any other system takes the
+"first-order" route on the 2N matrix ``lam B - A``. On either route the
+matrix gets dense LU unless the condition estimate marks it singular,
+sparse LU unless its residual fails, else minimum-norm least squares;
+master directions whose eigenvalue sits on the shift are then projected
+out through ``U^H B``. Each order's diagnostics name the route.
+``shifted_solver`` factors the same matrix once for many right-hand
+sides, which is how ``verify`` takes its trapezoidal steps.
 """
 
 import functools
@@ -62,8 +62,8 @@ from .spectrum import MasterSubspace
 
 __all__ = [
     "ResonanceReport", "classify_resonances", "resonance_tolerance",
-    "is_resonant", "factorize", "shifted_route", "solve_shifted",
-    "solve_order", "compute_manifold",
+    "is_resonant", "factorize", "shifted_route", "shifted_solver",
+    "solve_shifted", "solve_order", "compute_manifold",
     "ManifoldExpansion",
 ]
 
@@ -227,24 +227,19 @@ def shifted_route(system):
 
 class _SecondOrder:
     """
-    The n = N/2 blocks of a lifted mechanical model, read from its
-    pencil under its layout: M, C and K, and the auxiliary block N
-    (``B[:n, :n]`` under L1, ``B[n:, :n]`` under L2), factored here.
-    Sparse M, C and K share one CSC pattern, their union, so that
-    ``Q(shift)`` costs one vector expression on their values.
+    The n = N/2 blocks M, C and K of a lifted mechanical model, read from
+    its pencil ``A = [[0, I], [-K, -C]]``, ``B = diag(I, M)``. Sparse M,
+    C and K share one CSC pattern, their union, so that ``Q(shift)``
+    costs one vector expression on their values.
     """
 
     def __init__(self, system):
         n = system.N // 2
         A, B = system.A, system.B
-        self.l1 = system.variant == "L1"
-        if self.l1:
-            M, C, K, Nb = B[n:, n:], -A[n:, n:], -A[n:, :n], B[:n, :n]
-        else:
-            M, C, K, Nb = B[:n, n:], B[:n, :n], -A[:n, :n], B[n:, :n]
+        M, C, K = B[n:, n:], -A[n:, n:], -A[n:, :n]
         self.n = n
-        self.solve_aux = factorize(Nb.astype(complex))[0]
         self.pattern = None
+        self.values = (M, C, K)
         if sp.issparse(M):
             union = ((M != 0) + (C != 0) + (K != 0)).tocsc()
             union.sort_indices()
@@ -253,27 +248,54 @@ class _SecondOrder:
             self.pattern = (rows, union.indptr)
             self.values = np.array([np.asarray(mat[rows, cols]).ravel()
                                     for mat in (M, C, K)], dtype=float)
-            M, C, K = map(self._on_pattern, self.values)
-        self.M, self.C, self.K = M, C, K
 
-    def _on_pattern(self, values):
-        return sp.csc_matrix((values, *self.pattern), shape=(self.n, self.n))
-
-    def matrix(self, shift):
-        """``Q(shift) = shift^2 M + shift C + K``, dense or CSC, complex."""
-        shift = complex(shift)
+    def matrices(self, shift):
+        """``Q = shift^2 M + shift C + K`` and ``D = shift M + C``, dense
+        or CSC, of the dtype of ``shift``."""
+        vm, vc, vk = self.values
+        d = shift * vm + vc
+        q = shift * d + vk
         if self.pattern is None:
-            return shift * shift * self.M + shift * self.C + self.K
-        m, c, k = self.values
-        return self._on_pattern((shift * shift) * m + shift * c + k)
+            return q, d
+        return tuple(sp.csc_matrix((vals, *self.pattern),
+                                   shape=(self.n, self.n)) for vals in (q, d))
 
-    def rhs(self, shift, rhs):
-        """The right-hand side of Q x and s = N^-1 rk for a 2N ``rhs``."""
-        n = self.n
-        rk, rd = (rhs[:n], rhs[n:]) if self.l1 else (rhs[n:], rhs[:n])
-        s = self.solve_aux(rk)
-        Ms = shift * (self.M @ s)
-        return rd + (Ms + self.C @ s if self.l1 else Ms), s
+
+def _reduced(system, shift):
+    """
+    The matrix that ``(shift B - A) X = rhs`` is solved on, with the
+    maps of ``rhs`` into its right-hand side and of its solution back to
+    X. For a system that carries ``mech`` these are Q,
+    ``rhs -> rd + D rk`` and ``x -> [x; shift x - rk]`` (see
+    :class:`_SecondOrder` for Q and D), with ``rk`` the first n rows of
+    ``rhs`` and ``rd`` the last n; else ``shift B - A`` itself.
+    """
+    if system.mech is None:
+        A, B = system.A, system.B
+        mat = shift * B - A
+        if sp.issparse(A) or sp.issparse(B):
+            mat = sp.csc_matrix(mat)
+        return mat, (lambda rhs: rhs), (lambda x, rhs: x)
+    if system._second_order is None:
+        system._second_order = _SecondOrder(system)
+    quad = system._second_order
+    n = quad.n
+    Q, D = quad.matrices(shift)
+    return (Q, lambda rhs: rhs[n:] + D @ rhs[:n],
+            lambda x, rhs: np.concatenate([x, shift * x - rhs[:n]]))
+
+
+def shifted_solver(system, shift):
+    """
+    Factor ``shift B - A`` once, on the route of :func:`shifted_route`,
+    and return ``solve``: ``solve(rhs)`` gives X with
+    ``(shift B - A) X = rhs`` for an (N,) or (N, k) ``rhs``. The
+    arithmetic is real for a real ``shift`` and a real ``rhs``. No
+    singular test is made; see :func:`solve_shifted` for one.
+    """
+    mat, fold, unfold = _reduced(system, shift)
+    solve = factorize(mat)[0]
+    return lambda rhs: unfold(solve(fold(rhs)), rhs)
 
 
 def _lu_or_lstsq(mat, rhs):
@@ -310,14 +332,9 @@ def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
     A system that carries its mechanical model (see
     :func:`shifted_route`) is solved on the N/2 matrix
     ``Q = shift^2 M + shift C + K`` (Tisseur & Meerbergen, SIAM Rev. 43,
-    2001). With ``rk`` the kinematic rows of ``rhs`` (the first n under
-    L1, the last n under L2), ``rd`` the dynamic ones and N the
-    auxiliary block, ``s = N^-1 rk`` and::
-
-        L1:  Q x = rd + (shift M + C) s       L2:  Q x = rd + shift M s
-
-    then ``X = [x; shift x - s]``. Any other system is solved on the 2N
-    matrix ``shift B - A``.
+    2001). With ``rk`` the first n rows of ``rhs`` and ``rd`` the last
+    n, ``Q x = rd + (shift M + C) rk`` and ``X = [x; shift x - rk]``.
+    Any other system is solved on the 2N matrix ``shift B - A``.
 
     The matrix solved is singular when it is dense and LAPACK's
     condition estimate is at most ``RCOND_SINGULAR``, or sparse and its
@@ -334,19 +351,10 @@ def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
     least squares was used.
     """
     A, B = system.A, system.B
-    if system.mech is None:
-        if sp.issparse(A) or sp.issparse(B):
-            mat = (shift * B - A).tocsc().astype(complex)
-        else:
-            mat = shift * np.asarray(B, dtype=complex) - A
-        X, rcond, singular = _lu_or_lstsq(mat, rhs)
-    else:
-        if system._second_order is None:
-            system._second_order = _SecondOrder(system)
-        quad = system._second_order
-        rq, s = quad.rhs(shift, rhs)
-        x, rcond, singular = _lu_or_lstsq(quad.matrix(shift), rq)
-        X = np.concatenate([x, shift * x - s])
+    shift = complex(shift)
+    mat, fold, unfold = _reduced(system, shift)
+    x, rcond, singular = _lu_or_lstsq(mat, fold(rhs))
+    X = unfold(x, rhs)
     V, U = master.V, master.U
     for k in np.flatnonzero(np.abs(shift - master.lambdas) <= 1e-8 * scale):
         X -= np.multiply.outer(V[:, k], U[:, k].conj() @ (B @ X))
@@ -809,7 +817,9 @@ class ManifoldExpansion:
         ``[row, [i1, .., ik], re, im]`` with integer indices and numeric
         values, a row outside 1..nrows, a tuple whose length is not the
         degree, a factor outside 1..dim, or a (row, tuple) given twice
-        raises ValidationError naming the block (``W3``, ``R2``).
+        raises ValidationError naming the block (``W3``, ``R2``). The
+        stored U is the left family of the pencil the data was computed
+        on, so ``system`` must be that pencil.
         """
         M = int(data["dim"])
         N = int(data["state_dim"])

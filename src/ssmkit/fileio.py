@@ -27,12 +27,11 @@ manifest looks like::
       "matrices": {"M": "M.mtx", "C": "C.mtx", "K": "K.mtx"},
       "tensors": {"3": "f3.txt"},           // degree -> path
       "epsilon": 0.1,
-      "forcing": [{"kappa": 1, "real": [...], "imag": [...]}],
-      "variant": "L2", "n_choice": "mass"   // optional conversion hints
+      "forcing": [{"kappa": 1, "real": [...], "imag": [...]}]
     }
 
 "first_order" manifests name "A" and "B" instead of "M", "C", "K".
-Paths are resolved relative to the manifest.
+Paths are resolved relative to the manifest. Other keys are ignored.
 """
 
 import itertools
@@ -220,10 +219,7 @@ def load_system(path):
     Returns
     -------
     MechanicalSystem or FirstOrderSystem
-        According to the manifest's "format". Mechanical manifests may
-        carry "variant" and "n_choice" hints for the first-order
-        conversion; these are attached as ``variant_hint`` and
-        ``n_choice_hint`` attributes.
+        According to the manifest's "format".
     """
     with open(path) as fh:
         manifest = json.load(fh)
@@ -250,10 +246,7 @@ def load_system(path):
         else:
             C = sp.csr_matrix((n, n)) if sp.issparse(K) else np.zeros((n, n))
         blocks = _load_tensors(manifest, resolve, n, n)
-        mech = MechanicalSystem(M, C, K, blocks, forcing, eps=eps)
-        mech.variant_hint = manifest.get("variant")
-        mech.n_choice_hint = manifest.get("n_choice")
-        return mech
+        return MechanicalSystem(M, C, K, blocks, forcing, eps=eps)
 
     if fmt == "first_order":
         for name in ("A", "B"):

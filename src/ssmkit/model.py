@@ -3,21 +3,16 @@ System containers and first-order realization.
 
 Mechanical models come in as ``M x'' + C x' + K x + f(x) = eps * fext(t)``
 with ``f`` a polynomial nonlinearity of degree >= 2 and ``fext`` a sum of
-harmonics. They are rewritten as a first-order pencil
+harmonics. They are rewritten as the first-order pencil
 
     B z' = A z + F(z) + eps * Fext(phase),    z = [x; x']
 
-using one of two equivalent block layouts. With symmetric ``M, C, K`` and
-a suitable auxiliary block the pencil itself is symmetric, which later
-lets left eigenvectors be taken as conjugates of right ones.
+    A = [[0, I], [-K, -C]]      B = [[I, 0], [0, M]]      F = [0; -f]
 
-Layout "L1" (auxiliary block N in the kinematic identity):
-
-    A = [[0, N], [-K, -C]]      B = [[N, 0], [0, M]]      F = [0; -f]
-
-Layout "L2":
-
-    A = [[-K, 0], [0, N]]       B = [[C, M], [N, 0]]      F = [-f; 0]
+whose B is as well conditioned as M. When M, C and K are symmetric the
+left eigenvectors of this pencil follow from the right ones in closed
+form (see ``spectrum``), and every shifted solve reduces to the N/2
+matrix ``lambda^2 M + lambda C + K`` (see ``cohomology``).
 
 Forcing is position-independent: each harmonic is a constant complex
 vector. State-dependent forcing input is rejected.
@@ -27,7 +22,6 @@ import functools
 import numbers
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import ValidationError
@@ -38,9 +32,6 @@ __all__ = [
     "as_first_order", "oscillator_chain", "lorenz_extended",
     "cosine_forcing",
 ]
-
-N_CHOICES = ("minus-k", "mass", "identity")
-VARIANTS = ("L1", "L2")
 
 
 def _as_2d(mat, name):
@@ -56,9 +47,9 @@ def _is_symmetric(mat, rtol=1e-12):
     if sp.issparse(mat):
         d = (mat - mat.T)
         scale = abs(mat).max() or 1.0
-        return abs(d).max() <= rtol * scale if d.nnz else True
+        return bool(abs(d).max() <= rtol * scale) if d.nnz else True
     scale = np.abs(mat).max() or 1.0
-    return np.abs(mat - mat.T).max() <= rtol * scale
+    return bool(np.abs(mat - mat.T).max() <= rtol * scale)
 
 
 def _check_nonsingular(mat, name):
@@ -237,15 +228,13 @@ class FirstOrderSystem:
         Number of forcing base frequencies, the length of every label
         (0 when unforced).
     eps : float
-    symmetric : bool
-        True when A and B are both symmetric (within 1e-12 relative),
-        which the eigensolver exploits.
-    variant : str or None
-        "L1"/"L2" when built from a mechanical model, else None.
+    mech : MechanicalSystem or None
+        The model this pencil was lifted from by ``build_first_order``,
+        else None.
     """
 
     def __init__(self, A, B, F_coeffs=None, forcing=None, eps=0.0,
-                 variant=None, mech=None):
+                 mech=None):
         self.A = A.tocsr() if sp.issparse(A) else np.asarray(A, dtype=float)
         self.B = B.tocsr() if sp.issparse(B) else np.asarray(B, dtype=float)
         N = self.A.shape[0]
@@ -263,11 +252,9 @@ class FirstOrderSystem:
         self._harmonics = np.array([kt for kt, _ in self.forcing],
                                    dtype=float).reshape(nharm, self.nfreq)
         self.eps = float(eps)
-        self.variant = variant
         self.mech = mech
         # cohomology's N/2 blocks, set at the first shifted solve
         self._second_order = None
-        self.symmetric = _is_symmetric(self.A) and _is_symmetric(self.B)
         _check_nonsingular(self.B, "pencil matrix B")
 
     @functools.cached_property
@@ -302,93 +289,57 @@ class FirstOrderSystem:
                 @ np.exp(1j * (self._harmonics @ phase))).real
 
     def __repr__(self):
-        return ("FirstOrderSystem(N=%d, degrees=%r, harmonics=%d, "
-                "symmetric=%s, variant=%r)"
+        return ("FirstOrderSystem(N=%d, degrees=%r, harmonics=%d)"
                 % (self.N, [fc.degree for fc in self.F_coeffs],
-                   len(self.forcing), self.symmetric, self.variant))
+                   len(self.forcing)))
 
 
-def build_first_order(mech, variant=None, n_choice=None):
+def build_first_order(mech):
     """
-    Realize a mechanical model as a first-order pencil.
+    Realize a mechanical model as the first-order pencil
+    ``A = [[0, I], [-K, -C]]``, ``B = diag(I, M)``, ``F = [0; -f]``, with
+    the forcing in the second block rows. The pencil is CSR when any of
+    M, C, K is sparse, and it keeps ``mech``.
 
     Parameters
     ----------
     mech : MechanicalSystem
-    variant : {"L1", "L2"}, optional
-        Block layout. Default: "L2" when M, C, K are all symmetric
-        (keeping the pencil symmetric), else "L1".
-    n_choice : {"minus-k", "mass", "identity"}, optional
-        Auxiliary block N: ``-K``, ``M`` or the identity. Any
-        nonsingular choice is valid; the default pairs "mass" with L2
-        and "identity" with L1. Symmetry of the pencil requires
-        "minus-k" under L1 or "mass" under L2. A singular N is rejected
-        through B, since det B = +-det N det M in both layouts.
 
     Returns
     -------
     FirstOrderSystem
     """
-    if variant is None:
-        variant = "L2" if mech.symmetric else "L1"
-    if variant not in VARIANTS:
-        raise ValidationError("variant must be one of %r" % (VARIANTS,))
-    if n_choice is None:
-        n_choice = "mass" if variant == "L2" else "identity"
-    if n_choice not in N_CHOICES:
-        raise ValidationError("n_choice must be one of %r" % (N_CHOICES,))
-
     n = mech.n
-    sparse_in = any(sp.issparse(mat) for mat in (mech.M, mech.C, mech.K))
-    eye = sp.identity(n, format="csr") if sparse_in else np.eye(n)
     M, C, K = mech.M, mech.C, mech.K
-    if sparse_in:
-        M, C, K = (m if sp.issparse(m) else sp.csr_matrix(m) for m in (M, C, K))
-    if n_choice == "minus-k":
-        Nb = -K
-    elif n_choice == "mass":
-        Nb = M
+    if any(sp.issparse(mat) for mat in (M, C, K)):
+        eye = sp.identity(n, format="csr")
+        A = sp.bmat([[None, eye], [-sp.csr_matrix(K), -sp.csr_matrix(C)]],
+                    format="csr")
+        B = sp.block_diag((eye, sp.csr_matrix(M)), format="csr")
     else:
-        Nb = eye
+        zero = np.zeros((n, n))
+        A = np.block([[zero, np.eye(n)], [-K, -C]])
+        B = np.block([[np.eye(n), zero], [zero, M]])
 
-    zero = sp.csr_matrix((n, n)) if sparse_in else np.zeros((n, n))
-    bmat = sp.bmat if sparse_in else (lambda rows: np.block(
-        [[blk if blk is not None else zero for blk in row] for row in rows]))
-    if variant == "L1":
-        A = bmat([[zero, Nb], [-K, -C]])
-        B = bmat([[Nb, zero], [zero, M]])
-        row_offset, sign, force_offset = n, -1.0, n
-    else:
-        A = bmat([[-K, zero], [zero, Nb]])
-        B = bmat([[C, M], [Nb, zero]])
-        row_offset, sign, force_offset = 0, -1.0, 0
-
-    F_coeffs = [fc.relabel(2 * n, 2 * n, row_offset=row_offset,
-                           value_scale=sign)
+    F_coeffs = [fc.relabel(2 * n, 2 * n, row_offset=n, value_scale=-1.0)
                 for fc in mech.f_coeffs]
     forcing = []
     for kt, vec in mech.forcing:
         full = np.zeros(2 * n, dtype=complex)
-        full[force_offset:force_offset + n] = vec
+        full[n:] = vec
         forcing.append((kt, full))
-
-    if sparse_in:
-        A, B = A.tocsr(), B.tocsr()
-    return FirstOrderSystem(A, B, F_coeffs, forcing, eps=mech.eps,
-                            variant=variant, mech=mech)
+    return FirstOrderSystem(A, B, F_coeffs, forcing, eps=mech.eps, mech=mech)
 
 
 def as_first_order(system):
     """
     Return ``system`` as a FirstOrderSystem, lifting a mechanical model
-    with its stored layout hints when needed.
+    with :func:`build_first_order` when needed.
     """
     if isinstance(system, FirstOrderSystem):
         return system
     if isinstance(system, MechanicalSystem):
-        return build_first_order(system,
-                                 variant=getattr(system, "variant_hint", None),
-                                 n_choice=getattr(system, "n_choice_hint", None))
+        return build_first_order(system)
     raise ValidationError("expected a FirstOrderSystem or MechanicalSystem, "
                           "got %r" % type(system).__name__)
 

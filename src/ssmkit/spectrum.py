@@ -9,9 +9,19 @@ and right families are biorthogonal through B::
 Repeated eigenvalues are handled as clusters: a cluster's Gram matrix
 ``G = U~^H B V~`` is inverted to restore biorthogonality, and a singular
 G flags a defective (non-semisimple) eigenvalue, which is rejected.
-When A and B are both symmetric the left family is the conjugate of the
-right one up to that same Gram correction, so no transposed solve is
-needed.
+
+For a pencil lifted from a mechanical model with symmetric M, C and K
+(``A = [[0, I], [-K, -C]]``, ``B = diag(I, M)``) the left eigenvectors
+follow from the right ones in closed form (Tisseur & Meerbergen, "The
+quadratic eigenvalue problem", SIAM Rev. 43, 2001): with ``phi_k`` the
+displacement part of ``v_k``, which solves
+``(lambda_k^2 M + lambda_k C + K) phi_k = 0``,
+
+    u_k = [(C + conj(lambda_k) M) conj(phi_k); conj(phi_k)]
+
+up to that same Gram correction, so only right eigenvectors are
+computed. Any other pencil takes its left vectors from LAPACK or from a
+second, transposed shift-invert run.
 
 Each right eigenvector is scaled to unit norm with its largest entry
 rotated onto the positive real axis, and complex conjugate pairs are
@@ -51,7 +61,9 @@ class MasterSubspace:
         The eigenvalues immediately following the selection in the same
         ordering, kept for resonance screening.
     diagnostics : dict
-        Residual norms and bookkeeping from the solve.
+        Residual norms and bookkeeping from the solve, and where U came
+        from: "left_vectors" is "closed-form", "dense-left" or
+        "transposed".
     """
 
     def __init__(self, lambdas, V, U, pairing, outer_lambdas, diagnostics=None):
@@ -199,12 +211,12 @@ def _select_indices(w_sorted, spec, scale):
     return closed
 
 
-def _dense_eigen(A, B, symmetric):
-    if symmetric:
+def _dense_eigen(A, B, left):
+    if left:
+        w, UL, VR = la.eig(A, B, left=True, right=True)
+    else:
         w, VR = la.eig(A, B, right=True)
         UL = None
-    else:
-        w, UL, VR = la.eig(A, B, left=True, right=True)
     bad = ~np.isfinite(w)
     if bad.any():
         raise NumericalError(
@@ -218,7 +230,7 @@ def _dense_eigen(A, B, symmetric):
     return w, VR, UL
 
 
-def _shift_invert_eigen(A, B, k, shift, symmetric):
+def _shift_invert_eigen(A, B, k, shift, left):
     A = sp.csc_matrix(A)
     B = sp.csc_matrix(B)
     sigma = complex(shift)
@@ -237,7 +249,7 @@ def _shift_invert_eigen(A, B, k, shift, symmetric):
     nu, VR = spla.eigs(op, k=k, v0=v0)
     w = sigma + 1.0 / nu
     UL = None
-    if not symmetric:
+    if left:
         lu_t = spla.splu((A - sigma * B).T.tocsc().astype(complex))
         op_t = spla.LinearOperator((n, n), matvec=lambda x: lu_t.solve(B.T @ x),
                                    dtype=complex)
@@ -318,10 +330,12 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
     if method not in ("auto", "dense", "shift-invert"):
         raise ValidationError("method must be auto, dense or shift-invert")
     dense = method == "dense" or (method == "auto" and N <= 600)
+    mech = system.mech
+    closed_form = mech is not None and mech.symmetric
 
     if dense:
         A, B = system.dense_pencil()
-        w, VR, UL = _dense_eigen(A, B, system.symmetric)
+        w, VR, UL = _dense_eigen(A, B, not closed_form)
     else:
         if spec["mode"] == "indices":
             k_need = max(spec["indices"]) + 1 + n_outer
@@ -331,7 +345,7 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
             k_need = spec["count"] + n_outer
         k = min(max(k_need, 6), N - 2)
         w, VR, UL = _shift_invert_eigen(system.A, system.B, k, shift,
-                                        system.symmetric)
+                                        not closed_form)
         A, B = system.A, system.B
 
     scale = float(np.abs(w).max()) if w.size else 1.0
@@ -364,8 +378,9 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
 
     lambdas = w[chosen]
     V = VR[:, chosen].copy()
-    if system.symmetric:
-        Ut = V.conjugate().copy()
+    if closed_form:
+        phi = V[:N // 2].conj()
+        Ut = np.vstack([mech.C @ phi + (mech.M @ phi) * lambdas.conj(), phi])
     else:
         Ut = UL[:, chosen].copy()
 
@@ -436,6 +451,8 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
 
     diag = {
         "method": "dense" if dense else "shift-invert",
+        "left_vectors": ("closed-form" if closed_form
+                         else "dense-left" if dense else "transposed"),
         "selection": spec,
         "residual_right": res_r,
         "residual_left": res_l,

@@ -23,7 +23,10 @@ rule is the natural companion for stiff models and conservative checks,
 because it preserves quadratic invariants exactly and has no artificial
 damping. The adaptive path factors B once per call; the trapezoidal
 path factors only its Newton matrix B - (h/2) A, once per call, and
-never solves with B.
+never solves with B. That matrix is (h/2) (sigma B - A) at the real
+shift sigma = 2/h, so it is factored by ``cohomology.shifted_solver``:
+on the real N/2 matrix sigma^2 M + sigma C + K for a lifted mechanical
+model.
 """
 
 import numbers
@@ -32,7 +35,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import solve_ivp
 
-from .cohomology import factorize
+from .cohomology import factorize, shifted_solver
 from .errors import NumericalError, ValidationError
 from .model import as_first_order
 
@@ -210,7 +213,8 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         factored once per call and every right-hand side is one solve
         with those factors. "trapezoid" is the fixed-step implicit
         trapezoidal rule, solved by chord Newton iterations with the
-        constant matrix J = B - (h/2) A, factored once per call; it
+        constant matrix B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h,
+        factored once per call by ``cohomology.shifted_solver``; it
         never factors or solves with B.
     dt : float, optional
         Step size, required for "trapezoid"; the span is split into
@@ -232,8 +236,8 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         Chord iterations allowed per step ("trapezoid" only); a step
         that needs more raises NumericalError.
 
-    Each trapezoidal step solves
-    ``J z - (h/2) F(z) = (B + (h/2) A) z_k + (h/2) (F(z_k) + f_k + f_(k+1))``
+    Each trapezoidal step, scaled by ``sigma = 2/h``, solves
+    ``(sigma B - A) z - F(z) = (sigma B + A) z_k + F(z_k) + f_k + f_(k+1)``
     with ``f_k = eps Fext(Omega t_k)``, starting from the linear
     extrapolation ``2 z_k - z_(k-1)`` (``z_0`` on the first step).
 
@@ -285,14 +289,14 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     t0, t1 = float(t_span[0]), float(t_span[1])
     n = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n
-    half = 0.5 * h
 
     def forcing(t):
         return eps * system.forcing_eval(Om * t) if forced else 0.0
 
-    J = B - half * A
-    P = B + half * A
-    solveJ = factorize(J)[0]
+    sigma = 2.0 / h
+    J = sigma * B - A
+    P = sigma * B + A
+    solve = shifted_solver(system, sigma)
     ts = t0 + h * np.arange(n + 1)
     zs = np.empty((system.N, n + 1))
     zs[:, 0] = z0
@@ -301,11 +305,11 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     iterations = 0
     for k in range(n):
         f_next = forcing(ts[k + 1])
-        c = P @ z + half * (system.F_eval(z) + f + f_next)
+        c = P @ z + system.F_eval(z) + f + f_next
         znew = 2.0 * z - z_prev
         size_prev = None
         for it in range(max_newton):
-            step = solveJ(J @ znew - half * system.F_eval(znew) - c)
+            step = solve(J @ znew - system.F_eval(znew) - c)
             znew = znew - step
             size = np.linalg.norm(step)
             bound = newton_tol * (1.0 + np.linalg.norm(znew))

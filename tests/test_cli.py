@@ -20,6 +20,10 @@ def test_model_reports_the_built_system(capsys, monkeypatch, tmp_path):
     assert info["state_dim"] == 20
     assert info["harmonics"] == []
     assert info["degrees"] == [3]
+    # the symmetry of M, C and K, which gives closed-form left vectors
+    assert info["symmetric"] is True and "variant" not in info
+    assert main(["model", "--system.builtin", "lorenz"]) == 0
+    assert json.loads(capsys.readouterr().out)["symmetric"] is False
 
     assert main(["model", "--system.builtin", "chain",
                  "--system.forcing_amplitude", FORCING,
@@ -198,6 +202,11 @@ def test_config_file_with_flag_precedence(capsys, monkeypatch, tmp_path):
 def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
     assert main(["ssm", "--system.builtin", "chain",
                  "--ssm.oder", "3"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+    # the lift has no layout to choose
+    assert main(["ssm", "--system.builtin", "chain",
+                 "--first_order.variant", "L1"]) == 2
     assert "unknown config key" in capsys.readouterr().err
 
     assert main(["ssm", "--system.builtin", "mars"]) == 2

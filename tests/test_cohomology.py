@@ -10,15 +10,15 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ssmkit import (FirstOrderSystem, ManifoldExpansion, MechanicalSystem,
-                    NumericalError, OuterResonanceError, ValidationError,
-                    as_first_order, build_first_order, classify_resonances,
-                    compute_manifold, extract_polar_rom, leading_order,
-                    master_spectrum, oscillator_chain)
+from ssmkit import (FirstOrderSystem, ManifoldExpansion, MasterSubspace,
+                    MechanicalSystem, NumericalError, OuterResonanceError,
+                    ValidationError, as_first_order, build_first_order,
+                    classify_resonances, compute_manifold, extract_polar_rom,
+                    leading_order, master_spectrum, oscillator_chain)
 from ssmkit import cohomology, forcing
 from ssmkit.multiindex import MultiIndexSet
 from ssmkit.polytensor import PolyCoeffs
-from test_spectrum import csr_chain
+from test_spectrum import csr_chain, plain_pencil
 
 
 def sym_coeff(rom, degree, row, factors):
@@ -378,10 +378,12 @@ def reference_solve_shifted(system, master, shift, rhs, scale, what,
     return X, rcond, singular
 
 
+# pencils of one model, each given as a plain first-order system: the
+# lift's, then two symmetric ones
 LAYOUTS = [("L1", "identity"), ("L1", "minus-k"), ("L2", "mass")]
 
 
-def _chain_layout(variant, n_choice, sparse, c):
+def _chain(sparse, c):
     mech = oscillator_chain(10, m=1.0, k=1.0, c=c, kappa=0.3,
                             forcing_amplitude=np.linspace(0.1, 1.0, 10),
                             eps=0.1)
@@ -389,19 +391,41 @@ def _chain_layout(variant, n_choice, sparse, c):
         mech = MechanicalSystem(sp.csr_matrix(mech.M), sp.csr_matrix(mech.C),
                                 sp.csr_matrix(mech.K), mech.f_coeffs,
                                 mech.forcing, eps=mech.eps)
-    return build_first_order(mech, variant=variant, n_choice=n_choice)
+    return mech
 
 
-def _expansions(monkeypatch, system, master, order, style, Omega):
-    """(manifold, forced response) on the solver's route, then on the
-    2N reference."""
-    out = [(compute_manifold(system, master, order, style=style),
-            leading_order(system, master, Omega, style=style))]
+def _rephased(master, like):
+    """
+    ``master`` with each right vector rotated onto the one of ``like``
+    and its left vector rotated to keep ``U^H B V = I``. The canonical
+    scaling makes the largest entry of v real and positive, and a mode
+    of the mirror-symmetric chain has two largest entries of equal size,
+    so rounding decides between v and -v.
+    """
+    phase = np.sum(like.V.conj() * master.V, axis=0)
+    phase /= np.abs(phase)
+    return MasterSubspace(master.lambdas, master.V / phase,
+                          master.U * phase.conj(), master.pairing,
+                          master.outer_lambdas, master.diagnostics)
+
+
+def _expansions(monkeypatch, mech, layout, select, order, style, Omega):
+    """(manifold, forced response) of the lift of ``mech`` on the
+    solver's route, then of ``mech`` as a plain pencil in ``layout`` on
+    the 2N reference, over its own master subspace in the lift's
+    phases."""
+    lift = build_first_order(mech)
+    master = master_spectrum(lift, select=select, n_outer=8)
+    plain = plain_pencil(mech, *layout)
+    reference = _rephased(master_spectrum(plain, select=select, n_outer=8),
+                          master)
+    out = [(compute_manifold(lift, master, order, style=style),
+            leading_order(lift, master, Omega, style=style))]
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "solve_shifted", reference_solve_shifted)
         patch.setattr(forcing, "solve_shifted", reference_solve_shifted)
-        out.append((compute_manifold(system, master, order, style=style),
-                    leading_order(system, master, Omega, style=style)))
+        out.append((compute_manifold(plain, reference, order, style=style),
+                    leading_order(plain, reference, Omega, style=style)))
     return out
 
 
@@ -420,10 +444,12 @@ def _assert_blocks_agree(man, ref, rtol):
 ])
 def test_second_order_route_matches_the_2n_reference(
         monkeypatch, variant, n_choice, sparse, select, order, style):
-    system = _chain_layout(variant, n_choice, sparse, c=0.1)
-    ms = master_spectrum(system, select=select, n_outer=8)
+    # W, R and the forced response live in the state and the reduced
+    # coordinates, so every pencil of the model gives the same ones
     (man, nonaut), (ref, ref_nonaut) = _expansions(
-        monkeypatch, system, ms, order, style, 0.56)
+        monkeypatch, _chain(sparse, c=0.1), (variant, n_choice), select,
+        order, style, 0.56)
+    assert man.master.diagnostics["left_vectors"] == "closed-form"
     assert all(info["route"] == "second-order"
                for info in man.diagnostics["orders"])
     assert nonaut.diagnostics["route"] == "second-order"
@@ -441,11 +467,9 @@ def test_exactly_singular_blocks_still_take_least_squares(
         monkeypatch, variant, n_choice, sparse):
     # undamped: the order-3 and order-5 blocks at the master eigenvalue
     # are exactly singular
-    system = _chain_layout(variant, n_choice, sparse, c=0.0)
-    ms = master_spectrum(system, select={"mode": "pair", "pair": 2},
-                         n_outer=8)
-    (man, _), (ref, _) = _expansions(monkeypatch, system, ms, 5,
-                                     "normal-form", 0.6)
+    (man, _), (ref, _) = _expansions(
+        monkeypatch, _chain(sparse, c=0.0), (variant, n_choice),
+        {"mode": "pair", "pair": 2}, 5, "normal-form", 0.6)
     lstsq = [info["lstsq_columns"] for info in man.diagnostics["orders"]]
     assert lstsq == [info["lstsq_columns"]
                      for info in ref.diagnostics["orders"]]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ssmkit import (MechanicalSystem, FirstOrderSystem, oscillator_chain,
-                    load_system, save_system)
+from ssmkit import (MechanicalSystem, FirstOrderSystem, as_first_order,
+                    build_first_order, oscillator_chain, load_system,
+                    save_system)
 from ssmkit.errors import ValidationError
 from ssmkit.fileio import read_tensor_text, write_tensor_text
 from ssmkit.multiindex import MultiIndexSet
@@ -325,17 +326,20 @@ def test_manifest_degree_mismatch(tmp_path):
         load_system(manifest)
 
 
-def test_conversion_hints_attach(tmp_path):
+def test_old_conversion_hints_are_ignored(tmp_path):
+    # manifests once named a first-order layout; the reader ignores the
+    # keys as it does any unknown one, and the model lifts as any other
     mech = oscillator_chain(2)
     manifest = save_system(mech, tmp_path)
     raw = json.loads(open(manifest).read())
-    raw["variant"] = "L1"
-    raw["n_choice"] = "minus-k"
+    raw["variant"] = "L2"
+    raw["n_choice"] = "mass"
     with open(manifest, "w") as fh:
         json.dump(raw, fh)
     back = load_system(manifest)
-    assert back.variant_hint == "L1"
-    assert back.n_choice_hint == "minus-k"
+    assert not hasattr(back, "variant_hint")
+    lifted = as_first_order(back)
+    assert np.array_equal(lifted.B, build_first_order(mech).B)
 
 
 def test_missing_c_defaults_to_zero(tmp_path):

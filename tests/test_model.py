@@ -10,6 +10,7 @@ from ssmkit import (MechanicalSystem, FirstOrderSystem, build_first_order,
                     cosine_forcing)
 from ssmkit.errors import ValidationError
 from ssmkit.polytensor import PolyCoeffs
+from test_spectrum import plain_pencil
 
 
 def chain_force_oracle(x, kappa):
@@ -49,43 +50,23 @@ def test_chain_matrices():
     assert mech.symmetric
 
 
-def test_l2_lift_blocks():
-    mech = oscillator_chain(3)
-    sys = build_first_order(mech)
-    assert sys.variant == "L2" and sys.symmetric
-    n = 3
-    A, B = sys.dense_pencil()
-    assert np.allclose(A[:n, :n], -mech.K)
-    assert np.allclose(A[n:, n:], mech.M)
-    assert np.allclose(A[:n, n:], 0.0) and np.allclose(A[n:, :n], 0.0)
-    assert np.allclose(B[:n, :n], mech.C)
-    assert np.allclose(B[:n, n:], mech.M)
-    assert np.allclose(B[n:, :n], mech.M)
-    assert np.allclose(B[n:, n:], 0.0)
-
-
 def test_l1_lift_blocks():
     mech = oscillator_chain(3)
-    sys = build_first_order(mech, variant="L1")
-    assert sys.variant == "L1" and not sys.symmetric
+    sys = build_first_order(mech)
+    assert sys.mech is mech
     n = 3
     A, B = sys.dense_pencil()
-    assert np.allclose(A[:n, n:], np.eye(n))
+    assert np.allclose(A[:n, :n], 0.0) and np.allclose(A[:n, n:], np.eye(n))
     assert np.allclose(A[n:, :n], -mech.K)
     assert np.allclose(A[n:, n:], -mech.C)
     assert np.allclose(B[:n, :n], np.eye(n))
+    assert np.allclose(B[:n, n:], 0.0) and np.allclose(B[n:, :n], 0.0)
     assert np.allclose(B[n:, n:], mech.M)
 
 
-def test_l1_minus_k_keeps_symmetry():
-    sys = build_first_order(oscillator_chain(3), variant="L1",
-                            n_choice="minus-k")
-    assert sys.symmetric
-
-
 def test_lift_rhs_consistency():
-    # first-order rhs must reproduce x'' = -M^-1 (Cv + Kx + f) on both
-    # layouts, including the forcing column
+    # first-order rhs must reproduce x'' = -M^-1 (Cv + Kx + f) on the
+    # lift and on the tests' other pencils, including the forcing column
     mech = oscillator_chain(4, c=0.3, kappa=0.5,
                             forcing_amplitude=[1.0, 0.0, -2.0, 0.5], eps=0.2)
     rng = np.random.default_rng(8)
@@ -93,8 +74,8 @@ def test_lift_rhs_consistency():
     acc = np.linalg.solve(
         mech.M, -(mech.C @ v + mech.K @ x + mech.f_eval(x))
         + mech.eps * np.array([1.0, 0.0, -2.0, 0.5]) * np.cos(0.7))
-    for variant in ("L1", "L2"):
-        sys = build_first_order(mech, variant=variant)
+    for sys in (build_first_order(mech), plain_pencil(mech, "L1", "minus-k"),
+                plain_pencil(mech, "L2", "mass")):
         z = np.concatenate([x, v])
         A, B = sys.dense_pencil()
         rhs = A @ z + sys.F_eval(z) + mech.eps * sys.forcing_eval([0.7])
@@ -105,8 +86,8 @@ def test_lift_rhs_consistency():
 
 def test_l1_l2_same_eigenvalues():
     mech = oscillator_chain(5, c=0.2)
-    w1 = la.eigvals(*build_first_order(mech, variant="L1").dense_pencil())
-    w2 = la.eigvals(*build_first_order(mech, variant="L2").dense_pencil())
+    w1 = la.eigvals(*build_first_order(mech).dense_pencil())
+    w2 = la.eigvals(*plain_pencil(mech, "L2", "mass").dense_pencil())
     assert np.allclose(np.sort_complex(w1), np.sort_complex(w2), atol=1e-9)
 
 
@@ -174,11 +155,11 @@ def test_forcing_eval_matches_the_per_harmonic_loop():
 
 
 def test_forcing_eval_is_real_cosine():
-    # L2 layout keeps the force balance in the first block rows
+    # the lift keeps the force balance in the second block rows
     mech = oscillator_chain(2, forcing_amplitude=[1.0, 3.0], eps=1.0)
     sys = build_first_order(mech)
     for phi in (0.0, 0.4, 2.0):
-        want = np.array([1.0, 3.0, 0, 0]) * np.cos(phi)
+        want = np.array([0, 0, 1.0, 3.0]) * np.cos(phi)
         got = sys.forcing_eval([phi])
         assert got.dtype.kind == "f"
         assert np.allclose(got, want)
@@ -186,7 +167,7 @@ def test_forcing_eval_is_real_cosine():
 
 def test_l1_forcing_sits_in_second_block():
     mech = oscillator_chain(2, forcing_amplitude=[1.0, 3.0], eps=1.0)
-    sys = build_first_order(mech, variant="L1")
+    sys = build_first_order(mech)
     got = sys.forcing_eval([0.0])
     assert np.allclose(got, [0, 0, 1.0, 3.0])
 
@@ -206,18 +187,6 @@ def test_ill_conditioned_sparse_b_reports_its_pivot_ratio():
     with pytest.raises(ValidationError, match=r"matrix B is singular or "
                        r"ill-conditioned \(LU pivot ratio 1\.0e-15\)"):
         FirstOrderSystem(-sp.identity(2, format="csr"), B)
-
-
-@pytest.mark.parametrize("sparse", [False, True])
-def test_singular_auxiliary_block_rejected(sparse):
-    # a free-free pair: K is singular, so N = -K makes B singular
-    K = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    mats = (np.eye(2), 0.1 * np.eye(2), K)
-    if sparse:
-        mats = tuple(sp.csr_matrix(m) for m in mats)
-    mech = MechanicalSystem(*mats)
-    with pytest.raises(ValidationError, match="singular"):
-        build_first_order(mech, variant="L1", n_choice="minus-k")
 
 
 def test_nonlinearity_shape_rejected():
@@ -244,7 +213,7 @@ def test_complex_nonlinearity_rejected():
                             f_coeffs=[real])
     z = np.array([0.5, 0.0])
     got = build_first_order(mech).F_eval(z)
-    assert got.dtype == np.float64 and np.array_equal(got, [-0.125, 0.0])
+    assert got.dtype == np.float64 and np.array_equal(got, [0.0, -0.125])
     lifted = PolyCoeffs.from_entries(3, 2, 2, [(1, (0, 0, 0), -1.0 + 0j)])
     got = FirstOrderSystem(-np.eye(2), np.eye(2), [lifted]).F_eval(z)
     assert got.dtype == np.float64 and np.array_equal(got, [0.0, -0.125])
@@ -258,7 +227,7 @@ def test_sparse_lift_past_the_position_capacity():
                                               (n - 1, (0, n - 2, n - 1), -1.5),
                                               (n - 1, (n - 1, n - 1, 7), 0.5)])
     mech = MechanicalSystem(eye, 0.01 * eye, eye, f_coeffs=[cubic])
-    system = build_first_order(mech, variant="L1")
+    system = build_first_order(mech)
     assert system.N == 2 * n
     z = np.random.default_rng(0).standard_normal(2 * n)
     f = cubic.evaluate(z[:n])

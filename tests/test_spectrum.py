@@ -30,21 +30,26 @@ def test_biorthogonal_normalization(chain10):
 
 
 def test_normalization_nonsymmetric_variant():
-    from ssmkit import build_first_order
-    sys = build_first_order(oscillator_chain(6), variant="L1")
-    assert not sys.symmetric
+    # the lift's pencil is not symmetric; its left vectors come in
+    # closed form from M, C and K
+    sys = build_first_order(oscillator_chain(6))
     ms = master_spectrum(sys, select={"mode": "smallest", "count": 4})
+    assert ms.diagnostics["left_vectors"] == "closed-form"
     assert check_normalization(ms, sys) <= 1e-10
 
 
 def test_eigenvalues_independent_of_variant():
-    from ssmkit import build_first_order
+    # the symmetric L2 pencil B = [[C, M], [M, 0]], given as a plain
+    # first-order system, takes LAPACK's left vectors
     mech = oscillator_chain(6, c=0.15)
-    w1 = master_spectrum(build_first_order(mech, variant="L1"),
-                         select={"mode": "smallest", "count": 6}).lambdas
-    w2 = master_spectrum(build_first_order(mech, variant="L2"),
-                         select={"mode": "smallest", "count": 6}).lambdas
-    assert np.allclose(np.sort_complex(w1), np.sort_complex(w2), atol=1e-9)
+    lifted = master_spectrum(build_first_order(mech),
+                             select={"mode": "smallest", "count": 6})
+    l2 = plain_pencil(mech, "L2", "mass")
+    plain = master_spectrum(l2, select={"mode": "smallest", "count": 6})
+    assert plain.diagnostics["left_vectors"] == "dense-left"
+    assert np.allclose(np.sort_complex(lifted.lambdas),
+                       np.sort_complex(plain.lambdas), atol=1e-9)
+    assert check_normalization(plain, l2) <= 1e-10
 
 
 def test_conjugate_pairing_is_exact(chain10):
@@ -135,8 +140,7 @@ def test_shift_invert_matches_dense():
 
 
 def test_shift_invert_nonsymmetric():
-    from ssmkit import build_first_order
-    sys = build_first_order(oscillator_chain(40, c=0.05), variant="L1")
+    sys = build_first_order(oscillator_chain(40, c=0.05))
     si = master_spectrum(sys, select={"mode": "smallest", "count": 4},
                          method="shift-invert", shift=0.3j, n_outer=0)
     dense = master_spectrum(sys, select={"mode": "smallest", "count": 4},
@@ -170,12 +174,55 @@ def csr_bar(n, seed):
                             eps=0.0067)
 
 
+def plain_pencil(mech, layout="L1", aux="identity"):
+    """
+    ``mech`` realized as a plain FirstOrderSystem, with no ``mech``
+    attached, so that every solve takes the general routes. Layout "L1"
+    is ``A = [[0, N], [-K, -C]]``, ``B = diag(N, M)`` and "L2" is
+    ``A = diag(-K, N)``, ``B = [[C, M], [N, 0]]``; the auxiliary block N
+    is "identity", "minus-k" (-K) or "mass" (M). "L1" with "identity" is
+    the pencil of ``build_first_order``; "L1" with "minus-k" and "L2"
+    with "mass" are symmetric for symmetric M, C and K.
+    """
+    n = mech.n
+    M, C, K = mech.M, mech.C, mech.K
+    sparse = sp.issparse(M)
+    eye = sp.identity(n, format="csr") if sparse else np.eye(n)
+    N = {"identity": eye, "minus-k": -K, "mass": M}[aux]
+    zero = None if sparse else np.zeros((n, n))
+    bmat = sp.bmat if sparse else np.block
+    if layout == "L1":
+        A = bmat([[zero, N], [-K, -C]])
+        B = bmat([[N, zero], [zero, M]])
+        rows = n
+    else:
+        A = bmat([[-K, zero], [zero, N]])
+        B = bmat([[C, M], [N, zero]])
+        rows = 0
+    F = [fc.relabel(2 * n, 2 * n, row_offset=rows, value_scale=-1.0)
+         for fc in mech.f_coeffs]
+    forcing = []
+    for kt, vec in mech.forcing:
+        full = np.zeros(2 * n, dtype=complex)
+        full[rows:rows + n] = vec
+        forcing.append((kt, full))
+    return FirstOrderSystem(A, B, F, forcing, eps=mech.eps)
+
+
+def test_default_lift_of_an_fe_scale_bar_is_accepted():
+    # the symmetric layout B = [[C, M], [M, 0]] had an LU pivot ratio of
+    # 8.9e-16 at this size and was refused
+    mech = csr_bar(10**5, 4)
+    sys = build_first_order(mech)
+    assert sys.N == 2 * 10**5 and sys.mech is mech
+    assert sp.issparse(sys.A) and sp.issparse(sys.B)
+
+
 def test_defect_test_scales_with_the_cluster_not_with_b():
-    # under L1 "minus-k", B = diag(-K, M) and ||B||_F grows with the
-    # mesh; at 10^4 nodes it once made the simple first pair (next
-    # eigenvalue 2.2 away) look defective
-    sys = build_first_order(csr_bar(10**4, 4), variant="L1",
-                            n_choice="minus-k")
+    # B = diag(-K, M) and ||B||_F grows with the mesh; at 10^4 nodes it
+    # once made the simple first pair (next eigenvalue 2.2 away) look
+    # defective
+    sys = plain_pencil(csr_bar(10**4, 4), "L1", "minus-k")
     ms = master_spectrum(sys, select={"mode": "pair", "pair": 1}, n_outer=8)
     rep = ms.lambdas[ms.pair_representatives()[0]]
     assert rep.real == pytest.approx(-0.0297, abs=1e-4)
@@ -184,16 +231,53 @@ def test_defect_test_scales_with_the_cluster_not_with_b():
     assert check_normalization(ms, sys) <= 1e-10
 
 
-@pytest.mark.parametrize("variant", ["L1", "L2"])
-def test_sparse_spectrum_is_repeatable(variant):
-    # N = 620 > 600 takes the shift-invert path; L1 also runs the
-    # transposed solve for the left vectors
-    sys = build_first_order(csr_chain(310), variant=variant)
+@pytest.mark.parametrize("layout", ["L1", "L2"])
+def test_sparse_spectrum_is_repeatable(layout):
+    # N = 620 > 600 takes the shift-invert path: the lift (L1) takes
+    # closed-form left vectors, the L2 pencil as a plain first-order
+    # system the transposed solve
+    mech = csr_chain(310)
+    sys = (build_first_order(mech) if layout == "L1"
+           else plain_pencil(mech, "L2", "mass"))
     assert sp.issparse(sys.A) and sys.N > 600
     one, two = (master_spectrum(sys, select={"mode": "pair", "pair": 1},
                                 n_outer=4) for _ in range(2))
+    assert one.diagnostics["left_vectors"] == (
+        "closed-form" if layout == "L1" else "transposed")
     for attr in ("lambdas", "V", "U"):
         assert np.array_equal(getattr(one, attr), getattr(two, attr))
+
+
+@pytest.mark.parametrize("mech,select", [
+    (oscillator_chain(10, c=0.1), {"mode": "smallest", "count": 6}),
+    (csr_chain(310), {"mode": "smallest", "count": 4}),
+], ids=["dense-chain", "csr-N620"])
+def test_closed_form_left_vectors_match_the_general_routes(mech, select):
+    # the same pencil without its mechanical model takes LAPACK's left
+    # vectors (dense) or a transposed Arnoldi run (N > 600)
+    lifted = master_spectrum(build_first_order(mech), select=select)
+    plain = master_spectrum(plain_pencil(mech), select=select)
+    assert lifted.diagnostics["left_vectors"] == "closed-form"
+    assert plain.diagnostics["left_vectors"] in ("dense-left", "transposed")
+    for attr in ("lambdas", "V", "U"):
+        want = getattr(plain, attr)
+        got = getattr(lifted, attr)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method,route", [("dense", "dense-left"),
+                                          ("shift-invert", "transposed")])
+def test_nonsymmetric_damping_takes_the_general_left_vectors(method, route):
+    mech = oscillator_chain(40, c=0.05)
+    C = mech.C.copy()
+    C[0, 1] += 0.02
+    skewed = MechanicalSystem(mech.M, C, mech.K, mech.f_coeffs)
+    assert not skewed.symmetric
+    sys = build_first_order(skewed)
+    ms = master_spectrum(sys, select={"mode": "smallest", "count": 4},
+                         method=method, shift=0.3j, n_outer=0)
+    assert ms.diagnostics["left_vectors"] == route
+    assert check_normalization(ms, sys) <= 1e-10
 
 
 def test_subspace_dict_roundtrip(chain10):

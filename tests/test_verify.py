@@ -6,12 +6,13 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from ssmkit import (FirstOrderSystem, NumericalError, ValidationError,
-                    as_first_order, compute_manifold, integrate_full,
-                    invariance_residual, master_spectrum, oscillator_chain,
-                    steady_state_amplitude)
+                    as_first_order, build_first_order, compute_manifold,
+                    integrate_full, invariance_residual, master_spectrum,
+                    oscillator_chain, steady_state_amplitude)
 from ssmkit.cohomology import ManifoldExpansion
 from ssmkit.polytensor import PolyCoeffs
 from ssmkit.verify import _symmetric_directions
+from test_spectrum import csr_bar, plain_pencil
 
 SPEC_RADII = np.logspace(-4, -2, 7)
 
@@ -207,6 +208,25 @@ def test_trapezoid_does_not_depend_on_matrix_storage(chain10_forced):
     assert one["newton_iterations"] == two["newton_iterations"]
     assert (np.abs(one["z"] - two["z"]).max()
             <= 1e-12 * np.abs(one["z"]).max())
+
+
+@pytest.mark.parametrize("model,Omega", [
+    (lambda: oscillator_chain(10, c=0.1, kappa=0.3,
+                              forcing_amplitude=np.linspace(0.1, 1.0, 10),
+                              eps=0.1), 0.6),
+    (lambda: csr_bar(1500, 4), 5.4),
+], ids=["chain", "csr-bar-1500"])
+def test_trapezoid_on_the_n2_matrix_matches_the_2n_pencil(model, Omega):
+    # the lift factors sigma^2 M + sigma C + K, the same pencil without
+    # its mechanical model the 2N matrix sigma B - A
+    mech = model()
+    period = 2.0 * np.pi / Omega
+    z0 = np.random.default_rng(6).normal(size=2 * mech.n) * 0.01
+    one, two = (integrate_full(system, z0, (0.0, period), Omega=Omega,
+                               method="trapezoid", dt=period / 64,
+                               newton_tol=1e-9)["z"]
+                for system in (build_first_order(mech), plain_pencil(mech)))
+    assert np.abs(one - two).max() <= 1e-12 * np.abs(two).max()
 
 
 def test_trapezoid_newton_work_and_accuracy(chain10_forced):
