@@ -64,6 +64,24 @@ def test_l1_lift_blocks():
     assert np.allclose(B[n:, n:], mech.M)
 
 
+def test_l2_lift_blocks():
+    # the L2 layout survives as the plain reference pencil the layout
+    # comparisons use; it must keep its blocks, its symmetry and no mech
+    mech = oscillator_chain(3)
+    sys = plain_pencil(mech, "L2", "mass")
+    assert sys.mech is None
+    n = 3
+    A, B = sys.dense_pencil()
+    assert np.allclose(A[:n, :n], -mech.K)
+    assert np.allclose(A[n:, n:], mech.M)
+    assert np.allclose(A[:n, n:], 0.0) and np.allclose(A[n:, :n], 0.0)
+    assert np.allclose(B[:n, :n], mech.C)
+    assert np.allclose(B[:n, n:], mech.M)
+    assert np.allclose(B[n:, :n], mech.M)
+    assert np.allclose(B[n:, n:], 0.0)
+    assert np.allclose(A, A.T) and np.allclose(B, B.T)
+
+
 def test_lift_rhs_consistency():
     # first-order rhs must reproduce x'' = -M^-1 (Cv + Kx + f) on the
     # lift and on the tests' other pencils, including the forcing column
