@@ -12,7 +12,10 @@ under 2 GB.
 
 Every shifted solve takes the second-order route: one sparse LU of the
 N/2 matrix lambda^2 M + lambda C + K per block (lambda = i Omega for a
-forcing block) instead of one of the 2N pencil lambda B - A.
+forcing block) instead of one of the 2N pencil lambda B - A. So does
+the spectrum's shift-invert Arnoldi run, whose operator factors
+sigma^2 M + sigma C + K once; the script asserts that its route is
+"second-order", so a fallback to the 2N pencil fails the run.
 The forcing blocks at the sweep's two end frequencies are solved once
 more through ``leading_order``, whose route and normwise backward
 residual are printed; the residual must be at most 1e-12.
@@ -88,9 +91,10 @@ def main():
     peak = peak_rss_mb()
 
     print()
-    print("N = %d states, omega_1 = %.6f, left vectors %s, %d FRC points"
-          % (system.N, omega1, ms.diagnostics["left_vectors"],
-             len(result.points)))
+    print("N = %d states, omega_1 = %.6f, spectrum on the %s route, left "
+          "vectors %s, %d FRC points"
+          % (system.N, omega1, ms.diagnostics["route"],
+             ms.diagnostics["left_vectors"], len(result.points)))
     print("%10s %10s %8s %12s" % ("Omega/w1", "rho", "stable",
                                   "amp dof %d" % dof))
     for pt in result.points:
@@ -111,6 +115,8 @@ def main():
 
     assert ms.diagnostics["left_vectors"] == "closed-form", \
         "left vectors from %s" % ms.diagnostics["left_vectors"]
+    assert ms.diagnostics["route"] == "second-order", \
+        "spectrum factored on the %s route" % ms.diagnostics["route"]
     assert result.points, "the sweep found no forced response"
     assert max(backward) <= 1e-12, "forcing block backward residual %.1e" \
         % max(backward)

@@ -34,6 +34,7 @@ from scipy.integrate import solve_ivp
 from .errors import NumericalError, ValidationError
 from .forcing import leading_order
 from .multiindex import MultiIndexSet
+from .spectrum import largest_entry
 
 __all__ = [
     "PolarROM", "extract_polar_rom", "BackboneCurve", "backbone",
@@ -410,7 +411,8 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
         Forcing amplitude; defaults to the system's stored value.
     dofs : sequence of int, optional
         State indices to lift amplitudes for. Defaults to the state
-        with the largest master-mode displacement.
+        with the largest master-mode displacement, the first of equal
+        ones (``spectrum.largest_entry``).
     eta : int, optional
         Harmonic multiple resonant with the pair. Autodetected from
         the grid midpoint among 1..3 when omitted.
@@ -463,7 +465,7 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
     override = {kplus: [rom.row], tuple(-k for k in kplus): [rom.partner]}
 
     if not dofs:
-        dofs = [int(np.argmax(np.abs(master.V[:, rom.row])))]
+        dofs = [largest_entry(master.V[:, rom.row])]
     dofs = [_dof_index(d, manifold.N) for d in dofs]
 
     points = []

@@ -30,19 +30,18 @@ symmetric and evaluations at conjugate-symmetric points are exactly
 real.
 
 Every block, here and in ``forcing``, goes through ``solve_shifted``.
-A system lifted from a mechanical model (it carries ``mech``) takes the
-"second-order" route: the block reduces to one solve with the N/2
-matrix ``lam^2 M + lam C + K``. Any other system takes the
-"first-order" route on the 2N matrix ``lam B - A``. On either route the
-matrix gets dense LU unless the condition estimate marks it singular,
-sparse LU unless its residual fails, else minimum-norm least squares;
-master directions whose eigenvalue sits on the shift are then projected
-out through ``U^H B``. Each order's diagnostics name the route.
-``shifted_solver`` factors the same matrix once for many right-hand
-sides, which is how ``verify`` takes its trapezoidal steps.
+The matrix it factors comes from ``model.reduced_shifted``, the one
+layer that knows the lift's layout: for a system lifted from a
+mechanical model (it carries ``mech``) the "second-order" route solves
+with the N/2 matrix ``lam^2 M + lam C + K``, any other system the
+"first-order" route with the 2N matrix ``lam B - A``. On either route
+the matrix gets dense LU unless the condition estimate marks it
+singular, sparse LU unless its residual fails, else minimum-norm least
+squares; master directions whose eigenvalue sits on the shift are then
+projected out through ``U^H B``. Each order's diagnostics name the
+route.
 """
 
-import functools
 import json
 import re
 import warnings
@@ -51,10 +50,10 @@ from operator import itemgetter
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, OuterResonanceError, ValidationError
-from .model import as_first_order
+from .model import (as_first_order, factorize, reduced_shifted,
+                    shifted_route)
 from .multiindex import (MultiIndexSet, conjugate_permutation,
                          decode_positions, encode_positions, kron_step)
 from .polytensor import apply_kron_sum, compose
@@ -62,8 +61,7 @@ from .spectrum import MasterSubspace
 
 __all__ = [
     "ResonanceReport", "classify_resonances", "resonance_tolerance",
-    "is_resonant", "factorize", "shifted_route", "shifted_solver",
-    "solve_shifted", "solve_order", "compute_manifold",
+    "is_resonant", "solve_shifted", "solve_order", "compute_manifold",
     "ManifoldExpansion",
 ]
 
@@ -191,113 +189,6 @@ def classify_resonances(master, order, tol=None):
                            {key: tol[key] for key in ("rel", "slack", "abs")})
 
 
-@functools.lru_cache(maxsize=None)
-def _dense_lu(typecode):
-    """LAPACK getrf, gecon and getrs for one dtype."""
-    return la.get_lapack_funcs(("getrf", "gecon", "getrs"),
-                               dtype=np.dtype(typecode))
-
-
-def factorize(mat):
-    """
-    Factor ``mat`` once: SuperLU for a sparse matrix, LAPACK ``getrf``
-    for a dense one. Returns ``(solve, rcond)``: ``solve(v)`` applies
-    ``mat^-1`` to an (n,) or (n, k) array of ``mat``'s dtype through
-    SuperLU or ``getrs``, without the per-call checks of ``lu_solve``.
-    ``rcond`` is LAPACK's 1-norm condition estimate of a dense ``mat``
-    (0 when a pivot is exactly zero), None for a sparse one. SuperLU
-    raises RuntimeError on an exactly singular ``mat``.
-    """
-    if sp.issparse(mat):
-        return spla.splu(mat.tocsc()).solve, None
-    getrf, gecon, getrs = _dense_lu(mat.dtype.char)
-    lu, piv, info = getrf(mat)
-    anorm = np.linalg.norm(mat, 1)
-    rcond = float(gecon(lu, anorm)[0]) if anorm > 0 and info == 0 else 0.0
-    return (lambda v: getrs(lu, piv, v)[0]), rcond
-
-
-def shifted_route(system):
-    """
-    The route of :func:`solve_shifted` on ``system``: "second-order"
-    when it carries its mechanical model, else "first-order".
-    """
-    return "first-order" if system.mech is None else "second-order"
-
-
-class _SecondOrder:
-    """
-    The n = N/2 blocks M, C and K of a lifted mechanical model, read from
-    its pencil ``A = [[0, I], [-K, -C]]``, ``B = diag(I, M)``. Sparse M,
-    C and K share one CSC pattern, their union, so that ``Q(shift)``
-    costs one vector expression on their values.
-    """
-
-    def __init__(self, system):
-        n = system.N // 2
-        A, B = system.A, system.B
-        M, C, K = B[n:, n:], -A[n:, n:], -A[n:, :n]
-        self.n = n
-        self.pattern = None
-        self.values = (M, C, K)
-        if sp.issparse(M):
-            union = ((M != 0) + (C != 0) + (K != 0)).tocsc()
-            union.sort_indices()
-            rows = union.indices
-            cols = np.repeat(np.arange(n), np.diff(union.indptr))
-            self.pattern = (rows, union.indptr)
-            self.values = np.array([np.asarray(mat[rows, cols]).ravel()
-                                    for mat in (M, C, K)], dtype=float)
-
-    def matrices(self, shift):
-        """``Q = shift^2 M + shift C + K`` and ``D = shift M + C``, dense
-        or CSC, of the dtype of ``shift``."""
-        vm, vc, vk = self.values
-        d = shift * vm + vc
-        q = shift * d + vk
-        if self.pattern is None:
-            return q, d
-        return tuple(sp.csc_matrix((vals, *self.pattern),
-                                   shape=(self.n, self.n)) for vals in (q, d))
-
-
-def _reduced(system, shift):
-    """
-    The matrix that ``(shift B - A) X = rhs`` is solved on, with the
-    maps of ``rhs`` into its right-hand side and of its solution back to
-    X. For a system that carries ``mech`` these are Q,
-    ``rhs -> rd + D rk`` and ``x -> [x; shift x - rk]`` (see
-    :class:`_SecondOrder` for Q and D), with ``rk`` the first n rows of
-    ``rhs`` and ``rd`` the last n; else ``shift B - A`` itself.
-    """
-    if system.mech is None:
-        A, B = system.A, system.B
-        mat = shift * B - A
-        if sp.issparse(A) or sp.issparse(B):
-            mat = sp.csc_matrix(mat)
-        return mat, (lambda rhs: rhs), (lambda x, rhs: x)
-    if system._second_order is None:
-        system._second_order = _SecondOrder(system)
-    quad = system._second_order
-    n = quad.n
-    Q, D = quad.matrices(shift)
-    return (Q, lambda rhs: rhs[n:] + D @ rhs[:n],
-            lambda x, rhs: np.concatenate([x, shift * x - rhs[:n]]))
-
-
-def shifted_solver(system, shift):
-    """
-    Factor ``shift B - A`` once, on the route of :func:`shifted_route`,
-    and return ``solve``: ``solve(rhs)`` gives X with
-    ``(shift B - A) X = rhs`` for an (N,) or (N, k) ``rhs``. The
-    arithmetic is real for a real ``shift`` and a real ``rhs``. No
-    singular test is made; see :func:`solve_shifted` for one.
-    """
-    mat, fold, unfold = _reduced(system, shift)
-    solve = factorize(mat)[0]
-    return lambda rhs: unfold(solve(fold(rhs)), rhs)
-
-
 def _lu_or_lstsq(mat, rhs):
     """
     ``mat X = rhs`` by LU unless ``mat`` is singular, then by minimum-norm
@@ -327,14 +218,10 @@ def _lu_or_lstsq(mat, rhs):
 
 def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
     """
-    Solve ``(shift B - A) X = rhs`` for one (N,) or (N, k) block.
-
-    A system that carries its mechanical model (see
-    :func:`shifted_route`) is solved on the N/2 matrix
-    ``Q = shift^2 M + shift C + K`` (Tisseur & Meerbergen, SIAM Rev. 43,
-    2001). With ``rk`` the first n rows of ``rhs`` and ``rd`` the last
-    n, ``Q x = rd + (shift M + C) rk`` and ``X = [x; shift x - rk]``.
-    Any other system is solved on the 2N matrix ``shift B - A``.
+    Solve ``(shift B - A) X = rhs`` for one (N,) or (N, k) block, on the
+    matrix of ``model.reduced_shifted``: the N/2 matrix
+    ``shift^2 M + shift C + K`` for a system that carries its mechanical
+    model, else ``shift B - A``.
 
     The matrix solved is singular when it is dense and LAPACK's
     condition estimate is at most ``RCOND_SINGULAR``, or sparse and its
@@ -352,7 +239,7 @@ def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
     """
     A, B = system.A, system.B
     shift = complex(shift)
-    mat, fold, unfold = _reduced(system, shift)
+    mat, fold, unfold = reduced_shifted(system, shift)
     x, rcond, singular = _lu_or_lstsq(mat, fold(rhs))
     X = unfold(x, rhs)
     V, U = master.V, master.U
@@ -394,7 +281,7 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
         (M, M**order), and a diagnostics dict: the order, the number of
         merged eigenvalue-sum groups, the smallest dense condition
         estimate, the columns solved by least squares and the solve
-        route of :func:`shifted_route`.
+        route of ``model.shifted_route``.
     """
     lam = master.lambdas
     M = master.dim

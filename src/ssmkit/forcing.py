@@ -45,10 +45,9 @@ import warnings
 
 import numpy as np
 
-from .cohomology import (is_resonant, resonance_tolerance, shifted_route,
-                         solve_shifted)
+from .cohomology import is_resonant, resonance_tolerance, solve_shifted
 from .errors import NumericalError, ValidationError
-from .model import as_first_order
+from .model import as_first_order, shifted_route
 
 __all__ = ["NonAutonomousLeading", "leading_order"]
 

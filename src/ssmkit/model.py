@@ -9,10 +9,12 @@ harmonics. They are rewritten as the first-order pencil
 
     A = [[0, I], [-K, -C]]      B = [[I, 0], [0, M]]      F = [0; -f]
 
-whose B is as well conditioned as M. When M, C and K are symmetric the
-left eigenvectors of this pencil follow from the right ones in closed
-form (see ``spectrum``), and every shifted solve reduces to the N/2
-matrix ``lambda^2 M + lambda C + K`` (see ``cohomology``).
+whose B is as well conditioned as M. Only this module knows that layout.
+Every shifted pencil ``lambda B - A`` is factored through its
+``reduced_shifted``: for a lifted model the N/2 matrix
+``lambda^2 M + lambda C + K`` (Tisseur & Meerbergen, SIAM Rev. 43,
+2001), else ``lambda B - A`` itself. With symmetric M, C and K the left
+eigenvectors follow from the right ones (``closed_form_left``).
 
 Forcing is position-independent: each harmonic is a constant complex
 vector. State-dependent forcing input is rejected.
@@ -22,7 +24,9 @@ import functools
 import numbers
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 from .polytensor import PolyCoeffs
@@ -30,7 +34,8 @@ from .polytensor import PolyCoeffs
 __all__ = [
     "MechanicalSystem", "FirstOrderSystem", "build_first_order",
     "as_first_order", "oscillator_chain", "lorenz_extended",
-    "cosine_forcing",
+    "cosine_forcing", "factorize", "shifted_route", "shifted_solver",
+    "reduced_shifted", "closed_form_left",
 ]
 
 
@@ -55,7 +60,6 @@ def _is_symmetric(mat, rtol=1e-12):
 def _check_nonsingular(mat, name):
     """Factorization-based singularity check, dense or sparse."""
     if sp.issparse(mat):
-        import scipy.sparse.linalg as spla
         try:
             lu = spla.splu(mat.tocsc())
         except RuntimeError as exc:
@@ -253,9 +257,12 @@ class FirstOrderSystem:
                                    dtype=float).reshape(nharm, self.nfreq)
         self.eps = float(eps)
         self.mech = mech
-        # cohomology's N/2 blocks, set at the first shifted solve
-        self._second_order = None
         _check_nonsingular(self.B, "pencil matrix B")
+
+    @functools.cached_property
+    def _second_order(self):
+        """``mech``'s :class:`_SecondOrder`, made at the first solve."""
+        return _SecondOrder(self.mech)
 
     @functools.cached_property
     def inf_norms(self):
@@ -329,6 +336,113 @@ def build_first_order(mech):
         full[n:] = vec
         forcing.append((kt, full))
     return FirstOrderSystem(A, B, F_coeffs, forcing, eps=mech.eps, mech=mech)
+
+
+def closed_form_left(mech, V, lambdas):
+    """Left eigenvectors of the lift of a symmetric ``mech`` up to a Gram
+    correction, ``u_k = [(C + conj(lambda_k) M) conj(phi_k); conj(phi_k)]``
+    with ``phi_k`` the displacement part of the column ``v_k`` of V."""
+    phi = V[:mech.n].conj()
+    return np.vstack([mech.C @ phi + (mech.M @ phi) * lambdas.conj(), phi])
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_lu(typecode):
+    """LAPACK getrf, gecon and getrs for one dtype."""
+    return la.get_lapack_funcs(("getrf", "gecon", "getrs"),
+                               dtype=np.dtype(typecode))
+
+
+def factorize(mat):
+    """
+    Factor ``mat`` once: SuperLU for a sparse matrix, LAPACK ``getrf``
+    for a dense one. Returns ``(solve, rcond)``: ``solve(v)`` applies
+    ``mat^-1`` to an (n,) or (n, k) array of ``mat``'s dtype through
+    SuperLU or ``getrs``, without the per-call checks of ``lu_solve``.
+    ``rcond`` is LAPACK's 1-norm condition estimate of a dense ``mat``
+    (0 when a pivot is exactly zero), None for a sparse one. SuperLU
+    raises RuntimeError on an exactly singular ``mat``.
+    """
+    if sp.issparse(mat):
+        return spla.splu(mat.tocsc()).solve, None
+    getrf, gecon, getrs = _dense_lu(mat.dtype.char)
+    lu, piv, info = getrf(mat)
+    anorm = np.linalg.norm(mat, 1)
+    rcond = float(gecon(lu, anorm)[0]) if anorm > 0 and info == 0 else 0.0
+    return (lambda v: getrs(lu, piv, v)[0]), rcond
+
+
+def shifted_route(system):
+    """The route of :func:`reduced_shifted`: "second-order" when
+    ``system`` carries its mechanical model, else "first-order"."""
+    return "first-order" if system.mech is None else "second-order"
+
+
+class _SecondOrder:
+    """M, C and K of a mechanical model. Sparse ones share one CSC pattern,
+    their union, so that ``Q(shift)`` costs one vector expression."""
+
+    def __init__(self, mech):
+        n = self.n = mech.n
+        self.pattern = None
+        self.values = (mech.M, mech.C, mech.K)
+        if any(sp.issparse(mat) for mat in self.values):
+            M, C, K = (sp.csr_matrix(mat) for mat in self.values)
+            union = ((M != 0) + (C != 0) + (K != 0)).tocsc()
+            union.sort_indices()
+            rows = union.indices
+            cols = np.repeat(np.arange(n), np.diff(union.indptr))
+            self.pattern = (rows, union.indptr)
+            self.values = np.array([np.asarray(mat[rows, cols]).ravel()
+                                    for mat in (M, C, K)], dtype=float)
+
+    def matrices(self, shift):
+        """``Q = shift^2 M + shift C + K`` and ``D = shift M + C``, dense
+        or CSC, of the dtype of ``shift``."""
+        vm, vc, vk = self.values
+        d = shift * vm + vc
+        q = shift * d + vk
+        if self.pattern is None:
+            return q, d
+        return tuple(sp.csc_matrix((vals, *self.pattern),
+                                   shape=(self.n, self.n)) for vals in (q, d))
+
+
+def reduced_shifted(system, shift):
+    """
+    The matrix that ``(shift B - A) X = rhs`` is solved on, with the
+    maps of ``rhs`` into its right-hand side and of its solution back to
+    X. With ``mech`` these are ``Q = shift^2 M + shift C + K``,
+    ``rhs -> rd + (shift M + C) rk`` and ``x -> [x; shift x - rk]``
+    (``rk``, ``rd`` the first and last n rows of ``rhs``); else
+    ``shift B - A`` (CSC when sparse) and the identity maps.
+    """
+    if system.mech is None:
+        A, B = system.A, system.B
+        mat = shift * B - A
+        if sp.issparse(A) or sp.issparse(B):
+            mat = sp.csc_matrix(mat)
+        return mat, (lambda rhs: rhs), (lambda x, rhs: x)
+    n = system.mech.n
+    Q, D = system._second_order.matrices(shift)
+    return (Q, lambda rhs: rhs[n:] + D @ rhs[:n],
+            lambda x, rhs: np.concatenate([x, shift * x - rhs[:n]]))
+
+
+def shifted_solver(system, shift):
+    """
+    Factor ``shift B - A`` once, on the route of :func:`shifted_route`,
+    and return ``solve``: ``solve(rhs)`` gives X with
+    ``(shift B - A) X = rhs`` for an (N,) or (N, k) ``rhs``, in real
+    arithmetic for a real ``shift`` and ``rhs``. An exactly singular
+    matrix raises RuntimeError, dense or sparse; ``cohomology``'s
+    ``solve_shifted`` makes the other singular tests.
+    """
+    mat, fold, unfold = reduced_shifted(system, shift)
+    solve, rcond = factorize(mat)
+    if rcond == 0.0:
+        raise RuntimeError("a pivot of the dense LU is exactly zero")
+    return lambda rhs: unfold(solve(fold(rhs)), rhs)
 
 
 def as_first_order(system):

@@ -128,32 +128,6 @@ def kron_step(a, b):
     return prod.reshape((-1,) + prod.shape[2:])
 
 
-def kron_power(p, degree):
-    """
-    The ``degree``-fold Kronecker power of a vector, or of every column
-    of an ``(m, n)`` batch at once.
-
-    Entry ``l`` of the result is ``p[l_1]*...*p[l_k]`` for the tuple at
-    lexicographic position ``l``, matching :class:`MultiIndexSet` order
-    and ``np.kron``. A batch gives shape ``(m**degree, n)``.
-
-    Examples
-    --------
-    >>> kron_power(np.array([2.0, 3.0]), 2)
-    array([4., 6., 6., 9.])
-    >>> kron_power(np.array([[2.0, 1.0], [3.0, -1.0]]), 2)
-    array([[ 4.,  1.],
-           [ 6., -1.],
-           [ 6., -1.],
-           [ 9.,  1.]])
-    """
-    p = np.asarray(p)
-    out = np.ones((1,) + p.shape[1:], dtype=p.dtype)
-    for _ in range(degree):
-        out = kron_step(out, p)
-    return out
-
-
 def kron_sum_lambdas(lambdas, degree):
     """
     Eigenvalues of the Kronecker-sum operator built from ``diag(lambdas)``.

@@ -11,17 +11,17 @@ Repeated eigenvalues are handled as clusters: a cluster's Gram matrix
 G flags a defective (non-semisimple) eigenvalue, which is rejected.
 
 For a pencil lifted from a mechanical model with symmetric M, C and K
-(``A = [[0, I], [-K, -C]]``, ``B = diag(I, M)``) the left eigenvectors
-follow from the right ones in closed form (Tisseur & Meerbergen, "The
-quadratic eigenvalue problem", SIAM Rev. 43, 2001): with ``phi_k`` the
-displacement part of ``v_k``, which solves
-``(lambda_k^2 M + lambda_k C + K) phi_k = 0``,
-
-    u_k = [(C + conj(lambda_k) M) conj(phi_k); conj(phi_k)]
-
+the left eigenvectors follow from the right ones in closed form
+(``model.closed_form_left``; Tisseur & Meerbergen, SIAM Rev. 43, 2001)
 up to that same Gram correction, so only right eigenvectors are
 computed. Any other pencil takes its left vectors from LAPACK or from a
 second, transposed shift-invert run.
+
+Shift-invert runs complex ARPACK from a fixed start on
+``(sigma B - A)^-1 B``, factored by ``model.shifted_solver``: the N/2
+matrix ``sigma^2 M + sigma C + K`` for a lifted model, else
+``sigma B - A``; the transposed run factors ``(sigma B - A)^T``.
+``diagnostics["route"]`` names the route.
 
 Each right eigenvector is scaled to unit norm with its largest entry
 rotated onto the positive real axis, and complex conjugate pairs are
@@ -36,12 +36,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
-from .model import as_first_order
+from .model import (as_first_order, closed_form_left, factorize,
+                    shifted_route, shifted_solver)
 
-__all__ = ["MasterSubspace", "master_spectrum", "check_normalization"]
+__all__ = ["MasterSubspace", "master_spectrum", "check_normalization",
+           "largest_entry"]
 
 CLUSTER_RTOL = 1e-8
 RESIDUAL_RTOL = 1e-9
+TIE_RTOL = 1e-10
 
 
 class MasterSubspace:
@@ -160,10 +163,22 @@ def _enforce_conjugation(w, VR, UL, scale):
     return partner
 
 
+def largest_entry(v):
+    """
+    Index of the largest ``|v_i|``, the first within ``TIE_RTOL`` of it,
+    so rounding does not pick between equal entries of a symmetric mode.
+
+    >>> largest_entry(np.array([0.5, -1.0, 1.0 + 1e-15]))
+    1
+    """
+    mag = np.abs(v)
+    return int(np.argmax(mag >= (1.0 - TIE_RTOL) * mag.max()))
+
+
 def _order_with_vectors(w, VR):
     """Canonical order; ties inside eigenvalue clusters broken by the
     position of each eigenvector's largest entry."""
-    tie = np.array([int(np.argmax(np.abs(VR[:, i]))) for i in range(w.size)],
+    tie = np.array([largest_entry(VR[:, i]) for i in range(w.size)],
                    dtype=float)
     return np.lexsort((tie, -np.sign(w.imag), w.real, np.abs(w)))
 
@@ -230,30 +245,31 @@ def _dense_eigen(A, B, left):
     return w, VR, UL
 
 
-def _shift_invert_eigen(A, B, k, shift, left):
-    A = sp.csc_matrix(A)
-    B = sp.csc_matrix(B)
+def _shift_invert_eigen(system, k, shift, left):
+    A, B, N = system.A, system.B, system.N
     sigma = complex(shift)
     try:
-        lu = spla.splu((A - sigma * B).astype(complex))
+        solve = shifted_solver(system, sigma)
     except RuntimeError as exc:
         raise NumericalError(
             "factorization of (A - sigma B) failed at sigma=%s: %s; "
             "pick a shift away from the spectrum" % (sigma, exc)) from exc
-    n = A.shape[0]
     # a fixed start makes sparse results repeatable; a random one, unlike
     # a constant, is not orthogonal to the antisymmetric modes
-    v0 = np.random.default_rng(0).standard_normal(n) + 0j
-    op = spla.LinearOperator((n, n), matvec=lambda x: lu.solve(B @ x),
-                             dtype=complex)
-    nu, VR = spla.eigs(op, k=k, v0=v0)
+    v0 = np.random.default_rng(0).standard_normal(N) + 0j
+
+    def arnoldi(solve, B):
+        # nu = 1 / (lambda - sigma) of x -> -solve(B x), where solve
+        # applies (sigma B - A)^-1 or its transpose
+        op = spla.LinearOperator((N, N), matvec=lambda x: -solve(B @ x),
+                                 dtype=complex)
+        return spla.eigs(op, k=k, v0=v0)
+
+    nu, VR = arnoldi(solve, B)
     w = sigma + 1.0 / nu
     UL = None
     if left:
-        lu_t = spla.splu((A - sigma * B).T.tocsc().astype(complex))
-        op_t = spla.LinearOperator((n, n), matvec=lambda x: lu_t.solve(B.T @ x),
-                                   dtype=complex)
-        nu_l, YL = spla.eigs(op_t, k=k, v0=v0)
+        nu_l, YL = arnoldi(factorize((sigma * B - A).T)[0], B.T)
         w_l = sigma + 1.0 / nu_l
         # match the left set to the right set by eigenvalue
         UL = np.empty_like(YL)
@@ -344,8 +360,7 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         else:
             k_need = spec["count"] + n_outer
         k = min(max(k_need, 6), N - 2)
-        w, VR, UL = _shift_invert_eigen(system.A, system.B, k, shift,
-                                        not closed_form)
+        w, VR, UL = _shift_invert_eigen(system, k, shift, not closed_form)
         A, B = system.A, system.B
 
     scale = float(np.abs(w).max()) if w.size else 1.0
@@ -379,8 +394,7 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
     lambdas = w[chosen]
     V = VR[:, chosen].copy()
     if closed_form:
-        phi = V[:N // 2].conj()
-        Ut = np.vstack([mech.C @ phi + (mech.M @ phi) * lambdas.conj(), phi])
+        Ut = closed_form_left(mech, V, lambdas)
     else:
         Ut = UL[:, chosen].copy()
 
@@ -420,7 +434,7 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         nrm = la.norm(v)
         if nrm == 0:
             raise NumericalError("zero eigenvector returned by the solver")
-        top = np.argmax(np.abs(v))
+        top = largest_entry(v)
         beta = 1.0 / (nrm * np.exp(1j * np.angle(v[top])))
         V[:, rep] = v * beta
         Ut[:, rep] = Ut[:, rep] / np.conj(beta)
@@ -453,6 +467,7 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         "method": "dense" if dense else "shift-invert",
         "left_vectors": ("closed-form" if closed_form
                          else "dense-left" if dense else "transposed"),
+        "route": None if dense else shifted_route(system),
         "selection": spec,
         "residual_right": res_r,
         "residual_left": res_l,

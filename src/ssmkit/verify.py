@@ -9,9 +9,10 @@ vanishes identically for the exact manifold; a truncation at order
 Gamma leaves r(p) = O(|p|^(Gamma+1)), or O(|p|^(Gamma+2)) when Gamma is
 odd and the force law is odd (every block of odd degree), because every
 even order of W vanishes then. Sampling r on shrinking spheres and
-fitting the log-log slope therefore measures whether the computed
-coefficients satisfy the equation to the claimed order, without reusing
-any of the expansion machinery.
+fitting the log-log slope of the residuals above a floor (below it they
+measure rounding) therefore measures whether the computed coefficients
+satisfy the equation to the claimed order, without reusing any of the
+expansion machinery.
 
 Full-model reference trajectories come from either the adaptive
 explicit Runge-Kutta pair of order 8(5,3), DOP853 (Hairer, Norsett &
@@ -24,7 +25,7 @@ because it preserves quadratic invariants exactly and has no artificial
 damping. The adaptive path factors B once per call; the trapezoidal
 path factors only its Newton matrix B - (h/2) A, once per call, and
 never solves with B. That matrix is (h/2) (sigma B - A) at the real
-shift sigma = 2/h, so it is factored by ``cohomology.shifted_solver``:
+shift sigma = 2/h, so it is factored by ``model.shifted_solver``:
 on the real N/2 matrix sigma^2 M + sigma C + K for a lifted mechanical
 model.
 """
@@ -35,9 +36,8 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import solve_ivp
 
-from .cohomology import factorize, shifted_solver
 from .errors import NumericalError, ValidationError
-from .model import as_first_order
+from .model import as_first_order, factorize, shifted_solver
 
 __all__ = [
     "ResidualReport", "invariance_residual", "integrate_full",
@@ -56,8 +56,9 @@ class ResidualReport:
     residuals : (R,) float ndarray
         Largest residual 2-norm over the direction sample per radius.
     slope : float or None
-        Fitted log-log decay rate (None when residuals sat at the
-        floor, where a fit would measure noise).
+        Log-log decay rate fitted to the residuals above ``floor`` only
+        (None when fewer than two lie above it): below the floor a
+        residual measures rounding, not truncation.
     expected_order : int
         Truncation order Gamma of the expansion under test.
     decay_degree : int
@@ -65,7 +66,7 @@ class ResidualReport:
         Gamma + 2 for an odd force law at odd Gamma, else Gamma + 1.
     passed : bool
         True when slope lies in ``band`` = decay_degree -+ 0.5 or all
-        residuals are below the floor.
+        residuals are at or below the floor (``at_floor``).
     """
 
     def __init__(self, radii, residuals, slope, expected_order,
@@ -89,9 +90,12 @@ class ResidualReport:
         lines = []
         for r, v in zip(self.radii, self.residuals):
             lines.append("radius %.6g: max residual %.6e" % (r, v))
-        if self.slope is None:
+        if self.slope is None and self.at_floor:
             lines.append("slope: not fitted (residuals at floor %.1e)"
                          % self.floor)
+        elif self.slope is None:
+            lines.append("slope: not fitted (one residual above floor "
+                         "%.1e, a fit needs two)" % self.floor)
         else:
             lines.append("fitted slope %.4f, expected band [%.1f, %.1f]"
                          % (self.slope, self.band[0], self.band[1]))
@@ -151,7 +155,8 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0, floor=1e-11):
         Seed for the direction sample (fixed default for repeatable
         reports).
     floor : float, optional
-        Residual size treated as numerically zero.
+        Residual size treated as numerically zero; the slope is fitted
+        to the residuals above it.
 
     Returns
     -------
@@ -179,12 +184,12 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0, floor=1e-11):
                             manifold.reduced_rhs(P))
         rhs = A @ Z + sum(fc.evaluate(Z) for fc in system.F_coeffs)
         res[k] = float(la.norm(lhs - rhs, axis=0).max())
+    # residuals at or below the floor measure rounding, not truncation
+    above = res > floor
     slope = None
-    if (res > floor).any() and radii.size >= 2:
-        mask = res > 0
-        if mask.sum() >= 2:
-            slope = float(np.polyfit(np.log(radii[mask]),
-                                     np.log(res[mask]), 1)[0])
+    if above.sum() >= 2:
+        slope = float(np.polyfit(np.log(radii[above]),
+                                 np.log(res[above]), 1)[0])
     # an odd force law makes every even order of W vanish, so at odd
     # order the first omitted nonzero term has degree order + 2
     odd = all(fc.degree % 2 == 1 for fc in system.F_coeffs)
@@ -214,7 +219,7 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         with those factors. "trapezoid" is the fixed-step implicit
         trapezoidal rule, solved by chord Newton iterations with the
         constant matrix B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h,
-        factored once per call by ``cohomology.shifted_solver``; it
+        factored once per call by ``model.shifted_solver``; it
         never factors or solves with B.
     dt : float, optional
         Step size, required for "trapezoid"; the span is split into

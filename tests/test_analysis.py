@@ -111,8 +111,12 @@ def test_frc_points_are_polar_fixed_points(chain_mode2_man5):
 def test_frc_default_dof_is_largest_modal_row(chain_mode2_man5):
     result = frc_sweep(chain_mode2_man5, [0.6158])
     rom = result.rom
-    want = int(np.argmax(np.abs(chain_mode2_man5.master.V[:, rom.row])))
-    assert result.dofs == [want]
+    mag = np.abs(chain_mode2_man5.master.V[:, rom.row])
+    # the mirror-symmetric mode has two largest entries, equal up to
+    # rounding; the default is the first of them
+    top = np.flatnonzero(mag >= (1.0 - 1e-10) * mag.max())
+    assert top.size == 2
+    assert result.dofs == [int(top[0])]
 
 
 def test_frc_amplitudes_match_the_lift(chain_mode2_man5):

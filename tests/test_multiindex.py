@@ -1,11 +1,13 @@
 """Ordering, coding and Kronecker identities of the multi-index layer."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from ssmkit.errors import ValidationError
 from ssmkit.multiindex import (MultiIndexSet, decode_positions,
-                               encode_positions, kron_power,
+                               encode_positions, kron_step,
                                kron_sum_lambdas, conjugate_permutation)
 
 
@@ -27,7 +29,7 @@ def test_position_matches_kron_convention():
     # product p[l1]*...*p[lk]
     rng = np.random.default_rng(3)
     p = rng.standard_normal(3)
-    kp = kron_power(p, 3)
+    kp = functools.reduce(np.kron, [p] * 3)
     s = MultiIndexSet(3, 3)
     for idx in [(0, 1, 2), (2, 2, 0), (1, 1, 1)]:
         assert kp[s.position(idx)] == pytest.approx(np.prod(p[list(idx)]))
@@ -37,7 +39,6 @@ def test_degree_zero():
     s = MultiIndexSet(0, 4)
     assert len(s) == 1
     assert s.index_tuple(0) == ()
-    assert np.allclose(kron_power(np.arange(4.0), 0), [1.0])
 
 
 def test_bad_inputs_raise():
@@ -61,24 +62,15 @@ def test_encode_decode_vectorized():
     assert np.array_equal(encode_positions(factors, 2), pos)
 
 
-def test_kron_power_matches_np_kron():
-    rng = np.random.default_rng(11)
-    p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    expected = np.kron(np.kron(p, p), p)
-    assert np.allclose(kron_power(p, 3), expected)
-
-
-def test_kron_power_of_a_batch_is_per_column_np_kron():
+def test_kron_step_of_a_batch_is_per_column_np_kron():
     rng = np.random.default_rng(12)
     P = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    for degree in range(4):
-        got = kron_power(P, degree)
-        assert got.shape == (3**degree, 5)
-        for j in range(5):
-            want = np.ones(1, dtype=complex)
-            for _ in range(degree):
-                want = np.kron(want, P[:, j])
-            assert np.array_equal(got[:, j], want)
+    Q = rng.standard_normal((2, 5))
+    got = kron_step(P, Q)
+    assert got.shape == (6, 5)
+    for j in range(5):
+        assert np.array_equal(got[:, j], np.kron(P[:, j], Q[:, j]))
+    assert np.array_equal(kron_step(P[:, 0], Q[:, 0]), got[:, 0])
 
 
 def test_kron_sum_lambdas_positions():
@@ -99,6 +91,6 @@ def test_conjugate_permutation_conjugates_powers():
     # z with z[pairing] = conj(z) has kron powers symmetric under perm
     z = np.array([0.3 + 0.7j, 0.3 - 0.7j, 0.5 + 0.0j])
     pairing = np.array([1, 0, 2])
-    kp = kron_power(z, 3)
+    kp = functools.reduce(np.kron, [z] * 3)
     perm = conjugate_permutation(pairing, 3)
     assert np.allclose(kp[perm], kp.conjugate())

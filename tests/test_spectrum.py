@@ -150,6 +150,23 @@ def test_shift_invert_nonsymmetric():
     assert check_normalization(si, sys) <= 1e-8
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("lifted", [True, False], ids=["lift", "plain"])
+def test_a_shift_on_the_spectrum_is_refused(sparse, lifted):
+    # a free-free chain has K singular, so 0 is an eigenvalue; SuperLU
+    # raises on the exact zero pivot, dense getrf only reports it
+    n = 8
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    conv = sp.csr_matrix if sparse else np.asarray
+    mech = MechanicalSystem(conv(np.eye(n)), conv(0.1 * lap), conv(lap))
+    sys = build_first_order(mech) if lifted else plain_pencil(mech)
+    with pytest.raises(NumericalError, match="pick a shift away from the "
+                                             "spectrum") as err:
+        master_spectrum(sys, select=2, method="shift-invert", shift=0.0)
+    assert "sigma=0j" in str(err.value)
+
+
 def csr_chain(n, c=0.05):
     """The builtin chain with CSR matrices."""
     mech = oscillator_chain(n, c=c)

@@ -49,6 +49,27 @@ def test_odd_nonlinearity_overshoots_the_generic_band(chain10_forced,
     assert report.passed
 
 
+def test_slope_is_fitted_above_the_floor_only(chain10_forced,
+                                              chain_mode2_master):
+    man3 = compute_manifold(chain10_forced, chain_mode2_master, order=3)
+    # r = 1e-3..1e-1: two residuals above the floor, seven under it down
+    # to 1.5e-18, where rounding bends the decay; a fit through all nine
+    # reads 4.80
+    report = invariance_residual(man3, np.logspace(-3, -1, 9))
+    above = report.residuals > report.floor
+    assert above.sum() == 2
+    want = np.polyfit(np.log(report.radii[above]),
+                      np.log(report.residuals[above]), 1)[0]
+    assert report.slope == want
+    assert abs(report.slope - 5.0) <= 1e-3
+    # one residual above the floor: no fit, and not at the floor either
+    report = invariance_residual(man3, np.logspace(-4, -1, 7))
+    assert (report.residuals > report.floor).sum() == 1
+    assert report.slope is None
+    assert not report.at_floor and not report.passed
+    assert any("one residual above floor" in ln for ln in report.describe())
+
+
 def test_quadratic_variant_restores_the_generic_rate(chain10):
     fo = as_first_order(chain10)
     F2 = PolyCoeffs.from_entries(2, 20, 20, [
@@ -56,7 +77,10 @@ def test_quadratic_variant_restores_the_generic_rate(chain10):
     sys = FirstOrderSystem(fo.A, fo.B, fo.F_coeffs + [F2])
     ms = master_spectrum(sys, select={"mode": "pair", "pair": 2}, n_outer=8)
     man = compute_manifold(sys, ms, order=3)
-    report = invariance_residual(man, SPEC_RADII)
+    # the residual decays like r^4 down to 3e-19 at r = 1e-4, so on
+    # 1e-4..1e-2 only its largest value lies above the fixed floor 1e-11
+    # and no slope is fitted; the radii a decade up all lie above it
+    report = invariance_residual(man, np.logspace(-2, -1, 7))
     assert report.slope is not None
     assert 3.5 <= report.slope <= 4.5
     assert report.band == (3.5, 4.5)
@@ -116,9 +140,9 @@ def test_batched_residual_matches_the_per_direction_loop(
     if report.slope is None:
         assert report.at_floor
     else:
-        # the fit takes in residuals near rounding too (chain order 3:
-        # 3e-14 at r = 0.01, 4e-6 apart), which moves it by 1.4e-6
-        slope = np.polyfit(np.log(report.radii), np.log(want), 1)[0]
+        # the fit takes only the residuals above the floor
+        slope = np.polyfit(np.log(report.radii[above]), np.log(want[above]),
+                           1)[0]
         assert abs(report.slope - slope) <= 1e-5
         assert report.passed == (report.band[0] <= slope <= report.band[1])
 
