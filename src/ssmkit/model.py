@@ -100,6 +100,15 @@ def _checked_nonlinearity(blocks, name, n):
     return blocks
 
 
+def _sum_of(blocks, nrows, z):
+    """The sum of the real ``blocks`` at ``z``, added into one output."""
+    z = np.asarray(z)
+    out = np.zeros((nrows,) + z.shape[1:], np.promote_types(z.dtype, np.float64))
+    for fc in blocks:
+        fc.evaluate(z, add_to=out)
+    return out
+
+
 def kappa_tuple(kappa):
     """Normalize a harmonic label to a tuple of ints."""
     if isinstance(kappa, numbers.Integral):
@@ -204,11 +213,8 @@ class MechanicalSystem:
                 and _is_symmetric(self.K))
 
     def f_eval(self, x):
-        """Evaluate the nonlinearity f(x)."""
-        out = np.zeros(self.n)
-        for fc in self.f_coeffs:
-            out = out + fc.evaluate(x).real
-        return out
+        """Evaluate the nonlinearity f(x) at one state or an (n, k) batch."""
+        return _sum_of(self.f_coeffs, self.n, x).real
 
     def __repr__(self):
         return ("MechanicalSystem(n=%d, degrees=%r, harmonics=%d, eps=%g)"
@@ -277,11 +283,9 @@ class FirstOrderSystem:
         return A, B
 
     def F_eval(self, z):
-        """Evaluate the autonomous nonlinearity F(z)."""
-        out = np.zeros(self.N, dtype=np.result_type(z, np.float64))
-        for fc in self.F_coeffs:
-            out = out + fc.evaluate(z)
-        return out
+        """Evaluate the autonomous nonlinearity F(z) at one state or an
+        (N, k) batch."""
+        return _sum_of(self.F_coeffs, self.N, z)
 
     def forcing_eval(self, phase):
         """

@@ -9,6 +9,9 @@ for dense blocks, so a sparse block is bounded by memory alone. No
 symmetrization is imposed, so raw and symmetrized tensors are both
 representable; only the symmetrized part matters when the polynomial is
 evaluated, since permuted index tuples multiply the same monomial.
+``PolyCoeffs.evaluate`` therefore folds the entries of each (row,
+sorted tuple) into one and sums each output row in that order, which
+rounds differently from a sum over the stored entries in storage order.
 
 The order-collection helpers at the bottom (``compose``,
 ``apply_kron_sum``) are the kernels of the invariance-equation solver
@@ -16,6 +19,8 @@ and work on dense ``(nrows, m**i)`` coefficient blocks, which is the
 cheap representation at the small numbers of master variables these
 expansions use.
 """
+
+import math
 
 import numpy as np
 # the CSR kernel behind scipy's sparse-dense product; called directly
@@ -52,6 +57,17 @@ def _summed(rows, factors, values):
     return rows[kept], factors.take(kept, axis=1), summed
 
 
+def _csr(fc):
+    """
+    ``(tuples, indptr, index)``: the entries of ``fc`` as a CSR matrix
+    over its distinct factor tuples, row-major by its storage order.
+    """
+    tuples, index = fc.distinct_factors
+    indptr = np.zeros(fc.nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fc.rows, minlength=fc.nrows), out=indptr[1:])
+    return tuples, indptr, index
+
+
 class PolyCoeffs:
     """
     Coefficients of one homogeneous degree-``degree`` polynomial map.
@@ -74,7 +90,8 @@ class PolyCoeffs:
     The entries are ``rows``, ``factors`` (one tuple per column of a
     ``(degree, nnz)`` array) and ``values``, in (row, tuple) order.
     ``distinct_factors`` is built on first use: entries on different
-    rows often share one tuple, and ``compose`` works per tuple.
+    rows often share one tuple, and ``compose`` works per tuple. So is
+    the folded CSR matrix that ``evaluate`` works with.
     """
 
     def __init__(self, degree, nrows, nvars, rows, positions, values):
@@ -93,7 +110,7 @@ class PolyCoeffs:
             raise ValidationError("row index out of range 0..%d" % (nrows - 1))
         self.degree, self.nrows, self.nvars = degree, nrows, nvars
         self.rows, self.factors, self.values = rows, factors, values
-        self._distinct = None
+        self._distinct = self._plan = None
         return self
 
     @classmethod
@@ -170,36 +187,52 @@ class PolyCoeffs:
         rows, positions = np.nonzero(mask)
         return cls(degree, dense.shape[0], nvars, rows, positions, dense[mask])
 
-    def evaluate(self, z):
+    def evaluate(self, z, add_to=None):
         """
         Evaluate the polynomial at one state ``z`` (length ``nvars``), or
         at each column of an ``(nvars, n)`` batch, giving ``(nrows,)`` or
-        ``(nrows, n)``. Vectorized over the stored entries, so repeated
-        calls inside integrators stay cheap.
+        ``(nrows, n)``. Given ``add_to``, a C-contiguous array of that
+        shape whose dtype the result casts to safely, the result is
+        added into it and it is returned.
 
-        Each output is summed over its entries in storage order by
-        ``np.bincount`` on (row, column) bins, which gives the same sums
-        as an ``np.add.at`` scatter, bit for bit.
+        Notes
+        -----
+        Entries whose factor tuples are permutations of one another
+        multiply one monomial. On first use the entries that share a
+        (row, sorted tuple) are folded into one, their values summed
+        from zero in storage order, and kept as a CSR matrix over the
+        distinct sorted tuples. Each call forms every distinct monomial
+        once and adds them with one CSR product, so each output row is
+        summed over its folded terms in (row, sorted tuple) order. This
+        differs at rounding from a sum over the stored entries in
+        storage order; a batch column has the bits of its single state.
         """
+        if self._plan is None:
+            folded = PolyCoeffs.from_factors(
+                self.degree, self.nrows, self.nvars, self.rows,
+                np.sort(self.factors, axis=0), self.values)
+            self._plan = _csr(folded) + (folded.values,)
+        tuples, indptr, index, values = self._plan
         z = np.asarray(z)
-        values, bins, size = self.values, self.rows, self.nrows
-        if z.ndim > 1:
-            # result (row, column) is bin row * n + column
-            n = z.shape[1]
-            values = values[:, None]
-            bins = (bins[:, None] * n + np.arange(n)).ravel()
-            size *= n
-        prod = values * z[self.factors[0]]
-        for axis in range(1, self.degree):
-            prod *= z[self.factors[axis]]
-        prod = prod.ravel()
         shape = (self.nrows,) + z.shape[1:]
-        if not np.iscomplexobj(prod):
-            return np.bincount(bins, prod, size).reshape(shape)
-        out = np.empty(size, dtype=complex)
-        out.real = np.bincount(bins, prod.real, size)
-        out.imag = np.bincount(bins, prod.imag, size)
-        return out.reshape(shape)
+        # values are float64 or complex128, so this is the product's type
+        dtype = np.promote_types(values.dtype, z.dtype)
+        if add_to is None:
+            add_to = np.zeros(shape, dtype)
+        elif (add_to.shape != shape or not add_to.flags.c_contiguous
+              or np.promote_types(dtype, add_to.dtype) != add_to.dtype):
+            # the kernel would add into a copy and lose the sums
+            raise ValidationError(
+                "add_to must be a C-contiguous %r array of a dtype %s casts to"
+                % (shape, dtype))
+        dtype = add_to.dtype
+        z = z.astype(dtype, copy=False)
+        monomials = z[tuples[0]]
+        for axis in range(1, self.degree):
+            monomials *= z[tuples[axis]]
+        csr_matvecs(self.nrows, tuples.shape[1], math.prod(shape[1:]), indptr,
+                    index, values.astype(dtype, copy=False), monomials, add_to)
+        return add_to
 
     def relabel(self, nrows, nvars, row_offset=0, value_scale=1.0):
         """
@@ -301,6 +334,8 @@ def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
         if not f_coeffs:
             raise ValidationError("compose needs nrows when f_coeffs is empty")
         nrows = f_coeffs[0].nrows
+    if any(fj.nrows != nrows for fj in f_coeffs):
+        raise ValidationError("compose needs F pieces of %d rows" % nrows)
     ncols = nvars**order
     # flat buffers: the kernel writes into a copy of a non-contiguous
     # output, which would lose the sums
@@ -309,10 +344,7 @@ def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
         j = fj.degree
         if j > order or fj.nnz == 0:
             continue
-        tuples, index = fj.distinct_factors
-        # F_j in CSR: its storage order is row-major
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(fj.rows, minlength=nrows), out=indptr[1:])
+        tuples, indptr, index = _csr(fj)
         values = fj.values.astype(complex)
         K = np.empty(tuples.shape[1] * ncols, dtype=complex)
         for q in compositions(order, j):

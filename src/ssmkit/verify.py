@@ -182,7 +182,7 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0, floor=1e-11):
         Z = manifold.evaluate(P)
         lhs = B @ np.einsum("imk,mk->ik", manifold.tangent(P),
                             manifold.reduced_rhs(P))
-        rhs = A @ Z + sum(fc.evaluate(Z) for fc in system.F_coeffs)
+        rhs = A @ Z + system.F_eval(Z)
         res[k] = float(la.norm(lhs - rhs, axis=0).max())
     # residuals at or below the floor measure rounding, not truncation
     above = res > floor

@@ -40,6 +40,20 @@ def test_chain_force_matches_oracle():
         assert np.allclose(mech.f_eval(x), chain_force_oracle(x, 0.25))
 
 
+def test_force_evaluation_takes_a_batch():
+    mech = oscillator_chain(4)
+    system = build_first_order(mech)
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((4, 3))
+    Z = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    got_f, got_F = mech.f_eval(X), system.F_eval(Z)
+    assert got_f.shape == (4, 3) and got_F.shape == (8, 3)
+    for j in range(3):
+        assert np.array_equal(got_f[:, j], mech.f_eval(X[:, j]))
+        assert np.array_equal(got_F[:, j], system.F_eval(Z[:, j]))
+        assert np.allclose(got_f[:, j], chain_force_oracle(X[:, j], 0.3))
+
+
 def test_chain_matrices():
     mech = oscillator_chain(4, m=2.0, k=1.5, c=0.2)
     L = np.array([[2, -1, 0, 0], [-1, 2, -1, 0],

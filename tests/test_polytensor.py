@@ -1,6 +1,7 @@
 """Sparse polynomial blocks against dense Kronecker-product oracles."""
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -39,13 +40,16 @@ def test_evaluate_matches_dense_kron():
 
 def test_evaluate_on_a_batch_stacks_single_states():
     rng = np.random.default_rng(5)
-    fc = PolyCoeffs(3, 4, 3, rng.integers(0, 4, 12), rng.integers(0, 27, 12),
-                    rng.standard_normal(12))
+    rows, positions = rng.integers(0, 4, 12), rng.integers(0, 27, 12)
     Z = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-    got = fc.evaluate(Z)
-    assert got.shape == (4, 6)
-    for j in range(6):
-        assert np.array_equal(got[:, j], fc.evaluate(Z[:, j]))
+    for values in (rng.standard_normal(12),
+                   rng.standard_normal(12) + 1j * rng.standard_normal(12)):
+        fc = PolyCoeffs(3, 4, 3, rows, positions, values)
+        for batch in (Z, Z.real.copy()):
+            got = fc.evaluate(batch)
+            assert got.shape == (4, 6)
+            for j in range(6):
+                assert np.array_equal(got[:, j], fc.evaluate(batch[:, j]))
 
 
 def add_at_evaluate(fc, z):
@@ -62,18 +66,106 @@ def add_at_evaluate(fc, z):
     return out
 
 
+def assert_within_rounding(fc, z):
+    """
+    ``fc.evaluate(z)`` against the ordered scatter, within the a-priori
+    bound of their difference. Each sums the nnz_row terms of its row
+    from zero, and each term is a product of degree + 1 factors, so
+    each lies within (nnz_row + 2 degree) u S of the exact value, with
+    u = 2**-53 and S the row's sum of |v| |z_a| ... |z_k| (the 2 covers
+    complex products, which round by at most sqrt(5) u).
+    """
+    got, want = fc.evaluate(z), add_at_evaluate(fc, z)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    absolute = PolyCoeffs.from_factors(fc.degree, fc.nrows, fc.nvars,
+                                       fc.rows, fc.factors, np.abs(fc.values))
+    scale = add_at_evaluate(absolute, np.abs(np.asarray(z, dtype=complex)))
+    nnz_row = np.bincount(fc.rows, minlength=fc.nrows)
+    if scale.ndim > 1:
+        nnz_row = nnz_row[:, None]
+    bound = 2 * (nnz_row + 2 * fc.degree) * 2.0**-53 * scale
+    assert (np.abs(got - want) <= bound).all()
+    return got
+
+
 @pytest.mark.parametrize("complex_values", [False, True])
-def test_evaluate_is_bitwise_the_add_at_scatter(complex_values):
+def test_evaluate_agrees_with_the_add_at_scatter(complex_values):
     # 60 entries on 4 rows, so every output sums many terms
     fc = random_poly(3, 4, 5, 60, seed=7, complex_values=complex_values)
     rng = np.random.default_rng(8)
     state = rng.standard_normal(5)
     batch = rng.standard_normal((5, 9))
     for z in (state, state + 1j * rng.standard_normal(5),
-              batch, batch + 1j * rng.standard_normal((5, 9))):
-        got, want = fc.evaluate(z), add_at_evaluate(fc, z)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+              batch, batch + 1j * rng.standard_normal((5, 9)),
+              state.astype(np.float32), rng.integers(-3, 4, 5),
+              state.tolist(), np.zeros((5, 0))):
+        assert_within_rounding(fc, z)
+
+
+def bar_cubic(n, seed):
+    """
+    The cubic of a bar of n nodes between walls: node r feels
+    +-k_s (x_s - x_{s-1})**3 from each spring s at it, with random
+    stiffnesses k_s, stored as every ordered factor tuple of the
+    expanded cube, as an assembler writes it.
+    """
+    rng = np.random.default_rng(seed)
+    rows, factors, values = [], [], []
+    for s, k in enumerate(rng.uniform(0.5, 1.5, n + 1)):
+        ends = [(node, sign) for node, sign in ((s, 1.0), (s - 1, -1.0))
+                if 0 <= node < n]
+        for node, force_sign in ends:
+            for cube in itertools.product(ends, repeat=3):
+                rows.append(node)
+                factors.append([a for a, _ in cube])
+                values.append(k * force_sign * np.prod([c for _, c in cube]))
+    return PolyCoeffs.from_factors(3, n, n, rows, np.array(factors).T,
+                                   values)
+
+
+def test_evaluate_folds_the_permuted_tuples_of_the_bar_cubic():
+    fc = bar_cubic(30, seed=3)
+    assert fc._plan is None
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(30)
+    got = assert_within_rounding(fc, x)
+    assert_within_rounding(fc, rng.standard_normal((30, 5)))
+    # one monomial per distinct sorted tuple: a cube per node, and
+    # x_a^2 x_b and x_a x_b^2 per interior spring, of 16 ordered tuples
+    tuples = fc._plan[0]
+    assert (np.diff(tuples, axis=0) >= 0).all()
+    assert tuples.shape[1] == 30 + 2 * 29
+    assert fc.evaluate(x).tobytes() == got.tobytes()
+
+
+def test_entries_that_cancel_on_folding_give_exact_zeros():
+    fc = PolyCoeffs.from_entries(2, 3, 2, [
+        (0, (0, 1), 2.5), (0, (1, 0), -2.5), (1, (1, 1), 3.0),
+        (2, (0, 0), 1.0), (2, (0, 0), -1.0)])
+    rng = np.random.default_rng(6)
+    for z in (rng.standard_normal(2), rng.standard_normal((2, 4))
+              + 1j * rng.standard_normal((2, 4))):
+        got = fc.evaluate(z)
+        assert (got[0] == 0).all() and (got[2] == 0).all()
+        assert np.array_equal(got[1], 3.0 * (z[1] * z[1]))
+
+
+def test_evaluate_adds_into_a_given_output():
+    fc = random_poly(2, 4, 3, 10, seed=9)
+    rng = np.random.default_rng(10)
+    Z = rng.standard_normal((3, 5))
+    out = np.ones((4, 5))
+    assert fc.evaluate(Z, add_to=out) is out
+    # the sums start from the given output
+    assert np.allclose(out - 1.0, fc.evaluate(Z), rtol=0, atol=1e-15)
+    wide = np.zeros((4, 5), dtype=complex)
+    assert np.array_equal(fc.evaluate(Z, add_to=wide), fc.evaluate(Z))
+    for bad in (np.zeros((4, 6)), np.zeros((5, 4)).T, np.zeros(4),
+                np.zeros((4, 5), dtype=np.float32)):
+        with pytest.raises(ValidationError, match="add_to"):
+            fc.evaluate(Z, add_to=bad)
+    with pytest.raises(ValidationError, match="add_to"):
+        fc.evaluate(Z + 1j, add_to=np.zeros((4, 5)))
 
 
 def test_evaluate_without_entries_gives_zeros():
@@ -173,7 +265,7 @@ def test_blocks_past_the_position_capacity(degree, nvars):
                                  rng.standard_normal(30))
     assert 0 < fc.nnz <= 30 and fc.distinct_factors[0].shape[1] <= 8
     z = rng.standard_normal(nvars)
-    assert fc.evaluate(z).tobytes() == add_at_evaluate(fc, z).tobytes()
+    assert_within_rounding(fc, z)
     lifted = fc.relabel(2 * nrows, nvars + 1, row_offset=nrows,
                         value_scale=-1.0)
     assert np.array_equal(lifted.factors, fc.factors)
@@ -375,6 +467,9 @@ def test_compose_needs_nrows_for_linear_systems():
     with pytest.raises(ValidationError):
         compose([], {1: np.eye(2)}, 2, 2)
     assert np.allclose(compose([], {1: np.eye(2)}, 2, 2, nrows=3), 0.0)
+    f = [PolyCoeffs.from_entries(2, 3, 2, [(2, (0, 1), 1.0)])]
+    with pytest.raises(ValidationError, match="of 2 rows"):
+        compose(f, {1: np.eye(2)}, 2, 2, nrows=2)
 
 
 def dense_kron_sum_operator(r_block, j, nvars):
