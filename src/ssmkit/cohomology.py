@@ -43,15 +43,14 @@ route.
 """
 
 import json
-import re
 import warnings
-from operator import itemgetter
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import NumericalError, OuterResonanceError, ValidationError
+from .fileio import decode_column, encode_column
 from .model import (as_first_order, factorize, reduced_shifted,
                     shifted_route)
 from .multiindex import (MultiIndexSet, conjugate_permutation,
@@ -68,6 +67,7 @@ __all__ = [
 STYLES = ("normal-form", "graph", "per-mode")
 RCOND_SINGULAR = 1e-12
 LAMBDA_MERGE_RTOL = 1e-14
+FORMAT = 2  # the manifold file layout ManifoldExpansion.save writes
 
 
 class ResonanceReport:
@@ -440,115 +440,85 @@ def compute_manifold(system, master, order, style="normal-form",
                              {"orders": infos})
 
 
-# save() dumps the header with a token in place of each record list:
-# json escapes the control character, so the token reads "\u0000<k>"
-# in the text, and no other string of the header holds a NUL
-_HOLD = "\x00%d"
-_HOLD_RE = re.compile(r'"\\u0000(\d+)"')
-RECORDS_PER_WRITE = 1024
-
-
-def _triplets(block, degree, M):
+def _pack(block, degree, M):
     """
-    The nonzero entries of one coefficient block as 1-based columns:
-    rows (n,), factor indices (degree, n) and real and imaginary parts
-    (n,), sorted by row, then by column (``np.nonzero`` scans row-major).
+    The format-2 entry of one coefficient block: its entries other than
+    zero (a NaN part counts as nonzero), sorted by row, then by column
+    (``np.nonzero`` scans row-major), as binary columns of 1-based rows
+    (n,) and factor indices (degree, n) and of complex values (n,).
     """
-    rows, cols = np.nonzero(np.abs(block) > 0)
-    vals = block[rows, cols]
+    rows, cols = np.nonzero(block != 0)
     factors = decode_positions(cols, degree, M) + 1
-    return rows + 1, factors, vals.real, vals.imag
+    return {"count": int(rows.size),
+            "rows": encode_column(rows + 1, "<i4"),
+            "factors": encode_column(factors, "<i4"),
+            "values": encode_column(block[rows, cols], "<c16")}
 
 
-def _json_scalars(arr):
-    """Python scalars whose ``str`` is json's spelling of each entry:
-    ``float.__repr__`` for finite numbers, Infinity, -Infinity, NaN."""
-    out = arr.tolist()
-    if arr.dtype.kind == "f":
-        for k in np.flatnonzero(~np.isfinite(arr)).tolist():
-            out[k] = json.dumps(out[k])
-    return out
-
-
-def _write_records(fh, columns, shape, depth):
-    """
-    Write a JSON list of records, one per entry of the equal-length
-    ``columns``, as ``json.dump(..., indent=1)`` lays it out with its
-    items at indent ``depth``. ``shape`` is one record with None at each
-    scalar, filled from the columns in order.
-    """
-    pad = "\n" + " " * depth
-    template = pad + json.dumps(shape, indent=1).replace(
-        "null", "%s").replace("\n", pad)
-    n = len(columns[0])
-    if n == 0:
-        fh.write("[]")
-        return
-    for start in range(0, n, RECORDS_PER_WRITE):
-        part = [_json_scalars(c[start:start + RECORDS_PER_WRITE])
-                for c in columns]
-        fh.write(("," if start else "[")
-                 + ",".join(map(template.__mod__, zip(*part))))
-    fh.write(pad[:-1] + "]")
-
-
-def _index_array(values, shape, what, name, high, need):
-    """``values`` as an int64 array of ``shape`` with entries in 1..high,
-    else ValidationError naming the block; ``need`` says what each entry
-    must hold."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.shape != shape:
-        raise ValidationError("manifold block %s: each entry needs %s"
-                              % (what, need))
-    if arr.dtype.kind not in "iu":
-        raise ValidationError("manifold block %s: %ss must be integers"
-                              % (what, name))
-    if arr.min() < 1 or arr.max() > high:
+def _in_range(arr, what, name, high):
+    """ValidationError naming the block unless ``arr`` lies in 1..high."""
+    if arr.size and (arr.min() < 1 or arr.max() > high):
         bad = arr[(arr < 1) | (arr > high)][0]
         raise ValidationError("manifold block %s: %s %s outside 1..%d"
                               % (what, name, bad, high))
-    return arr.astype(np.int64, copy=False)
 
 
-def _unpack(entries, what, degree, nrows, M):
-    """A dense (nrows, M**degree) block from 1-based triplets."""
+def _unpack(entry, what, degree, nrows, M):
+    """A dense (nrows, M**degree) block from its :func:`_pack` entry."""
+    if not isinstance(entry, dict) or not {"count", "rows", "factors",
+                                           "values"} <= entry.keys():
+        raise ValidationError("manifold block %s: needs count, rows, "
+                              "factors and values" % what)
+    count = entry["count"]
+    if type(count) is not int or count < 0:
+        raise ValidationError("manifold block %s: count must be an integer "
+                              ">= 0" % what)
+
+    def column(key, dtype, per, need):
+        arr = decode_column(entry[key], dtype,
+                            "manifold block %s: %s" % (what, key))
+        if arr.size != per * count:
+            raise ValidationError("manifold block %s: %s: count is %d, %s "
+                                  "holds %d" % (what, need, count, key,
+                                                arr.size))
+        return arr
+
+    rows = column("rows", "<i4", 1, "each entry needs one row")
+    factors = column("factors", "<i4", degree, "each entry needs a tuple "
+                     "of %d factors" % degree).reshape(degree, count)
+    values = column("values", "<c16", 1,
+                    "values must be one complex number per entry")
+    _in_range(rows, what, "row", nrows)
+    _in_range(factors, what, "factor", M)
     mis = MultiIndexSet(degree, M)
-    block = np.zeros((nrows, mis.size), dtype=complex)
-    if not entries:
-        return block
-    try:
-        shapes = set(map(len, entries))
-    except TypeError:
-        shapes = None
-    if shapes != {4}:
-        raise ValidationError("manifold block %s: entries must be "
-                              "[row, [i1, .., ik], re, im]" % what)
-    n = len(entries)
-    rows = _index_array(list(map(itemgetter(0), entries)), (n,), what, "row",
-                        nrows, "one row")
-    factors = _index_array(list(map(itemgetter(1), entries)), (n, degree),
-                           what, "factor", M, "a tuple of %d factors" % degree)
-    factors -= 1
-    flat = (rows - 1) * mis.size + encode_positions(factors.T, M)
+    flat = ((rows.astype(np.int64) - 1) * mis.size
+            + encode_positions(factors - 1, M))
     ordered = np.sort(flat)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValidationError("manifold block %s: a (row, tuple) entry is "
                               "given twice" % what)
-    try:
-        parts = np.asarray((list(map(itemgetter(2), entries)),
-                            list(map(itemgetter(3), entries))))
-    except ValueError:  # ragged nesting
-        parts = None
-    if parts is None or parts.shape != (2, n) or parts.dtype.kind not in "iuf":
-        raise ValidationError("manifold block %s: values must be numbers"
-                              % what)
-    # parts set apart: 1j * inf would spoil the real part
-    view = block.reshape(-1)
-    view.real[flat], view.imag[flat] = parts
+    block = np.zeros((nrows, mis.size), dtype=complex)
+    block.reshape(-1)[flat] = values
     return block
+
+
+def _check_master(master, N, M):
+    """ValidationError unless the master fits the blocks: V and U of
+    shape (state_dim, dim), dim lambdas and dim pairing entries in
+    0..dim-1."""
+    for name, mat in (("V", master.V), ("U", master.U)):
+        if mat.shape != (N, M):
+            raise ValidationError(
+                "manifold master %s has shape %s, not (state_dim, dim) = %s"
+                % (name, mat.shape, (N, M)))
+    for name, arr in (("lambdas", master.lambdas),
+                      ("pairing", master.pairing)):
+        if arr.shape != (M,):
+            raise ValidationError("manifold master has %d %s for dim %d"
+                                  % (arr.size, name, M))
+    if M and (master.pairing.min() < 0 or master.pairing.max() >= M):
+        raise ValidationError("manifold master pairing %s leaves 0..%d"
+                              % (master.pairing.tolist(), M - 1))
 
 
 class ManifoldExpansion:
@@ -628,89 +598,64 @@ class ManifoldExpansion:
         mis = MultiIndexSet(degree, self.dim)
         return self.R[degree][mode, mis.position(tuple(exponents))]
 
-    def _layout(self, pack):
-        """The :meth:`to_dict` layout with ``pack(block, degree)`` standing
-        for each W and R block."""
+    def to_dict(self):
+        """
+        JSON-ready dict, format 2 (``"format": 2``). Each W and R degree
+        holds its nonzero coefficients, sorted by row, then by column, as
+        ``{"count": n, "rows": <"<i4" (n,)>, "factors": <"<i4" (degree,
+        n)>, "values": <"<c16" (n,)>}``, rows and factor indices 1-based;
+        each ``<...>`` is a base64 binary column of
+        ``fileio.encode_column``. The master's V and U are stored by
+        ``MasterSubspace.to_dict``. Every stored value is exact.
+        """
+        M = self.dim
         return {
+            "format": FORMAT,
             "kind": "manifold-expansion",
             "order": self.order,
             "style": self.style,
-            "dim": self.dim,
+            "dim": M,
             "state_dim": self.N,
             "master": self.master.to_dict(),
-            "W": {str(i): pack(self.W[i], i) for i in sorted(self.W)},
-            "R": {str(i): pack(self.R[i], i) for i in sorted(self.R)},
+            "W": {str(i): _pack(self.W[i], i, M) for i in sorted(self.W)},
+            "R": {str(i): _pack(self.R[i], i, M) for i in sorted(self.R)},
             "resonances": self.resonances.to_dict() if self.resonances else None,
         }
-
-    def to_dict(self):
-        """
-        JSON-ready dict; W and R as lists of 1-based triplets
-        ``[row, [i1, .., ik], re, im]``, one per nonzero coefficient,
-        sorted by row, then by column. :meth:`from_dict` rejects a row
-        outside 1..nrows, a tuple whose length is not the degree, a
-        factor outside 1..dim and a repeated (row, tuple) entry.
-        """
-        def pack(block, degree):
-            rows, factors, real, imag = _triplets(block, degree, self.dim)
-            return [list(e) for e in zip(rows.tolist(), factors.T.tolist(),
-                                         real.tolist(), imag.tolist())]
-
-        return self._layout(pack)
 
     def save(self, path):
         """
         Write :meth:`to_dict` as indent-1 JSON with sorted keys and a
-        final newline, byte for byte what ``json.dump(self.to_dict(),
-        fh, indent=1, sort_keys=True)`` writes. W, R and the master V
-        and U matrices stream to the file in chunks of records, one ``%``
-        template per record shape. :meth:`load` rejects what
-        :meth:`from_dict` rejects.
+        final newline, in one write. The same expansion always gives the
+        same bytes. :meth:`load` rejects what :meth:`from_dict` rejects.
         """
-        records = []
-
-        def hold(columns, shape):
-            records.append((columns, shape))
-            return _HOLD % (len(records) - 1)
-
-        def hold_triplets(block, degree):
-            rows, factors, real, imag = _triplets(block, degree, self.dim)
-            return hold([rows, *factors, real, imag],
-                        [None, [None] * degree, None, None])
-
-        def hold_rows(mat):
-            return hold(list(mat.T), [None] * mat.shape[1])
-
-        header = self._layout(hold_triplets)
-        for name, mat in (("V", self.master.V), ("U", self.master.U)):
-            header["master"][name] = {"real": hold_rows(mat.real),
-                                      "imag": hold_rows(mat.imag)}
-        text = json.dumps(header, indent=1, sort_keys=True)
-        pieces = _HOLD_RE.split(text)
+        text = json.dumps(self.to_dict(), indent=1, sort_keys=True)
         with open(path, "w") as fh:
-            fh.write(pieces[0])
-            for k in range(1, len(pieces), 2):
-                # the record list opens on its key's line, one level up
-                line = pieces[k - 1].rpartition("\n")[2]
-                depth = len(line) - len(line.lstrip(" ")) + 1
-                _write_records(fh, *records[int(pieces[k])], depth)
-                fh.write(pieces[k + 1])
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def from_dict(cls, data, system=None):
         """
-        Rebuild from :meth:`to_dict` data. A W or R entry that is not
-        ``[row, [i1, .., ik], re, im]`` with integer indices and numeric
-        values, a row outside 1..nrows, a tuple whose length is not the
-        degree, a factor outside 1..dim, or a (row, tuple) given twice
-        raises ValidationError naming the block (``W3``, ``R2``). The
-        stored U is the left family of the pencil the data was computed
-        on, so ``system`` must be that pencil.
+        Rebuild from :meth:`to_dict` data; stored coefficients and the
+        master's V and U come back bit for bit, unstored ones as zeros.
+        Data without ``"format": 2`` (files of earlier versions are
+        format 1) raises ValidationError: recompute such a file. A W or
+        R block whose columns are not base64 or do not hold ``count``
+        entries, with a row outside 1..nrows, a factor outside 1..dim,
+        or a (row, tuple) given twice raises ValidationError naming the
+        block (``W3``, ``R2``); so does a master whose V or U is not
+        (state_dim, dim) or whose lambdas or pairing do not have dim
+        entries in range. The stored U is the left family of the pencil
+        the data was computed on, so ``system`` must be that pencil.
         """
+        fmt = data.get("format", 1) if isinstance(data, dict) else None
+        if fmt != FORMAT:
+            raise ValidationError(
+                "manifold data is format %r, and only format %d is read; "
+                "recompute the file with this version" % (fmt, FORMAT))
         M = int(data["dim"])
         N = int(data["state_dim"])
         master = MasterSubspace.from_dict(data["master"])
+        _check_master(master, N, M)
         W = {int(i): _unpack(e, "W" + i, int(i), N, M)
              for i, e in data["W"].items()}
         R = {int(i): _unpack(e, "R" + i, int(i), M, M)

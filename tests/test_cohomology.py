@@ -1,5 +1,6 @@
 """Resonance classification and the order-by-order manifold solve."""
 
+import base64
 import itertools
 import json
 import warnings
@@ -16,6 +17,7 @@ from ssmkit import (FirstOrderSystem, ManifoldExpansion, MasterSubspace,
                     classify_resonances, compute_manifold, extract_polar_rom,
                     leading_order, master_spectrum, oscillator_chain)
 from ssmkit import cohomology, forcing
+from ssmkit.fileio import encode_column
 from ssmkit.multiindex import MultiIndexSet
 from ssmkit.polytensor import PolyCoeffs
 from test_spectrum import csr_chain, plain_pencil
@@ -509,8 +511,10 @@ def test_expansion_roundtrips_through_json(tmp_path, chain_mode2_man5):
 
 
 def _per_entry_save(man, path):
-    """The manifold writer kept as the byte reference: one index_tuple
-    call per stored entry, then json.dump with indent 1 and sorted keys."""
+    """The format-1 writer of earlier versions: W and R as 1-based
+    triplets [row, [i1, .., ik], re, im], one index_tuple call per
+    stored entry, the master V and U as lists of real and imaginary
+    rows, then json.dump with indent 1 and sorted keys."""
     def pack(block, degree):
         mis = MultiIndexSet(degree, man.dim)
         entries = []
@@ -522,13 +526,17 @@ def _per_entry_save(man, path):
                             v.real, v.imag])
         return entries
 
+    master = man.master.to_dict()
+    for name in ("V", "U"):
+        mat = getattr(man.master, name)
+        master[name] = {"real": mat.real.tolist(), "imag": mat.imag.tolist()}
     data = {
         "kind": "manifold-expansion",
         "order": man.order,
         "style": man.style,
         "dim": man.dim,
         "state_dim": man.N,
-        "master": man.master.to_dict(),
+        "master": master,
         "W": {str(i): pack(man.W[i], i) for i in sorted(man.W)},
         "R": {str(i): pack(man.R[i], i) for i in sorted(man.R)},
         "resonances": man.resonances.to_dict() if man.resonances else None,
@@ -539,13 +547,15 @@ def _per_entry_save(man, path):
 
 
 def _hand_set_manifold(request):
-    # stored entries with a signed zero part, a tiny, a huge and an
-    # infinite part: json spells the last one Infinity
+    # stored entries with a signed zero part, a tiny, a huge, an
+    # infinite and a NaN part: format 1 spelled the infinite ones
+    # Infinity and dropped the NaN entry
     man = request.getfixturevalue("lorenz_man3")
     W = {i: b.copy() for i, b in man.W.items()}
     R = {i: b.copy() for i, b in man.R.items()}
     W[2][0] = [complex(-0.0, 1e-20), complex(1e300, -0.0),
                complex(np.inf, 1.0), complex(1.0, -np.inf)]
+    W[3][1, 2] = complex(np.nan, -0.0)
     R[3][1, 5] = complex(-1e-20, 1e300)
     return ManifoldExpansion(man.system, man.master, man.order, man.style,
                              W, R, man.resonances)
@@ -578,68 +588,167 @@ BYTE_CASES = {
 }
 
 
+def _no_constants(name):
+    raise AssertionError("the file spells a number %s" % name)
+
+
 @pytest.mark.parametrize("case", sorted(BYTE_CASES))
-def test_save_writes_the_bytes_of_the_per_entry_writer(case, request,
-                                                       tmp_path):
+def test_save_round_trips_bit_for_bit(case, request, tmp_path):
     man = BYTE_CASES[case](request)
-    man.save(tmp_path / "new.json")
-    _per_entry_save(man, tmp_path / "ref.json")
-    text = (tmp_path / "new.json").read_bytes()
-    assert text == (tmp_path / "ref.json").read_bytes()
+    man.save(tmp_path / "one.json")
+    man.save(tmp_path / "two.json")
+    text = (tmp_path / "one.json").read_bytes()
+    assert text == (tmp_path / "two.json").read_bytes()
+    # W and R hold no Infinity or NaN tokens, even for infinite parts
+    data = json.loads(text, parse_constant=_no_constants)
+    assert data["format"] == 2 and text.endswith(b"}\n")
     if case == "csr-N620":
-        assert man.N == 620 and b'"2": []' in text
+        assert man.N == 620 and data["W"]["2"]["count"] == 0
     if case == "M2-order11":
-        assert text.index(b'"10": [') < text.index(b'"2": [')
-    if case == "hand-set-values":
-        assert b"-Infinity" in text and b"-0.0" in text
-    # stored entries come back bit for bit; the file holds no zero
-    # entries, so a signed zero entry comes back as +0
-    for back in (ManifoldExpansion.load(tmp_path / "new.json"),
+        assert text.index(b'"10": {') < text.index(b'"2": {')
+    # stored entries and the master come back bit for bit; the file
+    # holds no zero entries, so a signed zero entry comes back as +0
+    for back in (ManifoldExpansion.load(tmp_path / "one.json"),
                  ManifoldExpansion.from_dict(man.to_dict())):
         for got, blocks in ((back.W, man.W), (back.R, man.R)):
             assert sorted(got) == sorted(blocks)
             for i in blocks:
-                stored = np.abs(blocks[i]) > 0
+                stored = blocks[i] != 0
                 assert got[i].shape == blocks[i].shape
                 assert got[i][stored].tobytes() == blocks[i][stored].tobytes()
                 assert not got[i][~stored].any()
+        for name in ("V", "U"):
+            got, mat = getattr(back.master, name), getattr(man.master, name)
+            assert got.shape == mat.shape
+            assert got.tobytes() == mat.tobytes()
+        assert back.master.lambdas.tobytes() == man.master.lambdas.tobytes()
+        assert np.array_equal(back.master.pairing, man.master.pairing)
 
 
-def _corrupt(man, block, edit):
-    data = man.to_dict()
-    edit(data[block[0]][block[1:]])
-    return data
+def test_format_1_files_are_refused(tmp_path, lorenz_man3):
+    path = tmp_path / "old.json"
+    _per_entry_save(lorenz_man3, path)
+    with pytest.raises(ValidationError, match="format 1.*recompute"):
+        ManifoldExpansion.load(path)
+
+
+def _column(entry, key, dtype, change):
+    """Re-encode one binary column of a block after ``change`` edits a
+    writable copy of its entries."""
+    arr = np.frombuffer(base64.b64decode(entry[key]), dtype=dtype).copy()
+    if key == "factors":
+        arr = arr.reshape(-1, entry["count"])
+    arr = change(arr)
+    entry[key] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def _set(index, value):
+    def change(arr):
+        arr[index] = value
+        return arr
+    return change
+
+
+def _repeat_entry(entry):
+    # append a copy of the fourth stored entry to every column
+    for key, dtype in (("rows", "<i4"), ("factors", "<i4"),
+                       ("values", "<c16")):
+        _column(entry, key, dtype,
+                lambda arr: np.concatenate([arr, arr[..., 3:4]], axis=-1))
+    entry["count"] += 1
+
+
+def _truncate(entry, key, nbytes):
+    raw = base64.b64decode(entry[key])[:-nbytes]
+    entry[key] = base64.b64encode(raw).decode("ascii")
+
+
+def _extend(arr):
+    return np.concatenate([arr, arr[..., :1]], axis=-1)
 
 
 @pytest.mark.parametrize("block,edit,message", [
-    ("W3", lambda e: e[0].__setitem__(0, 0), "W3: row 0 outside 1..4"),
-    ("W3", lambda e: e[0].__setitem__(0, 5), "W3: row 5 outside 1..4"),
-    ("R2", lambda e: e[0].__setitem__(0, 3), "R2: row 3 outside 1..2"),
-    ("W3", lambda e: e[0].__setitem__(0, 1.5), "W3: rows must be integers"),
-    ("W3", lambda e: e[1].__setitem__(1, [1, 2]),
-     "W3: each entry needs a tuple of 3 factors"),
-    ("R2", lambda e: e[0].__setitem__(1, [1, 2, 1]),
-     "R2: each entry needs a tuple of 2 factors"),
-    ("W3", lambda e: e[0].__setitem__(0, [1]), "W3: each entry needs one row"),
-    ("W3", lambda e: e[2].__setitem__(1, [1, 3, 1]),
+    ("W3", lambda e: _column(e, "rows", "<i4", _set(0, 0)),
+     "W3: row 0 outside 1..4"),
+    ("W3", lambda e: _column(e, "rows", "<i4", _set(0, 5)),
+     "W3: row 5 outside 1..4"),
+    ("R2", lambda e: _column(e, "rows", "<i4", _set(0, 3)),
+     "R2: row 3 outside 1..2"),
+    ("W3", lambda e: _column(e, "factors", "<i4", _set((1, 1), 3)),
      "W3: factor 3 outside 1..2"),
-    ("W2", lambda e: e[0].__setitem__(1, [0, 1]),
+    ("W2", lambda e: _column(e, "factors", "<i4", _set((0, 0), 0)),
      "W2: factor 0 outside 1..2"),
-    ("W3", lambda e: e.append(list(e[3])),
+    ("W3", lambda e: _repeat_entry(e),
      r"W3: a \(row, tuple\) entry is given twice"),
-    ("W3", lambda e: e[0].pop(), r"W3: entries must be \[row"),
-    ("W3", lambda e: e[0].__setitem__(2, "0.5"), "W3: values must be"),
-    ("W3", lambda e: e[0].__setitem__(3, [0.5]), "W3: values must be"),
+    # each column must hold count entries
+    ("W3", lambda e: _column(e, "rows", "<i4", _extend),
+     "W3: each entry needs one row"),
+    ("W3", lambda e: _column(e, "factors", "<i4", lambda a: a.ravel()[:-1]),
+     "W3: each entry needs a tuple of 3 factors"),
+    ("R2", lambda e: _column(e, "factors", "<i4", lambda a: a.ravel()[1:]),
+     "R2: each entry needs a tuple of 2 factors"),
+    ("W3", lambda e: _column(e, "values", "<c16", lambda a: a[:-1]),
+     "W3: values must be"),
+    ("W3", lambda e: _column(e, "values", "<c16", _extend),
+     "W3: values must be"),
+    ("W3", lambda e: e.__setitem__("count", e["count"] + 1),
+     "W3: each entry needs one row: count is 7, rows holds 6"),
+    # the payload itself
+    ("W3", lambda e: e.__setitem__("rows", "AQAAAAEAAA*="),
+     "W3: rows is not valid base64"),
+    ("R2", lambda e: e.__setitem__("values", 12),
+     "R2: values is not valid base64"),
+    ("W3", lambda e: _truncate(e, "values", 3),
+     "W3: values holds 93 bytes, not whole 16-byte <c16 entries"),
+    ("W2", lambda e: _truncate(e, "factors", 1),
+     "W2: factors holds 23 bytes, not whole 4-byte <i4 entries"),
+    ("W3", lambda e: e.__setitem__("count", 1.5),
+     "W3: count must be an integer"),
+    ("R2", lambda e: e.pop("factors"),
+     "R2: needs count, rows, factors and values"),
 ])
 def test_load_rejects_malformed_entries(tmp_path, lorenz_man3, block, edit,
                                         message):
-    data = _corrupt(lorenz_man3, block, edit)
+    data = lorenz_man3.to_dict()
+    edit(data[block[0]][block[1:]])
     with pytest.raises(ValidationError, match=message):
         ManifoldExpansion.from_dict(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ValidationError, match=message):
         ManifoldExpansion.load(path)
+
+
+def _matrix(mat):
+    return {"shape": list(mat.shape), "data": encode_column(mat, "<c16")}
+
+
+def _add_lambda(master):
+    for part in ("real", "imag"):
+        master["lambdas"][part].append(0.0)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m, ms: m.__setitem__("V", _matrix(ms.V[:5])),
+     r"master V has shape \(5, 2\), not \(state_dim, dim\) = \(6, 2\)"),
+    (lambda m, ms: m.__setitem__("U", _matrix(ms.U[:, :1])),
+     r"master U has shape \(6, 1\)"),
+    (lambda m, ms: _add_lambda(m), "master has 3 lambdas for dim 2"),
+    (lambda m, ms: m.__setitem__("pairing", [1]),
+     "master has 1 pairing for dim 2"),
+    (lambda m, ms: m.__setitem__("pairing", [1, 2]),
+     r"master pairing \[1, 2\] leaves 0..1"),
+    (lambda m, ms: m["V"].__setitem__("shape", [6]),
+     "master V: shape must be two counts"),
+    (lambda m, ms: m["V"].__setitem__("shape", [6, 3]),
+     r"master V: shape \[6, 3\] needs 18 entries, data holds 12"),
+])
+def test_load_rejects_a_master_that_does_not_fit(edit, message):
+    man = _first_pair_manifold(oscillator_chain(3), order=3)
+    data = man.to_dict()
+    edit(data["master"], man.master)
+    with pytest.raises(ValidationError, match=message):
+        ManifoldExpansion.from_dict(data)
 
 
 def test_coefficient_accessors_index_kron_columns(lorenz_man3):
