@@ -96,16 +96,6 @@ class ResonanceReport:
     def has_outer(self):
         return any(self.outer.values())
 
-    def to_dict(self):
-        return {
-            "params": self.params,
-            "inner": {str(o): [[pos, list(t), j] for pos, t, j in flags]
-                      for o, flags in self.inner.items()},
-            "outer": {str(o): [[pos, list(t), lam.real, lam.imag]
-                               for pos, t, lam in flags]
-                      for o, flags in self.outer.items()},
-        }
-
     def describe(self):
         lines = []
         for o in sorted(self.inner):
@@ -619,7 +609,6 @@ class ManifoldExpansion:
             "master": self.master.to_dict(),
             "W": {str(i): _pack(self.W[i], i, M) for i in sorted(self.W)},
             "R": {str(i): _pack(self.R[i], i, M) for i in sorted(self.R)},
-            "resonances": self.resonances.to_dict() if self.resonances else None,
         }
 
     def save(self, path):

@@ -13,8 +13,10 @@ whose B is as well conditioned as M. Only this module knows that layout.
 Every shifted pencil ``lambda B - A`` is factored through its
 ``reduced_shifted``: for a lifted model the N/2 matrix
 ``lambda^2 M + lambda C + K`` (Tisseur & Meerbergen, SIAM Rev. 43,
-2001), else ``lambda B - A`` itself. With symmetric M, C and K the left
-eigenvectors follow from the right ones (``closed_form_left``).
+2001), else ``lambda B - A`` itself. ``left_vectors`` gives the left
+eigenvectors of the pencil from its right ones: in closed form for
+symmetric M, C and K, else by one inverse-iteration step on the adjoint
+of that matrix (Ipsen, SIAM Rev. 39, 1997).
 
 Forcing is position-independent: each harmonic is a constant complex
 vector. State-dependent forcing input is rejected.
@@ -28,14 +30,14 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .polytensor import PolyCoeffs
 
 __all__ = [
     "MechanicalSystem", "FirstOrderSystem", "build_first_order",
     "as_first_order", "oscillator_chain", "lorenz_extended",
     "cosine_forcing", "factorize", "shifted_route", "shifted_solver",
-    "reduced_shifted", "closed_form_left",
+    "reduced_shifted", "left_vectors",
 ]
 
 
@@ -342,14 +344,6 @@ def build_first_order(mech):
     return FirstOrderSystem(A, B, F_coeffs, forcing, eps=mech.eps, mech=mech)
 
 
-def closed_form_left(mech, V, lambdas):
-    """Left eigenvectors of the lift of a symmetric ``mech`` up to a Gram
-    correction, ``u_k = [(C + conj(lambda_k) M) conj(phi_k); conj(phi_k)]``
-    with ``phi_k`` the displacement part of the column ``v_k`` of V."""
-    phi = V[:mech.n].conj()
-    return np.vstack([mech.C @ phi + (mech.M @ phi) * lambdas.conj(), phi])
-
-
 @functools.lru_cache(maxsize=None)
 def _dense_lu(typecode):
     """LAPACK getrf, gecon and getrs for one dtype."""
@@ -447,6 +441,46 @@ def shifted_solver(system, shift):
     if rcond == 0.0:
         raise RuntimeError("a pivot of the dense LU is exactly zero")
     return lambda rhs: unfold(solve(fold(rhs)), rhs)
+
+
+def left_vectors(system, V, lambdas):
+    """
+    Left eigenvectors of ``system``'s pencil for the right ones, the
+    columns ``v_k`` of V with eigenvalues ``lambdas``, up to a Gram
+    correction within each cluster of equal eigenvalues. A lifted model
+    has ``u_k = [(C^H + conj(lambda_k) M^H) y_k; y_k]`` with
+    ``Q(lambda_k)^H y_k = 0``: ``y_k = conj(phi_k)`` when M, C and K are
+    symmetric (``phi_k`` the displacement part of ``v_k``), else one
+    inverse-iteration step, ``Q(lambda_k)^H y_k = phi_k``. Any other
+    system takes the step ``(lambda_k B - A)^H u_k = v_k``. The right
+    side is ``v_k``: a step grows along ``u_k`` by ``v_k^H`` times its
+    right side, and ``v_k^H B v_k`` vanishes for some pencils, such as
+    ``B = [[C, M], [M, 0]]``. An exactly singular factor raises
+    NumericalError.
+    """
+    mech = system.mech
+    if mech is not None and mech.symmetric:
+        phi = V[:mech.n].conj()
+        return np.vstack([mech.C @ phi + (mech.M @ phi) * lambdas.conj(), phi])
+    U = np.empty_like(V)
+    for k, lam in enumerate(lambdas):
+        adjoint = reduced_shifted(system, lam)[0].conj().T
+        try:
+            solve, rcond = factorize(adjoint)
+        except RuntimeError:  # SuperLU on an exactly zero pivot
+            rcond = 0.0
+        if rcond == 0.0:
+            raise NumericalError(
+                "the shifted pencil is exactly singular at the eigenvalue "
+                "%s; its left eigenvector has no inverse-iteration step" % lam)
+        if mech is None:
+            U[:, k] = solve(V[:, k])
+        else:
+            y = solve(V[:mech.n, k])
+            U[:, k] = np.concatenate(
+                [mech.C.conj().T @ y + lam.conjugate() * (mech.M.conj().T @ y),
+                 y])
+    return U
 
 
 def as_first_order(system):

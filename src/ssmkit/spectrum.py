@@ -6,22 +6,22 @@ and right families are biorthogonal through B::
 
     A v_i = lambda_i B v_i,   u_i^H A = lambda_i u_i^H B,   u_i^H B v_j = delta_ij
 
-Repeated eigenvalues are handled as clusters: a cluster's Gram matrix
+Repeated eigenvalues are handled as clusters, the eigenvalues within
+``CLUSTER_RTOL`` of one another: a cluster's Gram matrix
 ``G = U~^H B V~`` is inverted to restore biorthogonality, and a singular
 G flags a defective (non-semisimple) eigenvalue, which is rejected.
 
-For a pencil lifted from a mechanical model with symmetric M, C and K
-the left eigenvectors follow from the right ones in closed form
-(``model.closed_form_left``; Tisseur & Meerbergen, SIAM Rev. 43, 2001)
-up to that same Gram correction, so only right eigenvectors are
-computed. Any other pencil takes its left vectors from LAPACK or from a
-second, transposed shift-invert run.
+Only right eigenvectors come from the eigensolver. The left ones come
+from ``model.left_vectors`` up to that same Gram correction: in closed
+form for a pencil lifted from a mechanical model with symmetric M, C and
+K (Tisseur & Meerbergen, SIAM Rev. 43, 2001), else by one
+inverse-iteration step per master eigenvalue (Ipsen, SIAM Rev. 39,
+1997). The dense solver of any other pencil keeps LAPACK's left vectors.
 
 Shift-invert runs complex ARPACK from a fixed start on
 ``(sigma B - A)^-1 B``, factored by ``model.shifted_solver``: the N/2
 matrix ``sigma^2 M + sigma C + K`` for a lifted model, else
-``sigma B - A``; the transposed run factors ``(sigma B - A)^T``.
-``diagnostics["route"]`` names the route.
+``sigma B - A``. ``diagnostics["route"]`` names the route.
 
 Each right eigenvector is scaled to unit norm with its largest entry
 rotated onto the positive real axis, and complex conjugate pairs are
@@ -37,8 +37,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
 from .fileio import decode_column, encode_column
-from .model import (as_first_order, closed_form_left, factorize,
-                    shifted_route, shifted_solver)
+from .model import (as_first_order, left_vectors, shifted_route,
+                    shifted_solver)
 
 __all__ = ["MasterSubspace", "master_spectrum", "check_normalization",
            "largest_entry"]
@@ -67,7 +67,7 @@ class MasterSubspace:
     diagnostics : dict
         Residual norms and bookkeeping from the solve, and where U came
         from: "left_vectors" is "closed-form", "dense-left" or
-        "transposed".
+        "inverse-iteration".
     """
 
     def __init__(self, lambdas, V, U, pairing, outer_lambdas, diagnostics=None):
@@ -269,8 +269,8 @@ def _dense_eigen(A, B, left):
     return w, VR, UL
 
 
-def _shift_invert_eigen(system, k, shift, left):
-    A, B, N = system.A, system.B, system.N
+def _shift_invert_eigen(system, k, shift):
+    N = system.N
     sigma = complex(shift)
     try:
         solve = shifted_solver(system, sigma)
@@ -281,34 +281,11 @@ def _shift_invert_eigen(system, k, shift, left):
     # a fixed start makes sparse results repeatable; a random one, unlike
     # a constant, is not orthogonal to the antisymmetric modes
     v0 = np.random.default_rng(0).standard_normal(N) + 0j
-
-    def arnoldi(solve, B):
-        # nu = 1 / (lambda - sigma) of x -> -solve(B x), where solve
-        # applies (sigma B - A)^-1 or its transpose
-        op = spla.LinearOperator((N, N), matvec=lambda x: -solve(B @ x),
-                                 dtype=complex)
-        return spla.eigs(op, k=k, v0=v0)
-
-    nu, VR = arnoldi(solve, B)
+    # nu = 1 / (lambda - sigma) of x -> -(sigma B - A)^-1 B x
+    op = spla.LinearOperator((N, N), matvec=lambda x: -solve(system.B @ x),
+                             dtype=complex)
+    nu, VR = spla.eigs(op, k=k, v0=v0)
     w = sigma + 1.0 / nu
-    UL = None
-    if left:
-        nu_l, YL = arnoldi(factorize((sigma * B - A).T)[0], B.T)
-        w_l = sigma + 1.0 / nu_l
-        # match the left set to the right set by eigenvalue
-        UL = np.empty_like(YL)
-        taken = np.zeros(k, dtype=bool)
-        scale = max(np.abs(w).max(), 1.0)
-        for i in range(k):
-            cands = [j for j in range(k) if not taken[j]]
-            j = min(cands, key=lambda j: abs(w_l[j] - w[i]))
-            if abs(w_l[j] - w[i]) > 1e-6 * scale:
-                raise NumericalError(
-                    "left and right shift-invert eigenvalues do not match "
-                    "(%s vs %s); increase k or move the shift"
-                    % (w_l[j], w[i]))
-            taken[j] = True
-            UL[:, i] = YL[:, j].conjugate()
 
     # the spectrum of a real pencil is symmetric about the real axis,
     # but a complex shift converges to the half plane nearest sigma;
@@ -321,9 +298,7 @@ def _shift_invert_eigen(system, k, shift, left):
     if missing:
         w = np.concatenate([w, w[missing].conjugate()])
         VR = np.hstack([VR, VR[:, missing].conjugate()])
-        if UL is not None:
-            UL = np.hstack([UL, UL[:, missing].conjugate()])
-    return w, VR, UL
+    return w, VR
 
 
 def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
@@ -370,8 +345,7 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
     if method not in ("auto", "dense", "shift-invert"):
         raise ValidationError("method must be auto, dense or shift-invert")
     dense = method == "dense" or (method == "auto" and N <= 600)
-    mech = system.mech
-    closed_form = mech is not None and mech.symmetric
+    closed_form = system.mech is not None and system.mech.symmetric
 
     if dense:
         A, B = system.dense_pencil()
@@ -384,12 +358,16 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         else:
             k_need = spec["count"] + n_outer
         k = min(max(k_need, 6), N - 2)
-        w, VR, UL = _shift_invert_eigen(system, k, shift, not closed_form)
+        w, VR = _shift_invert_eigen(system, k, shift)
+        UL = None
         A, B = system.A, system.B
 
     scale = float(np.abs(w).max()) if w.size else 1.0
     partner = _enforce_conjugation(w, VR, UL, scale)
     order = _order_with_vectors(w, VR)
+    # partner holds unsorted positions; move both its index and its
+    # values to the sorted ones
+    partner = np.argsort(order)[partner[order]]
     w = w[order]
     VR = VR[:, order]
     if UL is not None:
@@ -399,14 +377,12 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
     sel = np.zeros(w.size, dtype=bool)
     sel[chosen] = True
 
-    # clusters of numerically equal eigenvalues must not straddle the cut
+    # clusters of numerically equal eigenvalues must not straddle the cut;
+    # a cluster need not be contiguous in the order (a double pair sorts
+    # as lambda, conj, lambda, conj), so each eigenvalue joins the first
+    # one within ctol of it
     ctol = CLUSTER_RTOL * max(scale, 1.0)
-    cluster_id = np.zeros(w.size, dtype=int)
-    cid = 0
-    for i in range(1, w.size):
-        if abs(w[i] - w[i - 1]) > ctol:
-            cid += 1
-        cluster_id[i] = cid
+    cluster_id = (np.abs(w[:, None] - w) <= ctol).argmax(axis=0)
     for c in np.unique(cluster_id):
         members = np.nonzero(cluster_id == c)[0]
         inside = sel[members]
@@ -417,10 +393,8 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
 
     lambdas = w[chosen]
     V = VR[:, chosen].copy()
-    if closed_form:
-        Ut = closed_form_left(mech, V, lambdas)
-    else:
-        Ut = UL[:, chosen].copy()
+    Ut = (left_vectors(system, V, lambdas) if UL is None
+          else UL[:, chosen].copy())
 
     # cluster-wise Gram correction restores U^H B V = I. A cluster's
     # Gram G = U_c^H B V_c is bounded by ||U_c|| ||B V_c||; a G that is
@@ -489,8 +463,8 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
 
     diag = {
         "method": "dense" if dense else "shift-invert",
-        "left_vectors": ("closed-form" if closed_form
-                         else "dense-left" if dense else "transposed"),
+        "left_vectors": ("closed-form" if closed_form else "dense-left"
+                         if dense else "inverse-iteration"),
         "route": None if dense else shifted_route(system),
         "selection": spec,
         "residual_right": res_r,

@@ -539,7 +539,7 @@ def _per_entry_save(man, path):
         "master": master,
         "W": {str(i): pack(man.W[i], i) for i in sorted(man.W)},
         "R": {str(i): pack(man.R[i], i) for i in sorted(man.R)},
-        "resonances": man.resonances.to_dict() if man.resonances else None,
+        "resonances": None,
     }
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from ssmkit import (MechanicalSystem, FirstOrderSystem, build_first_order,
                     as_first_order, oscillator_chain, lorenz_extended,
                     cosine_forcing)
-from ssmkit.errors import ValidationError
+from ssmkit.errors import NumericalError, ValidationError
+from ssmkit.model import left_vectors
 from ssmkit.polytensor import PolyCoeffs
 from test_spectrum import plain_pencil
 
@@ -279,6 +280,17 @@ def test_lorenz_extended_model():
     z = np.array([0.5, -0.3, 0.8, 1.1])
     want = np.array([0.0, z[0] * z[3] - z[0] * z[2], z[0] * z[1], 0.0])
     assert np.allclose(sys.F_eval(z), want)
+
+
+@pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
+                         ids=["dense", "csr"])
+def test_left_vectors_refuse_an_exactly_singular_factor(conv):
+    # a zero eigenvalue of a plain pencil, as Lorenz's, makes the
+    # inverse-iteration matrix exactly singular at lambda = 0
+    sys = FirstOrderSystem(conv(np.diag([0.0, -1.0])), conv(np.eye(2)))
+    V = np.array([[1.0], [0.0]], dtype=complex)
+    with pytest.raises(NumericalError, match="singular at the eigenvalue 0j"):
+        left_vectors(sys, V, np.zeros(1, dtype=complex))
 
 
 def test_as_first_order():

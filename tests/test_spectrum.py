@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from ssmkit import (FirstOrderSystem, MechanicalSystem, oscillator_chain,
@@ -252,7 +253,7 @@ def test_defect_test_scales_with_the_cluster_not_with_b():
 def test_sparse_spectrum_is_repeatable(layout):
     # N = 620 > 600 takes the shift-invert path: the lift (L1) takes
     # closed-form left vectors, the L2 pencil as a plain first-order
-    # system the transposed solve
+    # system inverse iteration
     mech = csr_chain(310)
     sys = (build_first_order(mech) if layout == "L1"
            else plain_pencil(mech, "L2", "mass"))
@@ -260,7 +261,7 @@ def test_sparse_spectrum_is_repeatable(layout):
     one, two = (master_spectrum(sys, select={"mode": "pair", "pair": 1},
                                 n_outer=4) for _ in range(2))
     assert one.diagnostics["left_vectors"] == (
-        "closed-form" if layout == "L1" else "transposed")
+        "closed-form" if layout == "L1" else "inverse-iteration")
     for attr in ("lambdas", "V", "U"):
         assert np.array_equal(getattr(one, attr), getattr(two, attr))
 
@@ -268,33 +269,83 @@ def test_sparse_spectrum_is_repeatable(layout):
 @pytest.mark.parametrize("mech,select", [
     (oscillator_chain(10, c=0.1), {"mode": "smallest", "count": 6}),
     (csr_chain(310), {"mode": "smallest", "count": 4}),
-], ids=["dense-chain", "csr-N620"])
+    (csr_bar(10**4, 4), {"mode": "pair", "pair": 1}),
+], ids=["dense-chain", "csr-N620", "csr-bar-N2e4"])
 def test_closed_form_left_vectors_match_the_general_routes(mech, select):
     # the same pencil without its mechanical model takes LAPACK's left
-    # vectors (dense) or a transposed Arnoldi run (N > 600)
+    # vectors (dense) or one inverse-iteration step (N > 600)
     lifted = master_spectrum(build_first_order(mech), select=select)
     plain = master_spectrum(plain_pencil(mech), select=select)
     assert lifted.diagnostics["left_vectors"] == "closed-form"
-    assert plain.diagnostics["left_vectors"] in ("dense-left", "transposed")
+    assert plain.diagnostics["left_vectors"] in ("dense-left",
+                                                 "inverse-iteration")
+    assert plain.diagnostics["residual_left"] <= 1e-10
     for attr in ("lambdas", "V", "U"):
         want = getattr(plain, attr)
         got = getattr(lifted, attr)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("method,route", [("dense", "dense-left"),
-                                          ("shift-invert", "transposed")])
-def test_nonsymmetric_damping_takes_the_general_left_vectors(method, route):
+@pytest.mark.parametrize("method,conv,route", [
+    pytest.param("dense", np.asarray, "dense-left", id="dense-dense-left"),
+    pytest.param("shift-invert", np.asarray, "inverse-iteration",
+                 id="shift-invert-inverse-iteration"),
+    # SuperLU's factor of Q(lambda)^H on the N/2 route
+    pytest.param("shift-invert", sp.csr_matrix, "inverse-iteration",
+                 id="csr-shift-invert-inverse-iteration"),
+])
+def test_nonsymmetric_damping_takes_the_general_left_vectors(method, conv,
+                                                             route):
     mech = oscillator_chain(40, c=0.05)
     C = mech.C.copy()
     C[0, 1] += 0.02
-    skewed = MechanicalSystem(mech.M, C, mech.K, mech.f_coeffs)
+    skewed = MechanicalSystem(conv(mech.M), conv(C), conv(mech.K),
+                              mech.f_coeffs)
     assert not skewed.symmetric
     sys = build_first_order(skewed)
     ms = master_spectrum(sys, select={"mode": "smallest", "count": 4},
                          method=method, shift=0.3j, n_outer=0)
     assert ms.diagnostics["left_vectors"] == route
     assert check_normalization(ms, sys) <= 1e-10
+
+
+def twin(mech, delta=0.0):
+    """Two decoupled copies of ``mech``, the second with its stiffness
+    scaled by 1 + delta: each eigenvalue is double, or near-double."""
+    if sp.issparse(mech.M):
+        def cat(a, b):
+            return sp.block_diag((a, b), format="csr")
+    else:
+        cat = la.block_diag
+    return MechanicalSystem(cat(mech.M, mech.M), cat(mech.C, mech.C),
+                            cat(mech.K, (1.0 + delta) * mech.K))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_first_order(twin(oscillator_chain(10))),
+    lambda: build_first_order(twin(csr_chain(310))),
+    lambda: plain_pencil(twin(csr_chain(310))),
+    lambda: build_first_order(twin(csr_chain(310), 3e-8)),
+], ids=["dense-N40", "csr-N1240", "csr-N1240-plain", "csr-N1240-near"])
+def test_a_double_pair_is_one_cluster(make):
+    # a double pair sorts as lambda, conj, lambda, conj; its Gram
+    # correction and the split check must still see each double as one
+    # cluster
+    sys = make()
+    ms = master_spectrum(sys, select=4)
+    assert check_normalization(ms, sys) <= 1e-10
+    assert np.array_equal(ms.lambdas[ms.pairing], ms.lambdas.conjugate())
+    with pytest.raises(ValidationError, match="splits a cluster"):
+        master_spectrum(sys, select=2)
+
+
+def test_pairing_indexes_the_sorted_modes():
+    # the real mode comes after the pair from LAPACK but sorts first
+    A = np.array([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -0.5]])
+    ms = master_spectrum(FirstOrderSystem(A, np.eye(3)),
+                         select={"mode": "pair", "pair": 1})
+    assert ms.pairing.tolist() == [1, 0]
+    assert ms.pair_representatives() == [0]
 
 
 def test_subspace_dict_roundtrip(chain10):
