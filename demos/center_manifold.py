@@ -6,19 +6,10 @@ the two-dimensional center manifold, prints the reduced dynamics, and
 checks the invariance defect directly.
 """
 
-import itertools
-
 import numpy as np
 
 from ssmkit import (compute_manifold, invariance_residual, lorenz_extended,
                     master_spectrum)
-
-
-def symmetrized(man, degree, row, factors):
-    total = 0.0
-    for perm in set(itertools.permutations(factors)):
-        total += man.reduced_coefficient(degree, row, perm).real
-    return total
 
 
 def main():
@@ -41,7 +32,7 @@ def main():
     ]
     line = "  p1' ="
     for label, degree, factors in terms:
-        c = symmetrized(man, degree, 0, factors)
+        c = man.reduced_coefficient(degree, 0, factors).real
         line += " %+.6f %s" % (c, label.strip())
     print(line)
     worst = max(np.abs(man.R[d][1]).max() for d in (2, 3))

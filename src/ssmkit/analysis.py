@@ -33,7 +33,6 @@ from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ValidationError
 from .forcing import leading_order
-from .multiindex import MultiIndexSet
 from .spectrum import largest_entry
 
 __all__ = [
@@ -163,15 +162,9 @@ def extract_polar_rom(manifold):
     row = 0 if lam[0].imag > 0 else 1
     partner = 1 - row
     L = (manifold.order - 1) // 2
-    gammas = np.zeros(L, dtype=complex)
-    for l in range(1, L + 1):
-        d = 2 * l + 1
-        mis = MultiIndexSet(d, 2)
-        total = 0.0 + 0.0j
-        for pos, t in enumerate(mis.tuples()):
-            if sum(1 for k in t if k == row) == l + 1:
-                total += manifold.R[d][row, pos]
-        gammas[l - 1] = total
+    gammas = np.array([manifold.reduced_coefficient(
+        2 * l + 1, row, (row,) * (l + 1) + (partner,) * l)
+        for l in range(1, L + 1)], dtype=complex)
     return PolarROM(lam[row], gammas, row, partner)
 
 

@@ -6,10 +6,11 @@ homogeneous polynomial series determined by the invariance equation
 
     B . DW(p) . R(p) = A . W(p) + F(W(p)).
 
-Order 1 is the master eigenpair data: W_1 = V, R_1 = diag(lambda). At
-each order i >= 2 the unknowns decouple across monomials: for monomial
-position l with exponent tuple (l_1, .., l_i) the coefficient column
-solves
+W and R hold one column per monomial, over the sorted exponent tuples
+of :mod:`ssmkit.multiindex`. Order 1 is the master eigenpair data:
+W_1 = V, R_1 = diag(lambda). At each order i >= 2 the unknowns decouple
+across monomials: the column of the monomial at position l, with sorted
+exponent tuple (l_1, .., l_i), solves
 
     (lam_l B - A) w_l = c_l - B V r_l,       lam_l = sum_k lambda_{l_k}
 
@@ -25,9 +26,10 @@ reduced-dynamics column r_l is the style decision:
   behaviour for the rest.
 
 Monomials whose exponent tuples are conjugate images of each other are
-solved once and mirrored, so coefficient arrays are exactly conjugate
-symmetric and evaluations at conjugate-symmetric points are exactly
-real.
+solved once and mirrored, and a monomial that is its own image keeps
+the real part of its W column and mirrored R rows, so coefficient
+arrays are exactly conjugate symmetric and evaluations at
+conjugate-symmetric points are real to rounding.
 
 Every block, here and in ``forcing``, goes through ``solve_shifted``.
 The matrix it factors comes from ``model.reduced_shifted``, the one
@@ -54,7 +56,7 @@ from .fileio import decode_column, encode_column
 from .model import (as_first_order, factorize, reduced_shifted,
                     shifted_route)
 from .multiindex import (MultiIndexSet, conjugate_permutation,
-                         decode_positions, encode_positions, kron_step)
+                         kron_sum_lambdas, tuple_positions)
 from .polytensor import apply_kron_sum, compose
 from .spectrum import MasterSubspace
 
@@ -77,9 +79,9 @@ class ResonanceReport:
     Attributes
     ----------
     inner : dict
-        order -> list of (position, exponent tuple, mode index).
+        order -> list of (position, sorted exponent tuple, mode index).
     outer : dict
-        order -> list of (position, exponent tuple, outer lambda).
+        order -> list of (position, sorted exponent tuple, outer lambda).
     params : dict
         The tolerance parameters that produced the report.
     """
@@ -152,7 +154,8 @@ def is_resonant(lam_l, mu, order, tol):
 def classify_resonances(master, order, tol=None):
     """
     Flag the eigenvalue sums of orders 2..``order`` that are near-resonant
-    (:func:`is_resonant`) with a master or an outer eigenvalue.
+    (:func:`is_resonant`) with a master or an outer eigenvalue, one sum
+    per monomial.
 
     ``tol`` is described in :func:`resonance_tolerance`. Returns a
     :class:`ResonanceReport`.
@@ -161,10 +164,8 @@ def classify_resonances(master, order, tol=None):
     lam, outer = master.lambdas, master.outer_lambdas
     inner_flags, outer_flags = {}, {}
     for i in range(2, order + 1):
-        factors = decode_positions(np.arange(lam.size ** i), i, lam.size)
-        lam_l = 0
-        for row in factors:
-            lam_l = lam_l + lam[row]
+        factors = MultiIndexSet(i, lam.size).factors
+        lam_l = kron_sum_lambdas(lam, i)
         hits_i = np.nonzero(is_resonant(lam_l[:, None], lam, i, tol))
         hits_o = np.nonzero(is_resonant(lam_l[:, None], outer, i, tol))
         flags_i = [(int(p), tuple(factors[:, p].tolist()), int(j))
@@ -267,27 +268,28 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
 
     Returns
     -------
-    (W_i, R_i, info) : two complex ndarrays of shapes (N, M**order) and
-        (M, M**order), and a diagnostics dict: the order, the number of
-        merged eigenvalue-sum groups, the smallest dense condition
-        estimate, the columns solved by least squares and the solve
-        route of ``model.shifted_route``.
+    (W_i, R_i, info) : two complex ndarrays of shapes (N, C) and (M, C),
+        one column per monomial (C = C(M+order-1, order)), and a
+        diagnostics dict: the order, the number of merged
+        eigenvalue-sum groups, the smallest dense condition estimate,
+        the columns solved by least squares and the solve route of
+        ``model.shifted_route``.
     """
     lam = master.lambdas
     M = master.dim
     N = system.N
     B = system.B
-    n_pos = MultiIndexSet(order, M).size
+    n_col = MultiIndexSet(order, M).size
 
     C = compose(system.F_coeffs, w_blocks, order, M, nrows=N)
-    for j in range(2, order):
-        C -= B @ apply_kron_sum(r_blocks[order - j + 1], w_blocks[j],
-                                order, j, M)
+    if order > 2:
+        C -= B @ sum(apply_kron_sum(r_blocks[order - j + 1], w_blocks[j],
+                                    order, j, M) for j in range(2, order))
 
     sigma = conjugate_permutation(master.pairing, order)
     # active reduced-dynamics entries: the style's fixed rows plus the
     # (position, mode) pairs flagged as near-resonant
-    active = np.zeros((M, n_pos), dtype=bool)
+    active = np.zeros((M, n_col), dtype=bool)
     if style == "graph":
         active[:] = True
     elif style == "per-mode":
@@ -295,32 +297,22 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     for pos, j in report.inner_at(order):
         active[j, pos] = True
 
-    W_i = np.zeros((N, n_pos), dtype=complex)
-    R_i = np.zeros((M, n_pos), dtype=complex)
+    W_i = np.zeros((N, n_col), dtype=complex)
+    R_i = np.zeros((M, n_col), dtype=complex)
 
-    # canonical positions (each conjugate orbit solved once)
-    canonical = np.flatnonzero(sigma >= np.arange(n_pos))
-
-    # group by sorted exponent multiset so equal eigenvalue sums share
-    # a factorization, then merge near-equal sums across multisets.
-    # Sorted tuples encode to positions in the order of the tuples, so
-    # the groups come in sorted-key order, each in position order.
-    keys = np.sort(decode_positions(canonical, order, M), axis=0)
-    _, first, group = np.unique(encode_positions(keys, M),
-                                return_index=True, return_inverse=True)
-    by_group = canonical[np.argsort(group, kind="stable")]
-    bounds = np.cumsum(np.bincount(group))[:-1]
+    # canonical columns (each conjugate orbit solved once); near-equal
+    # eigenvalue sums share one factorization
+    canonical = np.flatnonzero(sigma >= np.arange(n_col))
+    lam_l = kron_sum_lambdas(lam, order)
     scale = max(float(np.abs(lam).max()), 1.0)
     merged = []
-    for key, members in zip(keys[:, first].T.tolist(),
-                            np.split(by_group, bounds)):
-        lam_l = complex(sum(lam[k] for k in key))
+    for col in canonical.tolist():
         for entry in merged:
-            if abs(entry["lam"] - lam_l) <= LAMBDA_MERGE_RTOL * scale:
-                entry["pos"].extend(members.tolist())
+            if abs(entry["lam"] - lam_l[col]) <= LAMBDA_MERGE_RTOL * scale:
+                entry["cols"].append(col)
                 break
         else:
-            merged.append({"lam": lam_l, "pos": members.tolist()})
+            merged.append({"lam": complex(lam_l[col]), "cols": [col]})
 
     V, U = master.V, master.U
     c_scale = float(np.abs(C).max()) if C.size else 1.0
@@ -328,14 +320,14 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     min_rcond = None
     lstsq_cols = 0
     for entry in merged:
-        positions = entry["pos"]
-        rhs = C[:, positions]
-        act = active[:, positions]
+        cols = entry["cols"]
+        rhs = C[:, cols]
+        act = active[:, cols]
         modes = np.flatnonzero(act.any(axis=1))
         if modes.size:
-            R_i[np.ix_(modes, positions)] = np.where(
+            R_i[np.ix_(modes, cols)] = np.where(
                 act[modes], U[:, modes].conj().T @ rhs, 0)
-            rhs -= B @ (V @ R_i[:, positions])
+            rhs -= B @ (V @ R_i[:, cols])
         sols, rcond, singular = solve_shifted(
             system, master, entry["lam"], rhs, scale,
             "order-%d block at eigenvalue sum %s" % (order, entry["lam"]),
@@ -343,13 +335,22 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
         if rcond is not None:
             min_rcond = rcond if min_rcond is None else min(min_rcond, rcond)
         if singular:
-            lstsq_cols += len(positions)
-        W_i[:, positions] = sols
+            lstsq_cols += len(cols)
+        W_i[:, cols] = sols
 
-    # mirror conjugate positions for exact symmetry
+    # mirror conjugate columns for exact symmetry. A column that is its
+    # own image keeps the real part of W, and of R on a real mode's
+    # row; the later row of a pair takes the conjugate of the earlier
     own = canonical[sigma[canonical] != canonical]
     W_i[:, sigma[own]] = W_i[:, own].conjugate()
     R_i[:, sigma[own]] = R_i[np.ix_(master.pairing, own)].conjugate()
+    fixed = canonical[sigma[canonical] == canonical]
+    W_i[:, fixed] = W_i[:, fixed].real
+    later = np.flatnonzero(master.pairing < np.arange(M))
+    R_i[np.ix_(later, fixed)] = R_i[np.ix_(master.pairing[later],
+                                           fixed)].conjugate()
+    real = master.pairing == np.arange(M)
+    R_i[np.ix_(real, fixed)] = R_i[np.ix_(real, fixed)].real
 
     info = {"order": order, "groups": len(merged), "min_rcond": min_rcond,
             "lstsq_columns": lstsq_cols, "route": shifted_route(system)}
@@ -435,10 +436,11 @@ def _pack(block, degree, M):
     The format-2 entry of one coefficient block: its entries other than
     zero (a NaN part counts as nonzero), sorted by row, then by column
     (``np.nonzero`` scans row-major), as binary columns of 1-based rows
-    (n,) and factor indices (degree, n) and of complex values (n,).
+    (n,) and sorted factor indices (degree, n) and of complex values
+    (n,).
     """
     rows, cols = np.nonzero(block != 0)
-    factors = decode_positions(cols, degree, M) + 1
+    factors = MultiIndexSet(degree, M).factors[:, cols] + 1
     return {"count": int(rows.size),
             "rows": encode_column(rows + 1, "<i4"),
             "factors": encode_column(factors, "<i4"),
@@ -454,7 +456,12 @@ def _in_range(arr, what, name, high):
 
 
 def _unpack(entry, what, degree, nrows, M):
-    """A dense (nrows, M**degree) block from its :func:`_pack` entry."""
+    """
+    A dense (nrows, C(M+degree-1, degree)) block from its :func:`_pack`
+    entry. Entries whose factor tuples permute one another name one
+    monomial and are summed, in the order stored; an exactly repeated
+    (row, tuple) is refused.
+    """
     if not isinstance(entry, dict) or not {"count", "rows", "factors",
                                            "values"} <= entry.keys():
         raise ValidationError("manifold block %s: needs count, rows, "
@@ -480,15 +487,23 @@ def _unpack(entry, what, degree, nrows, M):
                     "values must be one complex number per entry")
     _in_range(rows, what, "row", nrows)
     _in_range(factors, what, "factor", M)
-    mis = MultiIndexSet(degree, M)
-    flat = ((rows.astype(np.int64) - 1) * mis.size
-            + encode_positions(factors - 1, M))
+    size = MultiIndexSet(degree, M).size
+    flat = ((rows.astype(np.int64) - 1) * size
+            + tuple_positions(factors - 1, M))
+    block = np.zeros((nrows, size), dtype=complex)
     ordered = np.sort(flat)
-    if (ordered[1:] == ordered[:-1]).any():
+    if (ordered[1:] != ordered[:-1]).all():
+        block.reshape(-1)[flat] = values
+        return block
+    # tuples that permute one another: their values are summed in the
+    # order stored, unless one repeats a (row, tuple) exactly
+    if np.unique(np.vstack([rows, factors]), axis=1).shape[1] < count:
         raise ValidationError("manifold block %s: a (row, tuple) entry is "
                               "given twice" % what)
-    block = np.zeros((nrows, mis.size), dtype=complex)
-    block.reshape(-1)[flat] = values
+    order = np.argsort(flat, kind="stable")
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    block.reshape(-1)[ordered[starts]] = np.add.reduceat(values[order],
+                                                         starts)
     return block
 
 
@@ -515,10 +530,11 @@ class ManifoldExpansion:
     """
     Polynomial manifold ``z = W(p)`` with reduced dynamics ``p' = R(p)``.
 
-    W and R are dicts of dense coefficient arrays keyed by degree: W[i]
-    has shape (N, M**i) over Kronecker monomial columns, R[i] shape
-    (M, M**i). Conjugate-symmetric by construction when the master set
-    is closed under conjugation.
+    W and R are dicts of dense coefficient arrays keyed by degree, one
+    column per monomial over the sorted exponent tuples of
+    :class:`~ssmkit.multiindex.MultiIndexSet`: W[i] has shape (N, C) and
+    R[i] shape (M, C), C = C(M+i-1, i). Conjugate-symmetric by
+    construction when the master set is closed under conjugation.
     """
 
     def __init__(self, system, master, order, style, W, R, resonances,
@@ -540,58 +556,85 @@ class ManifoldExpansion:
     def N(self):
         return self.W[1].shape[0]
 
-    def _series(self, blocks, p, rows):
-        """sum_i blocks[i][rows] p^(kron i), one product per order."""
-        p = np.asarray(p, dtype=complex)
-        kp = np.ones((1,) + p.shape[1:])
-        out = 0
+    def _powers(self, p):
+        """The monomial tables of orders 1..order at ``p``, (C,) or
+        (C, n) each: every table is the previous one gathered at each
+        tuple's prefix and multiplied by its last factor."""
+        table = np.ones((1,) + p.shape[1:], dtype=complex)
         for i in range(1, self.order + 1):
-            kp = kron_step(kp, p)
-            out = out + (blocks[i] if rows is None else blocks[i][rows]) @ kp
+            mis = MultiIndexSet(i, self.dim)
+            table = table[mis.parent] * p[mis.last]
+            yield table
+
+    def _series(self, blocks, p, rows):
+        """sum_i blocks[i][rows] p^alpha, one product per order."""
+        out = 0
+        for i, table in enumerate(self._powers(np.asarray(p, complex)), 1):
+            block = blocks[i] if rows is None else blocks[i][rows]
+            out = out + block @ table
         return out
 
     def evaluate(self, p, rows=None):
         """
-        Embed reduced coordinates: z = sum_i W_i p^(kron i), shape (N,)
-        at a point (M,) and (N, n) on a batch (M, n) of columns. Only the
+        Embed reduced coordinates: z = sum_i W_i p^alpha, shape (N,) at
+        a point (M,) and (N, n) on a batch (M, n) of columns. Only the
         state indices in ``rows`` are computed when it is given.
         """
         return self._series(self.W, p, rows)
 
     def reduced_rhs(self, p):
-        """Reduced vector field p' = sum_i R_i p^(kron i): (M,) or (M, n)."""
+        """Reduced vector field p' = sum_i R_i p^alpha: (M,) or (M, n)."""
         return self._series(self.R, p, None)
 
-    def tangent(self, p):
-        """Jacobian dW/dp, (N, M) at a point and (N, M, n) on a batch; the
-        power derivatives along each e_j, D_i = D_{i-1} (x) p + p^(kron
-        i-1) (x) e_j, cost one product with W_i per order."""
+    def derivative(self, p, v):
+        """
+        The directional derivative DW(p) v, (N,) at a point and (N, n)
+        on a batch of columns of p and v, without the Jacobian: along
+        v, each order's monomials differentiate to
+        ``d(q p_k) = dq p_k + q v_k`` from the previous order's.
+        """
         p = np.asarray(p, dtype=complex)
-        M = self.dim
-        col = p.reshape(M, 1, -1)
-        kp = np.ones((1, 1, col.shape[2]))
-        dkp = np.zeros((1, M, col.shape[2]))
+        v = np.asarray(v, dtype=complex)
+        table = np.ones((1,) + p.shape[1:], dtype=complex)
+        deriv = np.zeros_like(table)
         out = 0
         for i in range(1, self.order + 1):
-            dkp = kron_step(dkp, col) + kron_step(kp, np.eye(M)[:, :, None])
-            kp = kron_step(kp, col)
-            out = out + self.W[i] @ dkp.reshape(M**i, -1)
-        return out.reshape((self.N, M) + p.shape[1:])
+            mis = MultiIndexSet(i, self.dim)
+            prev = table[mis.parent]
+            deriv = deriv[mis.parent] * p[mis.last] + prev * v[mis.last]
+            table = prev * p[mis.last]
+            out = out + self.W[i] @ deriv
+        return out
+
+    def tangent(self, p):
+        """Jacobian dW/dp, (N, M) at a point and (N, M, n) on a batch:
+        the derivatives along every e_j, as one batch of
+        :meth:`derivative`."""
+        p = np.asarray(p, dtype=complex)
+        M = self.dim
+        n = p[0].size
+        points = np.repeat(p.reshape(M, 1, n), M, axis=1).reshape(M, -1)
+        units = np.repeat(np.eye(M)[:, :, None], n, axis=2).reshape(M, -1)
+        return self.derivative(points, units).reshape(
+            (self.N, M) + p.shape[1:])
 
     def coefficient(self, degree, row, exponents):
-        """One W coefficient by (degree, row, exponent tuple)."""
+        """One W coefficient by (degree, row, exponent tuple in any
+        order): the monomial's full coefficient."""
         mis = MultiIndexSet(degree, self.dim)
         return self.W[degree][row, mis.position(tuple(exponents))]
 
     def reduced_coefficient(self, degree, mode, exponents):
-        """One R coefficient by (degree, mode row, exponent tuple)."""
+        """One R coefficient by (degree, mode row, exponent tuple in any
+        order): the monomial's full coefficient."""
         mis = MultiIndexSet(degree, self.dim)
         return self.R[degree][mode, mis.position(tuple(exponents))]
 
     def to_dict(self):
         """
         JSON-ready dict, format 2 (``"format": 2``). Each W and R degree
-        holds its nonzero coefficients, sorted by row, then by column, as
+        holds its nonzero coefficients, sorted by row, then by column,
+        each under its sorted factor tuple, as
         ``{"count": n, "rows": <"<i4" (n,)>, "factors": <"<i4" (degree,
         n)>, "values": <"<c16" (n,)>}``, rows and factor indices 1-based;
         each ``<...>`` is a base64 binary column of
@@ -627,10 +670,13 @@ class ManifoldExpansion:
         Rebuild from :meth:`to_dict` data; stored coefficients and the
         master's V and U come back bit for bit, unstored ones as zeros.
         Data without ``"format": 2`` (files of earlier versions are
-        format 1) raises ValidationError: recompute such a file. A W or
-        R block whose columns are not base64 or do not hold ``count``
-        entries, with a row outside 1..nrows, a factor outside 1..dim,
-        or a (row, tuple) given twice raises ValidationError naming the
+        format 1) raises ValidationError: recompute such a file. Tuples
+        of one block that permute one another, as files of versions that
+        stored every ordering kept them, are read as one monomial whose
+        coefficient is their sum. A W or R block whose columns are not
+        base64 or do not hold ``count`` entries, with a row outside
+        1..nrows, a factor outside 1..dim, or a (row, tuple) given twice
+        in the same order raises ValidationError naming the
         block (``W3``, ``R2``); so does a master whose V or U is not
         (state_dim, dim) or whose lambdas or pairing do not have dim
         entries in range. The stored U is the left family of the pencil

@@ -455,15 +455,25 @@ def left_vectors(system, V, lambdas):
     system takes the step ``(lambda_k B - A)^H u_k = v_k``. The right
     side is ``v_k``: a step grows along ``u_k`` by ``v_k^H`` times its
     right side, and ``v_k^H B v_k`` vanishes for some pencils, such as
-    ``B = [[C, M], [M, 0]]``. An exactly singular factor raises
-    NumericalError.
+    ``B = [[C, M], [M, 0]]``. A column with negative imaginary part
+    whose eigenvalue and vector are the exact conjugates of another
+    column's takes the conjugate of that column's left vector, without a
+    solve of its own. An exactly singular factor raises NumericalError.
     """
     mech = system.mech
     if mech is not None and mech.symmetric:
         phi = V[:mech.n].conj()
         return np.vstack([mech.C @ phi + (mech.M @ phi) * lambdas.conj(), phi])
     U = np.empty_like(V)
+    partner = {}
+    for k in np.flatnonzero(lambdas.imag < 0):
+        for j in np.flatnonzero(lambdas == lambdas[k].conjugate()):
+            if np.array_equal(V[:, j], V[:, k].conj()):
+                partner[k] = j
+                break
     for k, lam in enumerate(lambdas):
+        if k in partner:
+            continue
         adjoint = reduced_shifted(system, lam)[0].conj().T
         try:
             solve, rcond = factorize(adjoint)
@@ -480,6 +490,8 @@ def left_vectors(system, V, lambdas):
             U[:, k] = np.concatenate(
                 [mech.C.conj().T @ y + lam.conjugate() * (mech.M.conj().T @ y),
                  y])
+    for k, j in partner.items():
+        U[:, k] = U[:, j].conj()
     return U
 
 

@@ -4,36 +4,38 @@ Sparse homogeneous polynomial tensors in Kronecker-power coordinates.
 A degree-``k`` map ``F_k`` from ``m`` variables to ``nrows`` outputs is
 a ``nrows x m**k`` matrix acting on the Kronecker power ``z^(x)k``. The
 entries are kept as coordinate triplets (row, factor tuple, value). The
-tuple's lexicographic position (:mod:`ssmkit.multiindex`) is formed only
-for dense blocks, so a sparse block is bounded by memory alone. No
-symmetrization is imposed, so raw and symmetrized tensors are both
-representable; only the symmetrized part matters when the polynomial is
-evaluated, since permuted index tuples multiply the same monomial.
-``PolyCoeffs.evaluate`` therefore folds the entries of each (row,
-sorted tuple) into one and sums each output row in that order, which
-rounds differently from a sum over the stored entries in storage order.
+tuple's lexicographic position (``multiindex.encode_positions``) is
+formed only for dense blocks, so a sparse block is bounded by memory
+alone. No symmetrization is imposed, so raw and symmetrized tensors are
+both representable; only the symmetrized part matters when the
+polynomial is evaluated, since permuted index tuples multiply the same
+monomial. ``PolyCoeffs.evaluate`` and ``compose`` therefore form each
+monomial once, over the distinct sorted tuples, and sum each output row
+over the stored entries in storage order.
 
 The order-collection helpers at the bottom (``compose``,
-``apply_kron_sum``) are the kernels of the invariance-equation solver
-and work on dense ``(nrows, m**i)`` coefficient blocks, which is the
-cheap representation at the small numbers of master variables these
+``apply_kron_sum``) are the kernels of the invariance-equation solver.
+They work on dense coefficient blocks with one column per monomial,
+over the sorted tuples of :mod:`ssmkit.multiindex`, which is the cheap
+representation at the small numbers of master variables these
 expansions use.
 """
 
+import functools
 import math
 
 import numpy as np
-# the CSR kernel behind scipy's sparse-dense product; called directly
-# because it adds into a given output, which the public product, with
-# its freshly zeroed result, does not
-from scipy.sparse._sparsetools import csr_matvecs
+# the CSR kernels behind scipy's sparse-dense products; called directly
+# because they add into a given output, which the public product, with
+# its freshly zeroed result, does not. Both sum each row in the same
+# sequence, one vector at a time (csr_matvec) or a block of them
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import ValidationError
-from .multiindex import decode_positions, encode_positions
+from .multiindex import (MultiIndexSet, decode_positions, encode_positions,
+                         multiset_sum, tuple_positions)
 
-__all__ = [
-    "PolyCoeffs", "compositions", "compose", "apply_kron_sum",
-]
+__all__ = ["PolyCoeffs", "compose", "apply_kron_sum"]
 
 
 def _runs(keys):
@@ -55,17 +57,6 @@ def _summed(rows, factors, values):
     np.add.at(summed, np.cumsum(starts) - 1, values[order])
     kept = order[starts]
     return rows[kept], factors.take(kept, axis=1), summed
-
-
-def _csr(fc):
-    """
-    ``(tuples, indptr, index)``: the entries of ``fc`` as a CSR matrix
-    over its distinct factor tuples, row-major by its storage order.
-    """
-    tuples, index = fc.distinct_factors
-    indptr = np.zeros(fc.nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(fc.rows, minlength=fc.nrows), out=indptr[1:])
-    return tuples, indptr, index
 
 
 class PolyCoeffs:
@@ -90,8 +81,8 @@ class PolyCoeffs:
     The entries are ``rows``, ``factors`` (one tuple per column of a
     ``(degree, nnz)`` array) and ``values``, in (row, tuple) order.
     ``distinct_factors`` is built on first use: entries on different
-    rows often share one tuple, and ``compose`` works per tuple. So is
-    the folded CSR matrix that ``evaluate`` works with.
+    rows often share one tuple. So is ``monomials``, the CSR matrix over
+    sorted tuples that ``evaluate`` and ``compose`` work with.
     """
 
     def __init__(self, degree, nrows, nvars, rows, positions, values):
@@ -187,6 +178,38 @@ class PolyCoeffs:
         rows, positions = np.nonzero(mask)
         return cls(degree, dense.shape[0], nvars, rows, positions, dense[mask])
 
+    @property
+    def monomials(self):
+        """
+        ``(tuples, indptr, index, values)``: the distinct sorted factor
+        tuples, a ``(degree, ntuples)`` array in lexicographic order, one
+        per monomial, and the stored entries as a CSR matrix over them,
+        in storage order: for each entry the column of its sorted tuple,
+        and its value. Built on first use.
+
+        Entries whose tuples permute one another share a monomial but
+        are not folded into one: an expanded FE force law cancels across
+        its entries, and each output row summed over its stored entries
+        in storage order cancels early. Folded, the cubic of ssmbench's
+        ``fe_bar`` (n = 1500), composed with the master mode and
+        projected on it, erred by 8e-8 against the strain form, against
+        2e-9 as stored; and the trapezoidal cross-check of the fe_sparse
+        workload stalled at its 1e-9 Newton tolerance on seeds 11 and
+        13, which it passes as stored.
+        """
+        if self._plan is None:
+            distinct, index = self.distinct_factors
+            keys = np.sort(distinct, axis=0)
+            order, starts = _runs(keys)
+            column = np.empty(keys.shape[1], dtype=np.int64)
+            column[order] = np.cumsum(starts) - 1
+            indptr = np.zeros(self.nrows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.rows, minlength=self.nrows),
+                      out=indptr[1:])
+            self._plan = (keys.take(order[starts], axis=1), indptr,
+                          column[index], self.values)
+        return self._plan
+
     def evaluate(self, z, add_to=None):
         """
         Evaluate the polynomial at one state ``z`` (length ``nvars``), or
@@ -197,22 +220,15 @@ class PolyCoeffs:
 
         Notes
         -----
-        Entries whose factor tuples are permutations of one another
-        multiply one monomial. On first use the entries that share a
-        (row, sorted tuple) are folded into one, their values summed
-        from zero in storage order, and kept as a CSR matrix over the
-        distinct sorted tuples. Each call forms every distinct monomial
-        once and adds them with one CSR product, so each output row is
-        summed over its folded terms in (row, sorted tuple) order. This
-        differs at rounding from a sum over the stored entries in
-        storage order; a batch column has the bits of its single state.
+        Each call forms every distinct monomial of :attr:`monomials`
+        once and adds the stored entries with one CSR product, each
+        output row summed from zero over its entries in storage order.
+        Entries whose tuples permute one another multiply the same
+        computed monomial, so this differs at rounding from a sum of
+        per-entry products; a batch column has the bits of its single
+        state.
         """
-        if self._plan is None:
-            folded = PolyCoeffs.from_factors(
-                self.degree, self.nrows, self.nvars, self.rows,
-                np.sort(self.factors, axis=0), self.values)
-            self._plan = _csr(folded) + (folded.values,)
-        tuples, indptr, index, values = self._plan
+        tuples, indptr, index, values = self.monomials
         z = np.asarray(z)
         shape = (self.nrows,) + z.shape[1:]
         # values are float64 or complex128, so this is the product's type
@@ -230,8 +246,14 @@ class PolyCoeffs:
         monomials = z[tuples[0]]
         for axis in range(1, self.degree):
             monomials *= z[tuples[axis]]
-        csr_matvecs(self.nrows, tuples.shape[1], math.prod(shape[1:]), indptr,
-                    index, values.astype(dtype, copy=False), monomials, add_to)
+        values = values.astype(dtype, copy=False)
+        if z.ndim == 1:
+            # a third of the time of the block kernel on one vector
+            csr_matvec(self.nrows, tuples.shape[1], indptr, index, values,
+                       monomials, add_to)
+        else:
+            csr_matvecs(self.nrows, tuples.shape[1], math.prod(shape[1:]),
+                        indptr, index, values, monomials, add_to)
         return add_to
 
     def relabel(self, nrows, nvars, row_offset=0, value_scale=1.0):
@@ -253,34 +275,35 @@ class PolyCoeffs:
                 % (self.degree, self.nrows, self.nvars, self.nnz))
 
 
-def compositions(total, parts):
+@functools.lru_cache(maxsize=256)
+def _sum_matrix(a, b, nvars):
     """
-    All ordered tuples of ``parts`` positive integers summing to ``total``.
-
-    >>> list(compositions(4, 2))
-    [(1, 3), (2, 2), (3, 1)]
+    ``(indptr, indices)`` of the 0/1 CSR matrix that adds the products
+    of the degree-``a`` and degree-``b`` monomials into the degree
+    ``a + b`` ones: row gamma lists, ascending, the flat (alpha, beta)
+    positions of ``multiindex.multiset_sum`` that give gamma.
     """
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    flat = multiset_sum(a, b, nvars).ravel()
+    indptr = np.zeros(math.comb(nvars + a + b - 1, a + b) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=indptr.size - 1), out=indptr[1:])
+    return indptr, np.argsort(flat, kind="stable")
 
 
-def _row_kron(blocks, out):
-    """Row-wise Kronecker product of 2d blocks with equal row counts,
-    written into the preallocated 2d ``out``."""
-    acc = blocks[0]
-    for b in blocks[1:-1]:
-        acc = (acc[:, :, None] * b[:, None, :]).reshape(acc.shape[0], -1)
-    if len(blocks) == 1:
-        out[...] = acc
-        return
-    last = blocks[-1]
-    np.multiply(acc[:, :, None], last[:, None, :],
-                out=out.reshape(acc.shape[0], acc.shape[1], last.shape[1]))
+def _multiply_into(acc, x, y, a, b, nvars):
+    """
+    ``acc += x * y`` for coefficient tables of polynomials of degrees
+    ``a`` and ``b``, one column per series: ``x`` is ``(C(nvars+a-1, a),
+    n)``, ``y`` likewise, ``acc`` the C-contiguous complex table of
+    degree ``a + b``. Each product of two monomials is added into its
+    monomial in (alpha, beta) order, adding ones on the real and
+    imaginary parts apart, which is exact.
+    """
+    indptr, indices = _sum_matrix(a, b, nvars)
+    prod = (x[:, None, :] * y[None, :, :]).astype(complex, copy=False)
+    width = 2 * acc.shape[1]
+    csr_matvecs(acc.shape[0], indices.size, width, indptr, indices,
+                np.ones(indices.size), prod.reshape(-1).view(np.float64),
+                acc.reshape(-1).view(np.float64))
 
 
 def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
@@ -292,9 +315,10 @@ def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
     f_coeffs : list of PolyCoeffs
         The homogeneous pieces of F (degrees >= 2, any order).
     w_blocks : dict of int -> ndarray
-        Dense coefficient blocks of W: ``w_blocks[q]`` has shape
-        ``(n_states, nvars**q)``. Orders ``1 .. order-1`` must be
-        present; higher orders are not touched.
+        Coefficient blocks of W, one column per monomial
+        (:mod:`ssmkit.multiindex`): ``w_blocks[q]`` has shape
+        ``(n_states, C(nvars+q-1, q))``. Orders ``1 .. order-1`` must
+        be present; higher orders are not touched.
     order : int
         The collected degree i (>= 2).
     nvars : int
@@ -306,25 +330,23 @@ def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
     Returns
     -------
     ndarray
-        Dense ``(nrows, nvars**order)`` block.
+        Complex ``(nrows, C(nvars+order-1, order))`` block.
 
     Notes
     -----
-    The collected term is ``sum_j F_j sum_{|q|=order} W_{q_1} (x) ...
-    (x) W_{q_j}`` over ordered positive integer compositions q. Only the
-    rows of the W blocks selected by the sparse F entries enter, and
-    entries that share an ordered factor tuple share its row-Kronecker
-    product, so each (F_j, q) pair costs ``ntuples(F_j) * nvars**order``
-    multiplies into one preallocated block K (one row per tuple), and
-    one CSR product ``out += S_j @ K`` with ``S_j`` the entries of F_j
-    (row, tuple, value) in storage order. Each output row is summed
-    from zero in (F_j, q, storage) order, which is the order an
-    entry-by-entry ``np.add.at`` scatter adds in, so the result has
-    the same bits; a product per term added into ``out`` afterwards
-    would re-associate those sums. ``S_j`` is complex even for real F:
-    the product then multiplies by an exact zero imaginary part, where
-    a real ``S_j`` over split real and imaginary parts could be fused
-    into one rounding of ``y + v * K``.
+    The collected term is ``S_j`` times the order-``order``
+    coefficients of the products ``W(p)_(t_1) ... W(p)_(t_j)``, one per
+    distinct sorted factor tuple t of F_j, with ``S_j`` the stored
+    entries of F_j over those tuples (``PolyCoeffs.monomials``). The
+    products come slot by slot: the partial product of the first ``s``
+    factors is kept at the orders ``s .. order - (j - s)`` that can
+    still reach ``order``, and each next factor multiplies it order by
+    order, a product of two coefficient tables costing one product per
+    pair of monomials. Only
+    the rows of W that the tuples name enter, and each output row is
+    summed from zero over its stored entries in storage order, which
+    keeps the cancellation of an expanded FE force law accurate (see
+    ``PolyCoeffs.monomials``).
     """
     for q in range(1, order):
         if q not in w_blocks:
@@ -336,61 +358,96 @@ def compose(f_coeffs, w_blocks, order, nvars, nrows=None):
         nrows = f_coeffs[0].nrows
     if any(fj.nrows != nrows for fj in f_coeffs):
         raise ValidationError("compose needs F pieces of %d rows" % nrows)
-    ncols = nvars**order
-    # flat buffers: the kernel writes into a copy of a non-contiguous
-    # output, which would lose the sums
-    out = np.zeros(nrows * ncols, dtype=complex)
+    ncols = math.comb(nvars + order - 1, order)
+    out = np.zeros((nrows, ncols), dtype=complex)
     for fj in f_coeffs:
         j = fj.degree
         if j > order or fj.nnz == 0:
             continue
-        tuples, indptr, index = _csr(fj)
-        values = fj.values.astype(complex)
-        K = np.empty(tuples.shape[1] * ncols, dtype=complex)
-        for q in compositions(order, j):
-            _row_kron([w_blocks[q[slot]][tuples[slot]] for slot in range(j)],
-                      K.reshape(tuples.shape[1], ncols))
-            csr_matvecs(nrows, tuples.shape[1], ncols, indptr, index, values,
-                        K, out)
-    return out.reshape(nrows, ncols)
+        tuples, indptr, index, values = fj.monomials
+
+        def factor(slot, q):
+            """The order-q coefficients of the slot's factor, per tuple."""
+            return w_blocks[q][tuples[slot]].T
+
+        partial = {q: factor(0, q) for q in range(1, order - j + 2)}
+        for slot in range(1, j):
+            targets = ([order] if slot == j - 1
+                       else range(slot + 1, order - j + slot + 2))
+            grown = {}
+            for q in targets:
+                acc = grown[q] = np.zeros(
+                    (math.comb(nvars + q - 1, q), tuples.shape[1]), complex)
+                for a in range(slot, q):
+                    _multiply_into(acc, partial[a], factor(slot, q - a),
+                                   a, q - a, nvars)
+            partial = grown
+        K = np.ascontiguousarray(partial[order].T)
+        csr_matvecs(nrows, tuples.shape[1], ncols, indptr, index,
+                    values.astype(complex), K, out)
+    return out
 
 
 def apply_kron_sum(r_block, w_block, order, w_order, nvars):
     """
-    Apply the Kronecker-sum factor to a coefficient block:
-    ``W_j * sum_{k=1..j} I^(x)(k-1) (x) R_{i-j+1} (x) I^(x)(j-k)``
-    without materializing the ``nvars**j x nvars**i`` operator.
+    Coefficients of ``DW_j(p) R_r(p)``, ``j = w_order`` and
+    ``r = order - j + 1``, the order-``order`` cross term of the
+    invariance equation: ``p^alpha`` differentiates to
+    ``sum_k alpha_k p^(alpha - e_k)``, and its k-th term times
+    ``R_r(p)_k`` lands on the monomials ``alpha - e_k + beta``.
 
     Parameters
     ----------
     r_block : ndarray
-        Dense ``(nvars, nvars**(order - w_order + 1))`` reduced-dynamics
-        block R of order ``order - w_order + 1``.
+        ``(nvars, C(nvars+r-1, r))`` reduced-dynamics block R_r.
     w_block : ndarray
-        Dense ``(n_states, nvars**w_order)`` manifold block W_j.
+        ``(n_states, C(nvars+j-1, j))`` manifold block W_j.
     order : int
         Target collected order i.
     w_order : int
-        The order j of ``w_block`` (number of insertion slots).
+        The order j of ``w_block``.
     nvars : int
         Number of manifold variables m.
 
     Returns
     -------
     ndarray
-        Dense ``(n_states, nvars**order)`` contribution.
+        ``(n_states, C(nvars+order-1, order))`` contribution: ``W_j``
+        times the small ``(C(m+j-1, j), C(m+i-1, i))`` matrix of the
+        operator, which is built first.
     """
-    m = nvars
-    j = w_order
+    m, j = nvars, w_order
     r_order = order - j + 1
-    if r_block.shape != (m, m**r_order):
+    want = (m, math.comb(m + r_order - 1, r_order))
+    if r_block.shape != want:
         raise ValidationError("R block has shape %r, expected %r"
-                              % (r_block.shape, (m, m**r_order)))
-    n = w_block.shape[0]
-    out = np.zeros((n, m**order), dtype=np.result_type(r_block, w_block, complex))
-    for k in range(j):
-        wt = w_block.reshape(n, m**k, m, m**(j - k - 1))
-        # contract the slot-k variable of W with the row index of R
-        term = np.einsum("npsq,sm->npmq", wt, r_block.reshape(m, m**r_order))
-        out += term.reshape(n, m**order)
-    return out
+                              % (r_block.shape, want))
+    rows, cols, modes = _cross_index(j, r_order, m)
+    vals = r_block[modes].reshape(-1)
+    ncols = math.comb(m + order - 1, order)
+    flat = (rows[:, None] * ncols + cols).reshape(-1)
+    size = w_block.shape[1] * ncols
+    op = np.bincount(flat, vals.real, size) + 1j * np.bincount(
+        flat, vals.imag, size)
+    return w_block @ op.reshape(w_block.shape[1], ncols)
+
+
+@functools.lru_cache(maxsize=256)
+def _cross_index(j, r, nvars):
+    """
+    ``(rows, cols, modes)`` of the operator of :func:`apply_kron_sum`:
+    removing factor slot s from a degree-``j`` tuple alpha leaves
+    alpha - e_k with k the removed factor, and each degree-``r`` tuple
+    beta then adds ``R[k, beta]`` at (alpha, position of alpha - e_k +
+    beta); one entry per (slot, alpha), so factor k counts alpha_k
+    times.
+    """
+    factors = MultiIndexSet(j, nvars).factors
+    rows, cols, modes = [], [], []
+    sums = multiset_sum(j - 1, r, nvars)
+    for s in range(j):
+        lower = tuple_positions(np.delete(factors, s, axis=0), nvars)
+        rows.append(np.arange(factors.shape[1]))
+        cols.append(sums[lower])
+        modes.append(factors[s])
+    return np.concatenate(rows), np.vstack(cols), np.concatenate(modes)

@@ -180,8 +180,7 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0, floor=1e-11):
         # every direction of a radius in one batch, columns of P
         P = r * dirs
         Z = manifold.evaluate(P)
-        lhs = B @ np.einsum("imk,mk->ik", manifold.tangent(P),
-                            manifold.reduced_rhs(P))
+        lhs = B @ manifold.derivative(P, manifold.reduced_rhs(P))
         rhs = A @ Z + system.F_eval(Z)
         res[k] = float(la.norm(lhs - rhs, axis=0).max())
     # residuals at or below the floor measure rounding, not truncation
@@ -215,12 +214,14 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     method : {"adaptive", "trapezoid"}, optional
         "adaptive" is the explicit Runge-Kutta pair of order 8(5,3)
         (DOP853 of Hairer, Norsett & Wanner) with error control; B is
-        factored once per call and every right-hand side is one solve
-        with those factors. "trapezoid" is the fixed-step implicit
-        trapezoidal rule, solved by chord Newton iterations with the
-        constant matrix B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h,
-        factored once per call by ``model.shifted_solver``; it
-        never factors or solves with B.
+        factored once per call, each forcing vector solved with those
+        factors once, and every right-hand side is one solve of
+        ``A z + F(z)`` plus the solved forcing at its phases.
+        "trapezoid" is the fixed-step implicit trapezoidal rule, solved
+        by chord Newton iterations with the constant matrix
+        B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h, factored once
+        per call by ``model.shifted_solver``; it never factors or solves
+        with B.
     dt : float, optional
         Step size, required for "trapezoid"; the span is split into
         the nearest whole number of equal steps h.
@@ -272,12 +273,21 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
 
     if method == "adaptive":
         solveB = factorize(B)[0]
+        if forced:
+            # B^-1 eps f_kappa once per call, the real and imaginary
+            # parts through the same factors, and the rates <kappa, Omega>
+            vectors = eps * np.array([vec for _, vec in system.forcing]).T
+            response = solveB(vectors.real) + 1j * solveB(vectors.imag)
+            rates = np.array([kt for kt, _ in system.forcing], float) @ Om
 
         def rhs(t, z):
-            g = A @ z + system.F_eval(z)
+            g = A @ z
+            for fc in system.F_coeffs:
+                fc.evaluate(z, add_to=g)
+            g = solveB(g)
             if forced:
-                g = g + eps * system.forcing_eval(Om * t)
-            return solveB(g)
+                g += (response @ np.exp(1j * rates * t)).real
+            return g
 
         sol = solve_ivp(rhs, t_span, z0, method="DOP853", rtol=rtol,
                         atol=atol, t_eval=t_eval)

@@ -3,6 +3,7 @@
 import base64
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -21,15 +22,6 @@ from ssmkit.fileio import encode_column
 from ssmkit.multiindex import MultiIndexSet
 from ssmkit.polytensor import PolyCoeffs
 from test_spectrum import csr_chain, plain_pencil
-
-
-def sym_coeff(rom, degree, row, factors):
-    """Total reduced-dynamics coefficient of one monomial, summed over
-    every Kronecker position that spells the same factor multiset."""
-    total = 0.0 + 0.0j
-    for perm in set(itertools.permutations(factors)):
-        total += rom.reduced_coefficient(degree, row, perm)
-    return total
 
 
 def twin_rotor(f_row):
@@ -57,17 +49,18 @@ def manifold_residual(man, p):
 
 def test_center_pair_quadratic_row(lorenz_man3):
     R2 = lorenz_man3.R[2]
-    assert abs(sym_coeff(lorenz_man3, 2, 0, (0, 1)) - 0.5) < 1e-12
-    assert abs(sym_coeff(lorenz_man3, 2, 0, (0, 0))) < 1e-12
-    assert abs(sym_coeff(lorenz_man3, 2, 0, (1, 1))) < 1e-12
+    assert abs(lorenz_man3.reduced_coefficient(2, 0, (0, 1)) - 0.5) < 1e-12
+    assert abs(lorenz_man3.reduced_coefficient(2, 0, (0, 0))) < 1e-12
+    assert abs(lorenz_man3.reduced_coefficient(2, 0, (1, 1))) < 1e-12
     assert np.abs(R2[1]).max() < 1e-12
 
 
 def test_center_pair_cubic_row(lorenz_man3):
-    assert abs(sym_coeff(lorenz_man3, 3, 0, (0, 0, 0)) - (-0.25)) < 1e-10
-    assert abs(sym_coeff(lorenz_man3, 3, 0, (0, 1, 1)) - (-0.125)) < 1e-10
-    assert abs(sym_coeff(lorenz_man3, 3, 0, (0, 0, 1))) < 1e-10
-    assert abs(sym_coeff(lorenz_man3, 3, 0, (1, 1, 1))) < 1e-10
+    R3 = lorenz_man3.reduced_coefficient
+    assert abs(R3(3, 0, (0, 0, 0)) - (-0.25)) < 1e-10
+    assert abs(R3(3, 0, (0, 1, 1)) - (-0.125)) < 1e-10
+    assert abs(R3(3, 0, (0, 0, 1))) < 1e-10
+    assert abs(R3(3, 0, (1, 1, 1))) < 1e-10
     assert np.abs(lorenz_man3.R[3][1]).max() < 1e-10
 
 
@@ -168,8 +161,8 @@ def test_classifier_center_pair_flags_all(lorenz_master):
     _, ms = lorenz_master
     report = classify_resonances(ms, 3)
     assert not report.has_outer()
-    assert report.inner_at(2) == {(p, j) for p in range(4) for j in range(2)}
-    assert report.inner_at(3) == {(p, j) for p in range(8) for j in range(2)}
+    assert report.inner_at(2) == {(p, j) for p in range(3) for j in range(2)}
+    assert report.inner_at(3) == {(p, j) for p in range(4) for j in range(2)}
 
 
 def test_classifier_tight_tolerance_empty(chain_mode2_master):
@@ -188,7 +181,7 @@ def test_classifier_third_harmonic_needs_loose_tolerance():
     # 3 * omega_1 misses omega_3 by about 2.7 percent, well past the
     # default relative tolerance
     assert not report.has_outer()
-    assert len(report.inner_at(3)) == 6
+    assert len(report.inner_at(3)) == 2
     loose = classify_resonances(ms, 3, tol={"rel": 0.05})
     assert loose.has_outer()
 
@@ -289,7 +282,7 @@ def test_outer_resonance_warn_continues_when_consistent():
     with pytest.warns(UserWarning, match="domain of validity"):
         man = compute_manifold(sys, ms, order=3, on_outer="warn")
     assert man.order == 3
-    assert man.W[3].shape == (4, 8)
+    assert man.W[3].shape == (4, 4)
     rng = np.random.default_rng(1)
     for _ in range(3):
         c = (rng.normal() + 1j * rng.normal()) * 1e-3
@@ -554,9 +547,10 @@ def _hand_set_manifold(request):
     W = {i: b.copy() for i, b in man.W.items()}
     R = {i: b.copy() for i, b in man.R.items()}
     W[2][0] = [complex(-0.0, 1e-20), complex(1e300, -0.0),
-               complex(np.inf, 1.0), complex(1.0, -np.inf)]
+               complex(np.inf, 1.0)]
+    W[2][1, 2] = complex(1.0, -np.inf)
     W[3][1, 2] = complex(np.nan, -0.0)
-    R[3][1, 5] = complex(-1e-20, 1e300)
+    R[3][1, 3] = complex(-1e-20, 1e300)
     return ManifoldExpansion(man.system, man.master, man.order, man.style,
                              W, R, man.resonances)
 
@@ -709,7 +703,14 @@ def _extend(arr):
 ])
 def test_load_rejects_malformed_entries(tmp_path, lorenz_man3, block, edit,
                                         message):
-    data = lorenz_man3.to_dict()
+    # the counts in the messages are those of a W3 with six entries:
+    # the five of the expansion and one set by hand
+    W = dict(lorenz_man3.W)
+    W[3] = W[3].copy()
+    W[3][3, 3] = 0.5
+    data = ManifoldExpansion(lorenz_man3.system, lorenz_man3.master, 3,
+                             lorenz_man3.style, W, lorenz_man3.R,
+                             None).to_dict()
     edit(data[block[0]][block[1:]])
     with pytest.raises(ValidationError, match=message):
         ManifoldExpansion.from_dict(data)
@@ -751,13 +752,58 @@ def test_load_rejects_a_master_that_does_not_fit(edit, message):
         ManifoldExpansion.from_dict(data)
 
 
-def test_coefficient_accessors_index_kron_columns(lorenz_man3):
+def test_coefficient_accessors_accept_any_order(lorenz_man3,
+                                               chain_mode2_man5):
     mis = MultiIndexSet(2, 2)
-    pos = mis.position((0, 1))
-    assert (lorenz_man3.reduced_coefficient(2, 0, (0, 1))
-            == lorenz_man3.R[2][0, pos])
+    assert (lorenz_man3.reduced_coefficient(2, 0, (1, 0))
+            == lorenz_man3.R[2][0, mis.position((0, 1))])
     assert (lorenz_man3.coefficient(2, 3, (1, 1))
             == lorenz_man3.W[2][3, mis.position((1, 1))])
+    man = chain_mode2_man5
+    for degree in range(1, 6):
+        for idx in MultiIndexSet(degree, 2).tuples():
+            for perm in set(itertools.permutations(idx)):
+                assert (man.coefficient(degree, 4, perm)
+                        == man.coefficient(degree, 4, idx))
+                assert (man.reduced_coefficient(degree, 1, perm)
+                        == man.reduced_coefficient(degree, 1, idx))
+
+
+@pytest.mark.parametrize("count, order", [(2, 7), (4, 5)])
+def test_blocks_hold_one_column_per_monomial(chain10_forced, count, order):
+    master = master_spectrum(chain10_forced,
+                             select={"mode": "smallest", "count": count},
+                             n_outer=8)
+    man = compute_manifold(chain10_forced, master, order, style="graph")
+    for i in range(1, order + 1):
+        assert man.W[i].shape == (man.N, math.comb(count + i - 1, i))
+        assert man.R[i].shape == (count, math.comb(count + i - 1, i))
+
+
+def test_permuted_tuples_load_as_their_sum(lorenz_man3):
+    # files that kept every ordering of a monomial in its own entry
+    data = lorenz_man3.to_dict()
+    entry = data["W"]["3"]
+    factors = np.frombuffer(base64.b64decode(entry["factors"]),
+                            "<i4").reshape(3, -1)
+    values = np.frombuffer(base64.b64decode(entry["values"]), "<c16")
+    rows = np.frombuffer(base64.b64decode(entry["rows"]), "<i4")
+    # split each value whose tuple has a second ordering into two parts
+    rolled = np.roll(factors, 1, axis=0)
+    two = (rolled != factors).any(axis=0)
+    assert two.sum() >= 2
+    split = {"count": entry["count"] + int(two.sum()),
+             "rows": encode_column(np.concatenate([rows, rows[two]]), "<i4"),
+             "factors": encode_column(np.hstack([factors, rolled[:, two]]),
+                                      "<i4"),
+             "values": encode_column(np.concatenate(
+                 [np.where(two, 0.25, 1.0) * values, 0.75 * values[two]]),
+                 "<c16")}
+    data["W"]["3"] = split
+    back = ManifoldExpansion.from_dict(data)
+    want = lorenz_man3.W[3]
+    assert np.abs(back.W[3] - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.array_equal(back.W[2], lorenz_man3.W[2])
 
 
 def test_compute_manifold_validates_arguments(lorenz_master):

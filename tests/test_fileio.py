@@ -11,7 +11,7 @@ from ssmkit import (MechanicalSystem, FirstOrderSystem, as_first_order,
                     save_system)
 from ssmkit.errors import ValidationError
 from ssmkit.fileio import read_tensor_text, write_tensor_text
-from ssmkit.multiindex import MultiIndexSet
+from ssmkit.multiindex import encode_positions
 from ssmkit.polytensor import PolyCoeffs
 
 
@@ -19,7 +19,7 @@ def reference_read(path, nrows, nvars):
     """
     The per-line reader that the one-pass parse replaced, kept as the
     reference: Python's int and float on each field, and
-    MultiIndexSet.position on each index tuple.
+    the Kronecker position of each index tuple.
     """
     rows, positions, values = [], [], []
     degree = None
@@ -31,11 +31,10 @@ def reference_read(path, nrows, nvars):
             parts = body.split()
             if degree is None:
                 degree = len(parts) - 2
-                iset = MultiIndexSet(degree, nvars)
             assert len(parts) == degree + 2
             rows.append(int(parts[0]) - 1)
-            positions.append(
-                iset.position(tuple(int(p) - 1 for p in parts[1:-1])))
+            idx = [[int(p) - 1] for p in parts[1:-1]]
+            positions.append(int(encode_positions(idx, nvars)[0]))
             values.append(float(parts[-1]))
     return PolyCoeffs(degree, nrows, nvars, rows, positions, values)
 

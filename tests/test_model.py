@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from ssmkit import (MechanicalSystem, FirstOrderSystem, build_first_order,
                     as_first_order, oscillator_chain, lorenz_extended,
                     cosine_forcing)
+from ssmkit import model
 from ssmkit.errors import NumericalError, ValidationError
 from ssmkit.model import left_vectors
 from ssmkit.polytensor import PolyCoeffs
@@ -253,7 +254,8 @@ def test_complex_nonlinearity_rejected():
 
 
 def test_sparse_lift_past_the_position_capacity():
-    # (2n)**3 = 5.1e14 positions for the lifted cubic, past MAX_POSITIONS
+    # (2n)**3 = 5.1e14 Kronecker positions for the lifted cubic, far past
+    # what a dense block could hold
     n = 4 * 10**4
     eye = sp.identity(n, format="csr")
     cubic = PolyCoeffs.from_entries(3, n, n, [(0, (0, 0, 0), 2.0),
@@ -291,6 +293,42 @@ def test_left_vectors_refuse_an_exactly_singular_factor(conv):
     V = np.array([[1.0], [0.0]], dtype=complex)
     with pytest.raises(NumericalError, match="singular at the eigenvalue 0j"):
         left_vectors(sys, V, np.zeros(1, dtype=complex))
+
+
+@pytest.mark.parametrize("lifted", [True, False], ids=["mech", "plain"])
+def test_left_vectors_solve_once_per_conjugate_pair(monkeypatch, lifted):
+    mech = oscillator_chain(6, c=0.05)
+    C = mech.C.copy()
+    C[0, 1] += 0.02
+    lift = build_first_order(MechanicalSystem(mech.M, C, mech.K))
+    sys = lift if lifted else FirstOrderSystem(lift.A, lift.B)
+    w, vecs = la.eig(*sys.dense_pencil())
+    upper = np.flatnonzero(w.imag > 0)[:2]
+    # two pairs, the second with its negative member first
+    lambdas = np.array([w[upper[0]], w[upper[0]].conjugate(),
+                        w[upper[1]].conjugate(), w[upper[1]]])
+    V = np.column_stack([vecs[:, upper[0]], vecs[:, upper[0]].conj(),
+                         vecs[:, upper[1]].conj(), vecs[:, upper[1]]])
+    calls = []
+    real_factorize = model.factorize
+
+    def counting(mat):
+        calls.append(mat)
+        return real_factorize(mat)
+    monkeypatch.setattr(model, "factorize", counting)
+    U = left_vectors(sys, V, lambdas)
+    assert len(calls) == 2
+    assert U[:, 1].tobytes() == U[:, 0].conj().tobytes()
+    assert U[:, 2].tobytes() == U[:, 3].conj().tobytes()
+    # each solved column has the bits of its own solve
+    for k in (0, 3):
+        alone = left_vectors(sys, V[:, k:k + 1], lambdas[k:k + 1])
+        assert alone.tobytes() == U[:, k:k + 1].tobytes()
+    A, B = sys.dense_pencil()
+    for k in range(4):
+        u = U[:, k]
+        resid = A.conj().T @ u - lambdas[k].conjugate() * (B.conj().T @ u)
+        assert la.norm(resid) <= 1e-10 * la.norm(u) * la.norm(A)
 
 
 def test_as_first_order():

@@ -10,8 +10,8 @@ import pytest
 from ssmkit import build_first_order, oscillator_chain
 from ssmkit.errors import ValidationError
 from ssmkit.multiindex import (MultiIndexSet, decode_positions,
-                               encode_positions)
-from ssmkit.polytensor import PolyCoeffs, compositions, compose, apply_kron_sum
+                               encode_positions, tuple_positions)
+from ssmkit.polytensor import PolyCoeffs, compose, apply_kron_sum
 
 
 def random_poly(degree, nrows, nvars, nnz, seed, complex_values=False):
@@ -185,13 +185,11 @@ def test_from_factors_matches_positions():
     factors = np.array([[1, 0, 1], [2, 0, 2]])
     fc = PolyCoeffs.from_factors(2, 4, 3, [0, 3, 0], factors,
                                  [2.5, -1.0, 0.5])
-    iset = MultiIndexSet(2, 3)
-    ref = PolyCoeffs(2, 4, 3, [0, 3, 0],
-                     [iset.position(idx) for _, idx, _ in entries],
-                     [2.5, -1.0, 0.5])
+    positions = encode_positions(factors, 3)
+    ref = PolyCoeffs(2, 4, 3, [0, 3, 0], positions, [2.5, -1.0, 0.5])
     for name in ("rows", "values", "factors"):
         assert np.array_equal(getattr(fc, name), getattr(ref, name))
-    assert fc.nnz == 2 and fc.to_dense()[0, iset.position((1, 2))] == 3.0
+    assert fc.nnz == 2 and fc.to_dense()[0, positions[0]] == 3.0
 
 
 def test_from_factors_and_entries_validate():
@@ -255,8 +253,8 @@ def test_storage_is_bitwise_the_position_keyed_one(complex_values):
 
 @pytest.mark.parametrize("degree, nvars", [(3, 10**6), (4, 2 * 10**5)])
 def test_blocks_past_the_position_capacity(degree, nvars):
-    # nvars**degree is 1e18 and 1.6e21 positions: far past MAX_POSITIONS,
-    # and at degree 4 past int64
+    # nvars**degree is 1e18 and 1.6e21 positions: far past what a dense
+    # block could hold, and at degree 4 past int64
     nrows, m = 6, 2
     rng = np.random.default_rng(degree)
     factors = rng.integers(0, nvars, (degree, 8))[:, rng.integers(0, 8, 30)]
@@ -272,11 +270,12 @@ def test_blocks_past_the_position_capacity(degree, nvars):
     assert np.array_equal(lifted.evaluate(np.append(z, 3.0)),
                           np.concatenate([np.zeros(nrows), -fc.evaluate(z)]))
     # at order = degree only W_1 enters; the others stay untouched pages
-    w_blocks = {q: np.zeros((nvars, m**q)) for q in range(2, degree)}
+    w_blocks = {q: np.zeros((nvars, MultiIndexSet(q, m).size))
+                for q in range(2, degree)}
     w_blocks[1] = rng.standard_normal((nvars, m))
-    got = compose([fc], w_blocks, degree, m)
-    want = add_at_compose([fc], w_blocks, degree, m, nrows)
-    assert got.tobytes() == want.tobytes()
+    ordered = {q: np.zeros((nvars, m**q)) for q in range(2, degree)}
+    ordered[1] = w_blocks[1]
+    assert_compose_within_rounding([fc], w_blocks, degree, m, nrows, ordered)
 
 
 def test_from_dense_roundtrip():
@@ -292,8 +291,8 @@ def test_relabel_shifts_rows_and_scales():
     assert (row, idx, val) == (3, (0, 1, 1), -2.0)
     # index tuples keep their meaning in the larger variable space
     z = np.array([2.0, 3.0, 9.0])
-    iset = MultiIndexSet(3, 3)
-    assert lifted.to_dense()[3, iset.position((0, 1, 1))] == -2.0
+    pos = encode_positions(np.array([[0], [1], [1]]), 3)[0]
+    assert lifted.to_dense()[3, pos] == -2.0
 
 
 def test_relabel_rejects_shrinking():
@@ -311,14 +310,57 @@ def test_validation_errors():
         PolyCoeffs(2, 2, 2, [0, 1], [0], [1.0])
 
 
+def compositions(total, parts):
+    """All ordered tuples of ``parts`` positive integers summing to
+    ``total``: the order splits of the Kronecker-basis oracles."""
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def test_compositions():
     assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
     assert list(compositions(3, 3)) == [(1, 1, 1)]
     assert list(compositions(2, 3)) == []
 
 
+def fold(block, degree, nvars):
+    """A block over ordered Kronecker positions summed onto its
+    monomials, one column per sorted tuple."""
+    sorted_pos = tuple_positions(
+        decode_positions(np.arange(nvars**degree), degree, nvars), nvars)
+    out = np.zeros((block.shape[0], MultiIndexSet(degree, nvars).size),
+                   dtype=complex)
+    np.add.at(out.T, sorted_pos, block.T)
+    return out
+
+
+def unfold(block, degree, nvars):
+    """The Kronecker-position block of the same polynomial: each
+    monomial's coefficient at the position of its sorted tuple."""
+    out = np.zeros((block.shape[0], nvars**degree), dtype=block.dtype)
+    out[:, encode_positions(MultiIndexSet(degree, nvars).factors,
+                            nvars)] = block
+    return out
+
+
+def sorted_blocks(rng, nstates, nvars, orders, complex_w=True):
+    blocks = {}
+    for q in orders:
+        shape = (nstates, MultiIndexSet(q, nvars).size)
+        blocks[q] = rng.standard_normal(shape)
+        if complex_w:
+            blocks[q] = blocks[q] + 1j * rng.standard_normal(shape)
+    return blocks
+
+
 def dense_compose_oracle(f_coeffs, w_blocks, order, nvars, nrows):
-    """Collect F(W(p)) at one degree by brute-force Kronecker products."""
+    """Collect F(W(p)) at one degree by brute-force Kronecker products
+    of Kronecker-position blocks."""
     out = np.zeros((nrows, nvars**order), dtype=complex)
     for fj in f_coeffs:
         j = fj.degree
@@ -334,21 +376,23 @@ def dense_compose_oracle(f_coeffs, w_blocks, order, nvars, nrows):
 def test_compose_matches_dense_oracle():
     nvars, nstates = 2, 4
     rng = np.random.default_rng(42)
-    w_blocks = {q: rng.standard_normal((nstates, nvars**q))
-                + 1j * rng.standard_normal((nstates, nvars**q))
-                for q in (1, 2, 3)}
+    w_blocks = sorted_blocks(rng, nstates, nvars, (1, 2, 3))
+    ordered = {q: unfold(b, q, nvars) for q, b in w_blocks.items()}
     f_coeffs = [random_poly(2, nstates, nstates, 10, seed=2, complex_values=True),
                 random_poly(3, nstates, nstates, 10, seed=3, complex_values=True)]
     for order in (2, 3, 4):
         got = compose(f_coeffs, w_blocks, order, nvars)
-        want = dense_compose_oracle(f_coeffs, w_blocks, order, nvars, nstates)
+        want = fold(dense_compose_oracle(f_coeffs, ordered, order, nvars,
+                                         nstates), order, nvars)
+        assert got.shape == (nstates, MultiIndexSet(order, nvars).size)
         assert np.allclose(got, want)
 
 
 def add_at_compose(f_coeffs, w_blocks, order, nvars, nrows):
     """
-    Reference composition: a row-Kronecker product for every stored
-    entry, scaled by its value and scattered with ``np.add.at``.
+    Reference composition over Kronecker positions: a row-Kronecker
+    product for every stored entry, scaled by its value and scattered
+    with ``np.add.at``.
     """
     out = np.zeros((nrows, nvars**order), dtype=complex)
     for fj in f_coeffs:
@@ -363,6 +407,31 @@ def add_at_compose(f_coeffs, w_blocks, order, nvars, nrows):
                     kron.shape[0], -1)
             np.add.at(out, fj.rows, fj.values[:, None] * kron)
     return out
+
+
+def assert_compose_within_rounding(f_coeffs, w_blocks, order, nvars, nrows,
+                                   ordered=None):
+    """
+    ``compose`` on the monomial blocks against the folded scatter on the
+    Kronecker-position blocks of the same polynomials, within 1e-13 of
+    the scatter of the absolute values: a bound on the rounding of the
+    sums of products whatever their order.
+    """
+    if ordered is None:
+        ordered = {q: unfold(b, q, nvars) for q, b in w_blocks.items()}
+    got = compose(f_coeffs, w_blocks, order, nvars, nrows=nrows)
+    want = fold(add_at_compose(f_coeffs, ordered, order, nvars, nrows),
+                order, nvars)
+    magnitudes = [PolyCoeffs.from_factors(fj.degree, fj.nrows, fj.nvars,
+                                          fj.rows, fj.factors,
+                                          np.abs(fj.values))
+                  for fj in f_coeffs]
+    scale = fold(add_at_compose(magnitudes, {q: np.abs(b) for q, b
+                                             in ordered.items()},
+                                order, nvars, nrows), order, nvars).real
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-13 * scale).all()
+    return got
 
 
 def shared_tuple_poly(degree, nrows, nvars, nnz, seed, complex_values=False):
@@ -391,62 +460,60 @@ def test_distinct_factors_are_built_on_first_use():
 
 
 @pytest.mark.parametrize("complex_w", [False, True])
-def test_compose_is_bitwise_the_add_at_scatter(complex_w):
+def test_compose_matches_the_folded_scatter(complex_w):
     nvars, nstates = 2, 7
     rng = np.random.default_rng(11)
-    w_blocks = {}
-    for q in (1, 2, 3, 4):
-        w_blocks[q] = rng.standard_normal((nstates, nvars**q))
-        if complex_w:
-            w_blocks[q] = w_blocks[q] + 1j * rng.standard_normal(
-                (nstates, nvars**q))
+    w_blocks = sorted_blocks(rng, nstates, nvars, (1, 2, 3, 4), complex_w)
     w_blocks[3] = np.zeros_like(w_blocks[3])
     f_coeffs = [shared_tuple_poly(2, nstates, nstates, 30, seed=2),
                 PolyCoeffs(3, nstates, nstates, [], [], []),
                 random_poly(3, nstates, nstates, 40, seed=3),
                 shared_tuple_poly(3, nstates, nstates, 50, seed=4)]
     for order in (2, 3, 4, 5):
-        got = compose(f_coeffs, w_blocks, order, nvars)
-        want = add_at_compose(f_coeffs, w_blocks, order, nvars, nstates)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert_compose_within_rounding(f_coeffs, w_blocks, order, nvars,
+                                       nstates)
         linear = compose([], w_blocks, order, nvars, nrows=nstates)
-        assert linear.tobytes() == add_at_compose(
-            [], w_blocks, order, nvars, nstates).tobytes()
+        assert linear.dtype == complex and not linear.any()
 
 
 def test_compose_of_complex_f_agrees_to_rounding():
-    # complex F is refused by the systems, and the complex product may
-    # round differently from numpy's
+    # complex F is refused by the systems, yet compose takes it
     nvars, nstates = 2, 6
     rng = np.random.default_rng(12)
-    w_blocks = {q: rng.standard_normal((nstates, nvars**q))
-                + 1j * rng.standard_normal((nstates, nvars**q))
-                for q in (1, 2, 3)}
+    w_blocks = sorted_blocks(rng, nstates, nvars, (1, 2, 3))
     f_coeffs = [shared_tuple_poly(2, nstates, nstates, 30, seed=5,
                                   complex_values=True),
                 shared_tuple_poly(3, nstates, nstates, 30, seed=6,
                                   complex_values=True)]
     for order in (2, 3, 4):
-        got = compose(f_coeffs, w_blocks, order, nvars)
-        want = add_at_compose(f_coeffs, w_blocks, order, nvars, nstates)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert_compose_within_rounding(f_coeffs, w_blocks, order, nvars,
+                                       nstates)
+
+
+def test_compose_over_four_variables_agrees_to_rounding():
+    nvars, nstates = 4, 5
+    rng = np.random.default_rng(13)
+    w_blocks = sorted_blocks(rng, nstates, nvars, (1, 2, 3, 4))
+    f_coeffs = [random_poly(2, nstates, nstates, 12, seed=7),
+                shared_tuple_poly(3, nstates, nstates, 30, seed=8)]
+    for order in (2, 3, 4, 5):
+        assert_compose_within_rounding(f_coeffs, w_blocks, order, nvars,
+                                       nstates)
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6, 7])
 def test_compose_peak_memory_is_no_higher_than_the_scatter(order):
     # the lifted cubic of a 40-mass chain: each spring's tuples serve
-    # both of its masses
+    # both of its masses; each gets the blocks of its own basis
     system = build_first_order(oscillator_chain(40))
     rng = np.random.default_rng(order)
-    w_blocks = {q: rng.standard_normal((system.N, 2**q))
-                + 1j * rng.standard_normal((system.N, 2**q))
-                for q in range(1, order)}
+    w_blocks = sorted_blocks(rng, system.N, 2, range(1, order))
+    ordered = {q: unfold(b, q, 2) for q, b in w_blocks.items()}
     peaks = []
-    for fn in (compose, add_at_compose):
+    for fn, blocks in ((compose, w_blocks), (add_at_compose, ordered)):
         tracemalloc.start()
         try:
-            fn(system.F_coeffs, w_blocks, order, 2, system.N)
+            fn(system.F_coeffs, blocks, order, 2, system.N)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -475,7 +542,6 @@ def test_compose_needs_nrows_for_linear_systems():
 def dense_kron_sum_operator(r_block, j, nvars):
     """The operator sum_k I^(x)(k-1) (x) R (x) I^(x)(j-k), materialized."""
     m = nvars
-    r_order = r_block.shape[1]
     out = None
     for k in range(j):
         term = np.eye(1)
@@ -487,15 +553,17 @@ def dense_kron_sum_operator(r_block, j, nvars):
 
 def test_apply_kron_sum_matches_dense_operator():
     rng = np.random.default_rng(9)
-    m, n = 2, 3
-    for order, j in [(3, 2), (4, 2), (4, 3), (5, 3)]:
+    n = 3
+    for m, order, j in [(2, 3, 2), (2, 4, 2), (2, 4, 3), (2, 5, 3),
+                        (3, 4, 2), (4, 5, 3)]:
         r_order = order - j + 1
-        R = rng.standard_normal((m, m**r_order)) \
-            + 1j * rng.standard_normal((m, m**r_order))
-        W = rng.standard_normal((n, m**j)) + 1j * rng.standard_normal((n, m**j))
+        R = sorted_blocks(rng, m, m, (r_order,))[r_order]
+        W = sorted_blocks(rng, n, m, (j,))[j]
         got = apply_kron_sum(R, W, order, j, m)
-        want = W @ dense_kron_sum_operator(R, j, m)
-        assert np.allclose(got, want)
+        want = fold(unfold(W, j, m) @ dense_kron_sum_operator(
+            unfold(R, r_order, m), j, m), order, m)
+        assert got.shape == (n, MultiIndexSet(order, m).size)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_apply_kron_sum_shape_check():

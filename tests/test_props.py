@@ -1,6 +1,7 @@
 """Property tests for the algebraic identities the solver leans on."""
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg as la
@@ -13,6 +14,14 @@ from ssmkit.multiindex import (MultiIndexSet, conjugate_permutation,
                                kron_sum_lambdas)
 from ssmkit.polytensor import PolyCoeffs
 from ssmkit.spectrum import MasterSubspace
+
+
+def orderings(mis):
+    """The number of distinct orderings of each sorted tuple of ``mis``."""
+    return np.array([math.factorial(mis.degree)
+                     // math.prod(math.factorial(t.count(k)) for k in set(t))
+                     for t in mis.tuples()])
+
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
                    allow_infinity=False)
@@ -43,7 +52,9 @@ def test_kron_sum_matches_dense_operator(degree, diag, seed):
             term = np.kron(term, R if slot == k else eye)
         op = op + term
     want = la.eigvals(op)
-    got = kron_sum_lambdas(lam, degree)
+    # each monomial's sum, once per ordering of its tuple
+    got = np.repeat(kron_sum_lambdas(lam, degree),
+                    orderings(MultiIndexSet(degree, m)))
     cost = np.abs(want[:, None] - got[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() < 1e-10 * max(1.0, np.abs(want).max())
