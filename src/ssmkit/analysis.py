@@ -228,6 +228,9 @@ def physical_amplitude(manifold, rho, psi, dof, nonaut=None, eps=0.0,
     order-eps time-periodic correction when one is supplied. One
     batched evaluation covers every phase and state.
     """
+    if not isinstance(n_phases, numbers.Integral) or n_phases < 1:
+        raise ValidationError("n_phases must be an integer >= 1, got %r"
+                              % (n_phases,))
     rows = np.array([_dof_index(d, manifold.N) for d in np.atleast_1d(dof)],
                     dtype=np.int64)
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
@@ -259,7 +262,7 @@ def backbone(manifold, rho_max, n=40, dof=0, n_phases=128,
     dof : int, optional
         State index reported in the amplitude column.
     n_phases : int, optional
-        Phase resolution of the amplitude lift.
+        Phase resolution of the amplitude lift (>= 1).
     conservative_rtol : float, optional
         How close Re(lambda) must be to zero, relative to |lambda|.
 
@@ -410,6 +413,7 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
         Harmonic multiple resonant with the pair. Autodetected from
         the grid midpoint among 1..3 when omitted.
     n_phases : int, optional
+        Phase resolution of the amplitude lift (>= 1).
     tol : dict, optional
         Resonance tolerance forwarded to the forcing solve.
 

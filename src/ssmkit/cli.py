@@ -70,7 +70,7 @@ DEFAULTS = {
     },
     "verify": {
         "radii": [0.1, 0.0631, 0.0398, 0.0251, 0.0158, 0.01],
-        "n_dirs": 16, "seed": 0, "floor": 1e-11, "output": None,
+        "n_dirs": 16, "seed": 0, "output": None,
     },
 }
 
@@ -295,8 +295,7 @@ def _cmd_verify(cfg):
     vcfg = cfg["verify"]
     report = invariance_residual(manifold, vcfg["radii"],
                                  n_dirs=int(vcfg["n_dirs"]),
-                                 seed=int(vcfg["seed"]),
-                                 floor=float(vcfg["floor"]))
+                                 seed=int(vcfg["seed"]))
     for line in report.describe():
         print(line)
     if vcfg["output"]:

@@ -62,8 +62,8 @@ from .spectrum import MasterSubspace
 
 __all__ = [
     "ResonanceReport", "classify_resonances", "resonance_tolerance",
-    "is_resonant", "solve_shifted", "solve_order", "compute_manifold",
-    "ManifoldExpansion",
+    "is_resonant", "check_style", "solve_shifted", "solve_order",
+    "compute_manifold", "ManifoldExpansion",
 ]
 
 STYLES = ("normal-form", "graph", "per-mode")
@@ -357,6 +357,20 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
     return W_i, R_i, info
 
 
+def check_style(style, graph_modes, dim):
+    """
+    Refuse a style outside ``STYLES``, and under "per-mode" a graph
+    mode outside the ``dim`` master modes.
+    """
+    if style not in STYLES:
+        raise ValidationError("style must be one of %r" % (STYLES,))
+    if style == "per-mode":
+        for g in graph_modes:
+            if not 0 <= int(g) < dim:
+                raise ValidationError("graph mode %r outside 0..%d"
+                                      % (g, dim - 1))
+
+
 def compute_manifold(system, master, order, style="normal-form",
                      graph_modes=(), tol=None, on_outer=None):
     """
@@ -391,15 +405,9 @@ def compute_manifold(system, master, order, style="normal-form",
         eigenvalue outside the master set.
     """
     system = as_first_order(system)
-    if style not in STYLES:
-        raise ValidationError("style must be one of %r" % (STYLES,))
+    check_style(style, graph_modes, master.dim)
     if order < 1:
         raise ValidationError("order must be >= 1")
-    if style == "per-mode":
-        for g in graph_modes:
-            if not 0 <= int(g) < master.dim:
-                raise ValidationError("graph mode %r outside 0..%d"
-                                      % (g, master.dim - 1))
     report = classify_resonances(master, order, tol)
     if on_outer is None:
         on_outer = "error" if style == "normal-form" else "warn"

@@ -45,7 +45,8 @@ import warnings
 
 import numpy as np
 
-from .cohomology import is_resonant, resonance_tolerance, solve_shifted
+from .cohomology import (check_style, is_resonant, resonance_tolerance,
+                         solve_shifted)
 from .errors import NumericalError, ValidationError
 from .model import as_first_order, shifted_route
 
@@ -156,7 +157,8 @@ def leading_order(system, master, Omega, style="normal-form",
         Base frequency for each harmonic index slot.
     style : {"normal-form", "graph", "per-mode"}, optional
     graph_modes : sequence of int, optional
-        Per-mode style: modes always projected.
+        Per-mode style: master modes always projected, each in
+        0 .. M - 1.
     tol : dict, optional
         Same keys as the resonance classifier ("rel", "slack", "abs").
     resonant_modes : dict, optional
@@ -171,8 +173,7 @@ def leading_order(system, master, Omega, style="normal-form",
     system = as_first_order(system)
     if not system.forcing:
         raise ValidationError("system declares no forcing harmonics")
-    if style not in ("normal-form", "graph", "per-mode"):
-        raise ValidationError("style must be normal-form, graph or per-mode")
+    check_style(style, graph_modes, master.dim)
     Omega = np.atleast_1d(np.asarray(Omega, dtype=float))
     lam = master.lambdas
     M = master.dim

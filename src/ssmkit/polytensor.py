@@ -256,6 +256,21 @@ class PolyCoeffs:
                         indptr, index, values, monomials, add_to)
         return add_to
 
+    def absolute(self):
+        """
+        The polynomial with every stored value replaced by its absolute
+        value, sharing this one's factor tables and monomial plan, so
+        that it costs no sort: ``|F|(|z|)`` bounds the rounding error of
+        ``F(z)`` entry by entry.
+        """
+        tuples, indptr, index, _ = self.monomials
+        out = PolyCoeffs.__new__(PolyCoeffs)._store(
+            self.degree, self.nrows, self.nvars, self.rows, self.factors,
+            np.abs(self.values))
+        out._distinct = self._distinct
+        out._plan = (tuples, indptr, index, out.values)
+        return out
+
     def relabel(self, nrows, nvars, row_offset=0, value_scale=1.0):
         """
         Re-embed into a larger space: same index tuples over ``nvars``

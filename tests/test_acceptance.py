@@ -258,13 +258,6 @@ STATED_RADII = np.logspace(-4, -2, 7)
 # the order-5 truncation term only rises above rounding for rho >~ 3e-2
 TRUNCATION_RADII = np.logspace(-1.5, -1, 7)
 
-# float64 rounding of the residual at these radii: the chain's linear
-# truncation (no nonlinearity, so nothing is truncated) leaves residuals
-# of 5e-17 to 1.6e-16 here. 1e-14 clears that by about two decades, and
-# the upper residuals of both chain orders rise above it. The library
-# default of 1e-11 would call every order-5 residual here zero.
-ROUNDING_FLOOR = 1e-14
-
 
 def _expected_decay_degree(system, order):
     """
@@ -286,11 +279,9 @@ def _expected_decay_degree(system, order):
     return order + 1
 
 
-def _slope_criterion(label, man, budget_start, radii=STATED_RADII,
-                     floor=None):
+def _slope_criterion(label, man, budget_start, radii=STATED_RADII):
     degree = _expected_decay_degree(man.system, man.order)
-    kwargs = {} if floor is None else {"floor": floor}
-    report = invariance_residual(man, radii, **kwargs)
+    report = invariance_residual(man, radii)
     lo, hi = degree - 0.5, degree + 0.5
     # the library derives its band from the same parity rule
     assert report.band == (lo, hi), report.band
@@ -324,8 +315,7 @@ def test_acceptance_5_residual_order_chain_cubic():
     ms = master_spectrum(chain, select={"mode": "pair", "pair": 2},
                          n_outer=8)
     man = compute_manifold(chain, ms, order=3)
-    _slope_criterion("5 (chain, order 3)", man, t0,
-                     radii=TRUNCATION_RADII, floor=ROUNDING_FLOOR)
+    _slope_criterion("5 (chain, order 3)", man, t0, radii=TRUNCATION_RADII)
 
 
 def test_acceptance_5_residual_order_chain_quintic():
@@ -334,8 +324,7 @@ def test_acceptance_5_residual_order_chain_quintic():
     ms = master_spectrum(chain, select={"mode": "pair", "pair": 2},
                          n_outer=8)
     man = compute_manifold(chain, ms, order=5)
-    _slope_criterion("5 (chain, order 5)", man, t0,
-                     radii=TRUNCATION_RADII, floor=ROUNDING_FLOOR)
+    _slope_criterion("5 (chain, order 5)", man, t0, radii=TRUNCATION_RADII)
 
 
 def test_acceptance_6_eigenvalue_sum_propositions():

@@ -155,18 +155,22 @@ def test_verify_cli_passes_in_the_asymptotic_window(capsys, monkeypatch,
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
     assert 3.5 <= report["slope"] <= 4.5
+    # one rounding floor per radius, each under its residual here
+    assert len(report["floor"]) == len(report["radii"]) == 4
+    assert all(0.0 < f < v for f, v in zip(report["floor"],
+                                           report["residuals"]))
 
 
 def test_verify_cli_flags_an_off_band_slope(capsys, monkeypatch, tmp_path):
-    # with the floor pushed below rounding, the order-5 chain residuals on
-    # 1e-4..1e-2 grow like rho**1 from round-off, far off the band around
-    # degree 7, which the verify command treats as a failure
+    # with the cubic springs 10^5 times stiffer, the default radii lie
+    # outside the asymptotic window of the order-5 expansion: the terms
+    # it omits dominate, and the residual decays like rho**12.6, far off
+    # the band around degree 7, which the verify command treats as a
+    # failure
     monkeypatch.chdir(tmp_path)
-    argv = ["verify", "--system.builtin", "chain",
+    argv = ["verify", "--system.builtin", "chain", "--system.kappa", "3e4",
             "--ssm.select.pair", "2", "--ssm.order", "5",
-            "--ssm.n_outer", "8",
-            "--verify.radii", "[0.0001,0.000316,0.001,0.00316,0.01]",
-            "--verify.floor", "1e-20"]
+            "--ssm.n_outer", "8"]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert "expected band [6.5, 7.5]" in captured.out
@@ -223,6 +227,27 @@ def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
     bad.write_text("{not json")
     assert main(["ssm", "--config", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_empty_samples_exit_with_code_2(capsys, tmp_path):
+    # each count sizes a sample whose largest value the command reports
+    chain = ["--system.builtin", "chain", "--ssm.select.pair", "2",
+             "--ssm.order", "3", "--ssm.n_outer", "8"]
+    assert main(["verify"] + chain + ["--verify.n_dirs", "0"]) == 2
+    assert "n_dirs must be an integer >= 1" in capsys.readouterr().err
+    assert main(["frc"] + chain + [
+        "--system.forcing_amplitude", FORCING, "--system.eps", "0.05",
+        "--frc.omega", "[0.6158]", "--frc.n_phases", "0",
+        "--frc.output_csv", str(tmp_path / "frc.csv")]) == 2
+    assert "n_phases must be an integer >= 1" in capsys.readouterr().err
+    assert main(["backbone", "--system.builtin", "chain", "--system.n", "1",
+                 "--system.c", "0.0", "--ssm.select.pair", "1",
+                 "--ssm.n_outer", "0", "--backbone.n_phases", "0",
+                 "--backbone.output_csv", str(tmp_path / "bb.csv")]) == 2
+    assert "n_phases must be an integer >= 1" in capsys.readouterr().err
+    # the check works out its rounding floor and takes none
+    assert main(["verify"] + chain + ["--verify.floor", "1e-11"]) == 2
+    assert "unknown config key 'verify.floor'" in capsys.readouterr().err
 
 
 def test_argparse_level_errors(capsys):

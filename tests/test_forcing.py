@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from ssmkit import (FirstOrderSystem, ValidationError, as_first_order,
-                    build_first_order, leading_order, master_spectrum,
-                    oscillator_chain)
+                    build_first_order, compute_manifold, leading_order,
+                    master_spectrum, oscillator_chain)
 from ssmkit.forcing import NonAutonomousLeading
 from test_spectrum import csr_bar, plain_pencil
 
@@ -189,6 +189,19 @@ def test_style_validated(chain10_forced, chain_mode2_master):
     with pytest.raises(ValidationError, match="style must be"):
         leading_order(chain10_forced, chain_mode2_master, 0.6,
                       style="modal")
+
+
+@pytest.mark.parametrize("modes", [[-1], [5]])
+def test_graph_modes_outside_the_master_are_refused(
+        modes, chain10_forced, chain_mode2_master):
+    # M = 2: mode -1 would project onto the last mode and mode 5 would
+    # index past the master; the forced and autonomous solves refuse both
+    with pytest.raises(ValidationError, match="graph mode"):
+        leading_order(chain10_forced, chain_mode2_master, 0.6,
+                      style="per-mode", graph_modes=modes)
+    with pytest.raises(ValidationError, match="graph mode"):
+        compute_manifold(chain10_forced, chain_mode2_master, order=2,
+                         style="per-mode", graph_modes=modes)
 
 
 def test_leading_order_roundtrips_through_dict(chain10_forced,

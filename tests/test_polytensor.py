@@ -295,6 +295,20 @@ def test_relabel_shifts_rows_and_scales():
     assert lifted.to_dense()[3, pos] == -2.0
 
 
+def test_absolute_shares_the_plan_of_its_polynomial():
+    fc = random_poly(3, 5, 4, 30, seed=11)
+    absolute = fc.absolute()
+    # the same tables, no sort: only the values change
+    for shared, own in zip(absolute.monomials[:3], fc.monomials[:3]):
+        assert shared is own
+    assert absolute.distinct_factors is fc.distinct_factors
+    want = PolyCoeffs.from_factors(3, 5, 4, fc.rows, fc.factors,
+                                   np.abs(fc.values))
+    z = np.random.default_rng(3).normal(size=(4, 6))
+    assert np.array_equal(absolute.evaluate(z), want.evaluate(z))
+    assert (np.abs(fc.evaluate(z)) <= absolute.evaluate(np.abs(z))).all()
+
+
 def test_relabel_rejects_shrinking():
     fc = PolyCoeffs.from_entries(2, 2, 3, [(0, (2, 2), 1.0)])
     with pytest.raises(ValidationError):

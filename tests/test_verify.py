@@ -1,25 +1,60 @@
 """Residual decay checks and full-model reference integration."""
 
+import functools
+import importlib.util
+import itertools
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from ssmkit import (FirstOrderSystem, NumericalError, ValidationError,
-                    as_first_order, build_first_order, compute_manifold,
-                    integrate_full, invariance_residual, master_spectrum,
-                    oscillator_chain, steady_state_amplitude)
+from ssmkit import (FirstOrderSystem, MechanicalSystem, NumericalError,
+                    ValidationError, as_first_order, build_first_order,
+                    compute_manifold, integrate_full, invariance_residual,
+                    master_spectrum, oscillator_chain,
+                    steady_state_amplitude)
+from ssmkit.cli import DEFAULTS
 from ssmkit.cohomology import ManifoldExpansion
 from ssmkit.polytensor import PolyCoeffs
-from ssmkit.verify import _symmetric_directions
+from ssmkit.verify import MARGIN, _symmetric_directions
 from test_spectrum import csr_bar, plain_pencil
 
 SPEC_RADII = np.logspace(-4, -2, 7)
+MODELS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "ssmbench", "models.py")
+
+
+def cubic_bar(n, seed):
+    """
+    ``csr_bar`` with the cubic springs of the benchmark's ``fe_bar``:
+    node r feels kappa_h (e_r^3 - e_(r+1)^3), with e_s = x_s - x_(s-1)
+    and kappa_h = 30 / h^3, stored expanded as ``fe_bar`` stores it (16
+    ordered monomials per inner spring) but built without its loop.
+    """
+    bar = csr_bar(n, seed)
+    h = 1.0 / (n + 1)
+    s = np.arange(n + 1)
+    ends = np.stack([s, s - 1])  # spring s joins nodes s and s - 1
+    sign = np.array([1.0, -1.0])
+    # the force node and three factors, each one end of the spring, in
+    # fe_bar's order; a wall end (node -1 or n) drops the entry
+    pick = np.array(list(itertools.product((0, 1), repeat=4))).T
+    nodes = ends[pick].transpose(0, 2, 1).reshape(4, -1)
+    values = np.tile(30.0 / h**3 * sign[pick].prod(axis=0), n + 1)
+    keep = ((nodes >= 0) & (nodes < n)).all(axis=0)
+    f3 = PolyCoeffs.from_factors(3, n, n, nodes[0, keep], nodes[1:, keep],
+                                 values[keep])
+    return MechanicalSystem(bar.M, bar.C, bar.K, [f3], bar.forcing, bar.eps)
 
 
 def test_center_manifold_slope_sits_in_band(lorenz_man3):
     report = invariance_residual(lorenz_man3, SPEC_RADII)
     assert report.expected_order == 3
+    # the r^4 decay reaches 3.6e-17 at r = 1e-4, each residual above its
+    # floor, so the fit takes all seven
+    assert (report.residuals > report.floor).all()
     assert report.slope is not None
     assert 3.5 <= report.slope <= 4.5
     assert report.passed
@@ -28,7 +63,8 @@ def test_center_manifold_slope_sits_in_band(lorenz_man3):
 
 def test_chain_expansion_residuals_hit_rounding(chain_mode2_man5):
     report = invariance_residual(chain_mode2_man5, SPEC_RADII)
-    assert report.residuals.max() <= report.floor
+    assert report.floor.shape == report.radii.shape
+    assert (report.residuals <= report.floor).all()
     assert report.at_floor
     assert report.slope is None
     assert report.passed
@@ -52,22 +88,24 @@ def test_odd_nonlinearity_overshoots_the_generic_band(chain10_forced,
 def test_slope_is_fitted_above_the_floor_only(chain10_forced,
                                               chain_mode2_master):
     man3 = compute_manifold(chain10_forced, chain_mode2_master, order=3)
-    # r = 1e-3..1e-1: two residuals above the floor, seven under it down
-    # to 1.5e-18, where rounding bends the decay; a fit through all nine
-    # reads 4.80
+    # r = 1e-3..1e-1: six residuals above their floors, three under them
+    # down to 1.5e-18, where rounding bends the decay; a fit through all
+    # nine reads 4.80
     report = invariance_residual(man3, np.logspace(-3, -1, 9))
     above = report.residuals > report.floor
-    assert above.sum() == 2
+    assert above.sum() == 6
     want = np.polyfit(np.log(report.radii[above]),
                       np.log(report.residuals[above]), 1)[0]
     assert report.slope == want
     assert abs(report.slope - 5.0) <= 1e-3
-    # one residual above the floor: no fit, and not at the floor either
-    report = invariance_residual(man3, np.logspace(-4, -1, 7))
-    assert (report.residuals > report.floor).sum() == 1
+    # one residual above its floor: no fit, and not at the floor either
+    report = invariance_residual(man3, [1e-4, 1e-3, 0.1])
+    assert (report.residuals > report.floor).tolist() == [False, False,
+                                                          True]
     assert report.slope is None
     assert not report.at_floor and not report.passed
-    assert any("one residual above floor" in ln for ln in report.describe())
+    assert any("one residual above its floor" in ln
+               for ln in report.describe())
 
 
 def test_quadratic_variant_restores_the_generic_rate(chain10):
@@ -77,14 +115,66 @@ def test_quadratic_variant_restores_the_generic_rate(chain10):
     sys = FirstOrderSystem(fo.A, fo.B, fo.F_coeffs + [F2])
     ms = master_spectrum(sys, select={"mode": "pair", "pair": 2}, n_outer=8)
     man = compute_manifold(sys, ms, order=3)
-    # the residual decays like r^4 down to 3e-19 at r = 1e-4, so on
-    # 1e-4..1e-2 only its largest value lies above the fixed floor 1e-11
-    # and no slope is fitted; the radii a decade up all lie above it
-    report = invariance_residual(man, np.logspace(-2, -1, 7))
-    assert report.slope is not None
-    assert 3.5 <= report.slope <= 4.5
-    assert report.band == (3.5, 4.5)
-    assert report.passed
+    # the residual decays like r^4 down to 2.6e-19 at r = 1e-4; on
+    # 1e-4..1e-2 its floor, 3.9e-18 there, leaves five radii to fit
+    for radii in (SPEC_RADII, np.logspace(-2, -1, 7)):
+        report = invariance_residual(man, radii)
+        assert report.slope is not None
+        assert 3.5 <= report.slope <= 4.5
+        assert report.band == (3.5, 4.5)
+        assert report.passed
+
+
+def _floor_by_definition(man, radii, n_dirs=16, seed=0):
+    """MARGIN eps max_d [r (|B| |V L d| + |A| |V d|) + sum_j r^j
+    ||F_j|(|V d|)|], one direction at a time, with dense |F_j| acting
+    on Kronecker powers."""
+    sys, ms = man.system, man.master
+    norm_A, norm_B = (max(np.abs(mat).sum(axis=1))
+                      for mat in sys.dense_pencil())
+    out = []
+    for r in radii:
+        worst = 0.0
+        for d in _symmetric_directions(ms, n_dirs, seed).T:
+            Vd = ms.V @ d
+            size = r * (norm_B * la.norm(ms.V @ (ms.lambdas * d))
+                        + norm_A * la.norm(Vd))
+            for fc in sys.F_coeffs:
+                power = functools.reduce(np.kron, [np.abs(Vd)] * fc.degree)
+                size += r**fc.degree * la.norm(np.abs(fc.to_dense()) @ power)
+            worst = max(worst, size)
+        out.append(MARGIN * np.finfo(float).eps * worst)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["lorenz", "chain5"])
+def test_floor_is_the_leading_order_rounding_bound(case, lorenz_man3,
+                                                   chain_mode2_man5):
+    man = lorenz_man3 if case == "lorenz" else chain_mode2_man5
+    report = invariance_residual(man, SPEC_RADII)
+    want = _floor_by_definition(man, report.radii)
+    assert np.allclose(report.floor, want, rtol=1e-12, atol=0.0)
+    assert report.to_dict()["floor"] == report.floor.tolist()
+
+
+def test_fe_bar_residuals_sit_at_the_floor():
+    # the loop-built fe_bar stores the same cubic, bit for bit
+    spec = importlib.util.spec_from_file_location("ssmbench_models", MODELS)
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    want, got = models.fe_bar(40, 4).f_coeffs[0], cubic_bar(40, 4).f_coeffs[0]
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.factors, want.factors)
+    assert np.array_equal(got.values, want.values)
+    # at n = 10^4 every residual of the order-3 expansion is rounding of
+    # N-dimensional sums, at most 0.03 of its floor
+    system = build_first_order(cubic_bar(10**4, 4))
+    ms = master_spectrum(system, select={"mode": "pair", "pair": 1},
+                         n_outer=8)
+    man = compute_manifold(system, ms, order=3)
+    report = invariance_residual(man, DEFAULTS["verify"]["radii"], n_dirs=4)
+    assert report.at_floor and report.passed
+    assert report.slope is None
 
 
 def test_linear_truncation_is_exact(chain10):
@@ -155,6 +245,12 @@ def test_residual_radii_are_validated(chain_mode2_man5):
     detached = ManifoldExpansion.from_dict(chain_mode2_man5.to_dict())
     with pytest.raises(ValidationError, match="no system attached"):
         invariance_residual(detached, SPEC_RADII)
+
+
+@pytest.mark.parametrize("n_dirs", [0, -3, 2.5])
+def test_direction_count_is_validated(n_dirs, chain_mode2_man5):
+    with pytest.raises(ValidationError, match="n_dirs must be an integer"):
+        invariance_residual(chain_mode2_man5, SPEC_RADII, n_dirs=n_dirs)
 
 
 def test_adaptive_integration_matches_matrix_exponential(chain10):
