@@ -61,7 +61,7 @@ DEFAULTS = {
     "frc": {
         "omega": None,
         "omega_min": None, "omega_max": None, "n_omega": 41,
-        "eps": None, "eta": None, "dofs": [], "n_phases": 128,
+        "eta": None, "dofs": [], "n_phases": 128,
         "output_csv": "frc.csv", "output_json": None, "output_svg": None,
     },
     "backbone": {
@@ -258,7 +258,7 @@ def _cmd_frc(cfg):
     system = _build_system(cfg)
     _, manifold = _build_manifold(cfg, system)
     fcfg = cfg["frc"]
-    result = frc_sweep(manifold, _frc_grid(fcfg), eps=fcfg["eps"],
+    result = frc_sweep(manifold, _frc_grid(fcfg),
                        dofs=fcfg["dofs"], eta=fcfg["eta"],
                        n_phases=int(fcfg["n_phases"]))
     print("frc points: %d (eta=%d, eps=%s)"

@@ -207,7 +207,7 @@ def _lu_or_lstsq(mat, rhs):
     return X, rcond, singular
 
 
-def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
+def solve_shifted(system, master, shift, rhs, what, rhs_scale=1.0):
     """
     Solve ``(shift B - A) X = rhs`` for one (N,) or (N, k) block, on the
     matrix of ``model.reduced_shifted``: the N/2 matrix
@@ -221,8 +221,9 @@ def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
     and must then satisfy ``(shift B - A) X = rhs`` to 1e-6 relative to
     ``max(|rhs|, rhs_scale, 1)``, else NumericalError names the block by
     ``what``. On every path, each master direction whose eigenvalue lies
-    within ``1e-8 * scale`` of ``shift`` is removed:
-    ``X -= v_k (u_k^H B X)``.
+    within ``1e-8 max(|lambda_master|, 1)`` of ``shift`` is removed:
+    ``X -= v_k (u_k^H B X)``, one kernel predicate for the autonomous
+    and the forced blocks.
 
     Returns (X, rcond, singular): rcond is the dense condition estimate
     of the matrix solved (None when it is sparse), singular whether
@@ -234,6 +235,7 @@ def solve_shifted(system, master, shift, rhs, scale, what, rhs_scale=1.0):
     x, rcond, singular = _lu_or_lstsq(mat, fold(rhs))
     X = unfold(x, rhs)
     V, U = master.V, master.U
+    scale = max(float(np.abs(master.lambdas).max(initial=0.0)), 1.0)
     for k in np.flatnonzero(np.abs(shift - master.lambdas) <= 1e-8 * scale):
         X -= np.multiply.outer(V[:, k], U[:, k].conj() @ (B @ X))
     if singular:
@@ -329,7 +331,7 @@ def solve_order(system, master, w_blocks, r_blocks, order, style,
                 act[modes], U[:, modes].conj().T @ rhs, 0)
             rhs -= B @ (V @ R_i[:, cols])
         sols, rcond, singular = solve_shifted(
-            system, master, entry["lam"], rhs, scale,
+            system, master, entry["lam"], rhs,
             "order-%d block at eigenvalue sum %s" % (order, entry["lam"]),
             rhs_scale=c_scale)
         if rcond is not None:
@@ -687,14 +689,31 @@ class ManifoldExpansion:
         in the same order raises ValidationError naming the
         block (``W3``, ``R2``); so does a master whose V or U is not
         (state_dim, dim) or whose lambdas or pairing do not have dim
-        entries in range. The stored U is the left family of the pencil
-        the data was computed on, so ``system`` must be that pencil.
+        entries in range. So does an ``order`` that is not an integer
+        >= 1, a W or R that does not hold exactly the degrees 1..order,
+        and a ``style`` outside ``STYLES``. The stored U is the left
+        family of the pencil the data was computed on, so ``system``
+        must be that pencil.
         """
         fmt = data.get("format", 1) if isinstance(data, dict) else None
         if fmt != FORMAT:
             raise ValidationError(
                 "manifold data is format %r, and only format %d is read; "
                 "recompute the file with this version" % (fmt, FORMAT))
+        order = data["order"]
+        if type(order) is not int or order < 1:
+            raise ValidationError("manifold order must be an integer >= 1, "
+                                  "not %r" % (order,))
+        if data["style"] not in STYLES:
+            raise ValidationError("manifold style %r is not one of %r"
+                                  % (data["style"], STYLES))
+        for name in ("W", "R"):
+            held = set(data[name])
+            if (len(held) != order
+                    or held != set(map(str, range(1, order + 1)))):
+                raise ValidationError(
+                    "manifold %s holds the degrees %s, not 1..%d"
+                    % (name, sorted(data[name], key=str), order))
         M = int(data["dim"])
         N = int(data["state_dim"])
         master = MasterSubspace.from_dict(data["master"])
@@ -703,8 +722,7 @@ class ManifoldExpansion:
              for i, e in data["W"].items()}
         R = {int(i): _unpack(e, "R" + i, int(i), M, M)
              for i, e in data["R"].items()}
-        return cls(system, master, int(data["order"]), data["style"], W, R,
-                   None)
+        return cls(system, master, order, data["style"], W, R, None)
 
     @classmethod
     def load(cls, path, system=None):

@@ -2,8 +2,10 @@
 On-disk model format.
 
 A model is a JSON manifest next to its data files. Matrices use the
-Matrix Market exchange format; polynomial nonlinearity blocks use a
-plain text triplet format, one monomial per line::
+Matrix Market exchange format, and its format decides the storage: a
+coordinate file loads as CSR and an array file as a dense array, at any
+size. Polynomial nonlinearity blocks use a plain text triplet format,
+one monomial per line::
 
     # degree-3 block, columns: row  i1 i2 i3  value
     1  1 1 2   -0.25
@@ -213,9 +215,6 @@ def write_tensor_text(path, coeffs):
 def _read_matrix(path):
     mat = scipy.io.mmread(path)
     if sp.issparse(mat):
-        n = mat.shape[0]
-        if n <= 400:
-            return mat.toarray()
         return mat.tocsr()
     return np.asarray(mat)
 

@@ -182,7 +182,6 @@ def leading_order(system, master, Omega, style="normal-form",
     A, B = system.A, system.B
     norm_A, norm_B = system.inf_norms
     tol = resonance_tolerance(master, tol)
-    kernel_scale = max(tol["scale"], 1.0)
 
     overrides = {tuple(k): [int(j) for j in v]
                  for k, v in (resonant_modes or {}).items()}
@@ -218,7 +217,7 @@ def leading_order(system, master, Omega, style="normal-form",
         for j in modes:
             s0[j] = np.vdot(U[:, j], f0)
         rhs = f0 - B @ (V @ s0)
-        x0 = solve_shifted(system, master, 1j * nu, rhs, kernel_scale,
+        x0 = solve_shifted(system, master, 1j * nu, rhs,
                            "harmonic %r" % (kt,),
                            rhs_scale=np.abs(f0).max())[0]
         harmonics[kt] = {"x0": x0, "s0": s0}

@@ -16,7 +16,7 @@ Every shifted pencil ``lambda B - A`` is factored through its
 2001), else ``lambda B - A`` itself. ``left_vectors`` gives the left
 eigenvectors of the pencil from its right ones: in closed form for
 symmetric M, C and K, else by one inverse-iteration step on the adjoint
-of that matrix (Ipsen, SIAM Rev. 39, 1997).
+of that matrix (Ipsen, SIAM Rev. 39, 1997), whatever the size or storage.
 
 Forcing is position-independent: each harmonic is a constant complex
 vector. State-dependent forcing input is rejected.
@@ -458,7 +458,10 @@ def left_vectors(system, V, lambdas):
     ``B = [[C, M], [M, 0]]``. A column with negative imaginary part
     whose eigenvalue and vector are the exact conjugates of another
     column's takes the conjugate of that column's left vector, without a
-    solve of its own. An exactly singular factor raises NumericalError.
+    solve of its own. A factor with an exactly zero pivot, as at
+    Lorenz's ``lambda = 0``, is replaced by the one at
+    ``lambda_k + eps max(|lambda_k|, 1)``, as LAPACK's ``xLAEIN`` does;
+    NumericalError is raised only when that one is exactly singular too.
     """
     mech = system.mech
     if mech is not None and mech.symmetric:
@@ -474,15 +477,18 @@ def left_vectors(system, V, lambdas):
     for k, lam in enumerate(lambdas):
         if k in partner:
             continue
-        adjoint = reduced_shifted(system, lam)[0].conj().T
-        try:
-            solve, rcond = factorize(adjoint)
-        except RuntimeError:  # SuperLU on an exactly zero pivot
-            rcond = 0.0
-        if rcond == 0.0:
+        for shift in (lam, lam + np.finfo(float).eps * max(abs(lam), 1.0)):
+            adjoint = reduced_shifted(system, shift)[0].conj().T
+            try:
+                solve, rcond = factorize(adjoint)
+            except RuntimeError:  # SuperLU on an exactly zero pivot
+                continue
+            if rcond != 0.0:
+                break
+        else:
             raise NumericalError(
-                "the shifted pencil is exactly singular at the eigenvalue "
-                "%s; its left eigenvector has no inverse-iteration step" % lam)
+                "the shifted pencil is exactly singular at %s and next to "
+                "it; the left eigenvector has no inverse-iteration step" % lam)
         if mech is None:
             U[:, k] = solve(V[:, k])
         else:

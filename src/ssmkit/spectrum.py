@@ -11,12 +11,12 @@ Repeated eigenvalues are handled as clusters, the eigenvalues within
 ``G = U~^H B V~`` is inverted to restore biorthogonality, and a singular
 G flags a defective (non-semisimple) eigenvalue, which is rejected.
 
-Only right eigenvectors come from the eigensolver. The left ones come
-from ``model.left_vectors`` up to that same Gram correction: in closed
-form for a pencil lifted from a mechanical model with symmetric M, C and
-K (Tisseur & Meerbergen, SIAM Rev. 43, 2001), else by one
-inverse-iteration step per master eigenvalue (Ipsen, SIAM Rev. 39,
-1997). The dense solver of any other pencil keeps LAPACK's left vectors.
+Only right eigenvectors come from the eigensolver, dense or sparse. The
+left ones come from ``model.left_vectors`` up to that same Gram
+correction: in closed form for a pencil lifted from a mechanical model
+with symmetric M, C and K (Tisseur & Meerbergen, SIAM Rev. 43, 2001),
+else by one inverse-iteration step per master eigenvalue (Ipsen, SIAM
+Rev. 39, 1997).
 
 Shift-invert runs complex ARPACK from a fixed start on
 ``(sigma B - A)^-1 B``, factored by ``model.shifted_solver``: the N/2
@@ -66,8 +66,7 @@ class MasterSubspace:
         ordering, kept for resonance screening.
     diagnostics : dict
         Residual norms and bookkeeping from the solve, and where U came
-        from: "left_vectors" is "closed-form", "dense-left" or
-        "inverse-iteration".
+        from: "left_vectors" is "closed-form" or "inverse-iteration".
     """
 
     def __init__(self, lambdas, V, U, pairing, outer_lambdas, diagnostics=None):
@@ -163,8 +162,15 @@ def _resolve_select(select):
     raise ValidationError("cannot interpret selection %r" % (select,))
 
 
-def _enforce_conjugation(w, VR, UL, scale):
-    """Overwrite near-conjugate eigenpairs with exact conjugates."""
+def _enforce_conjugation(w, VR, scale):
+    """
+    Pair each complex eigenvalue with its conjugate and overwrite the
+    pair with exact conjugates. The spectrum of a real pencil is
+    symmetric about the real axis, but a complex shift converges to the
+    half plane nearest it: a complex eigenvalue left without a partner
+    gets its conjugate appended. Returns w, VR and ``partner``, the
+    index of each eigenvalue's partner (its own for a real one).
+    """
     tol = 1e-12 * max(scale, 1.0)
     used = np.zeros(w.size, dtype=bool)
     partner = np.arange(w.size)
@@ -180,11 +186,15 @@ def _enforce_conjugation(w, VR, UL, scale):
             continue
         w[j] = w[i].conjugate()
         VR[:, j] = VR[:, i].conjugate()
-        if UL is not None:
-            UL[:, j] = UL[:, i].conjugate()
         used[i] = used[j] = True
         partner[i], partner[j] = j, i
-    return partner
+    lone = np.flatnonzero(~used & (np.abs(w.imag) > tol))
+    if lone.size:
+        partner[lone] = w.size + np.arange(lone.size)
+        partner = np.concatenate([partner, lone])
+        w = np.concatenate([w, w[lone].conjugate()])
+        VR = np.hstack([VR, VR[:, lone].conjugate()])
+    return w, VR, partner
 
 
 def largest_entry(v):
@@ -233,29 +243,21 @@ def _select_indices(w_sorted, spec, scale):
                 % (want, len(pairs)))
         i = pairs[want - 1]
         chosen = [i]
-    # close the selection under conjugation
+    # close the selection under conjugation; every complex eigenvalue
+    # has its exact conjugate in the set
     closed = list(chosen)
     for i in chosen:
         lam = w_sorted[i]
         if abs(lam.imag) > 1e-12 * max(scale, 1.0):
-            gaps = np.abs(w_sorted - lam.conjugate())
-            j = int(np.argmin(gaps))
-            if gaps[j] > 1e-6 * max(scale, 1.0):
-                raise ValidationError(
-                    "conjugate partner of selected eigenvalue %s is not in "
-                    "the computed set; enlarge the computation" % lam)
+            j = int(np.argmin(np.abs(w_sorted - lam.conjugate())))
             if j not in closed:
                 closed.append(j)
     closed.sort()
     return closed
 
 
-def _dense_eigen(A, B, left):
-    if left:
-        w, UL, VR = la.eig(A, B, left=True, right=True)
-    else:
-        w, VR = la.eig(A, B, right=True)
-        UL = None
+def _dense_eigen(A, B):
+    w, VR = la.eig(A, B, right=True)
     bad = ~np.isfinite(w)
     if bad.any():
         raise NumericalError(
@@ -263,10 +265,7 @@ def _dense_eigen(A, B, left):
             "B may be singular" % bad.sum())
     # lapack hands back real vectors when every eigenvalue is real, but the
     # canonical scaling below assigns complex values into the columns
-    VR = VR.astype(complex)
-    if UL is not None:
-        UL = UL.astype(complex)
-    return w, VR, UL
+    return w, VR.astype(complex)
 
 
 def _shift_invert_eigen(system, k, shift):
@@ -285,20 +284,7 @@ def _shift_invert_eigen(system, k, shift):
     op = spla.LinearOperator((N, N), matvec=lambda x: -solve(system.B @ x),
                              dtype=complex)
     nu, VR = spla.eigs(op, k=k, v0=v0)
-    w = sigma + 1.0 / nu
-
-    # the spectrum of a real pencil is symmetric about the real axis,
-    # but a complex shift converges to the half plane nearest sigma;
-    # mirror the missing partners so selections can close under
-    # conjugation
-    scale = max(float(np.abs(w).max()), 1.0)
-    missing = [i for i in range(w.size)
-               if abs(w[i].imag) > 1e-12 * scale
-               and np.abs(w - w[i].conjugate()).min() > 1e-6 * scale]
-    if missing:
-        w = np.concatenate([w, w[missing].conjugate()])
-        VR = np.hstack([VR, VR[:, missing].conjugate()])
-    return w, VR
+    return sigma + 1.0 / nu, VR
 
 
 def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
@@ -345,11 +331,10 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
     if method not in ("auto", "dense", "shift-invert"):
         raise ValidationError("method must be auto, dense or shift-invert")
     dense = method == "dense" or (method == "auto" and N <= 600)
-    closed_form = system.mech is not None and system.mech.symmetric
 
     if dense:
         A, B = system.dense_pencil()
-        w, VR, UL = _dense_eigen(A, B, not closed_form)
+        w, VR = _dense_eigen(A, B)
     else:
         if spec["mode"] == "indices":
             k_need = max(spec["indices"]) + 1 + n_outer
@@ -359,19 +344,16 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
             k_need = spec["count"] + n_outer
         k = min(max(k_need, 6), N - 2)
         w, VR = _shift_invert_eigen(system, k, shift)
-        UL = None
         A, B = system.A, system.B
 
     scale = float(np.abs(w).max()) if w.size else 1.0
-    partner = _enforce_conjugation(w, VR, UL, scale)
+    w, VR, partner = _enforce_conjugation(w, VR, scale)
     order = _order_with_vectors(w, VR)
     # partner holds unsorted positions; move both its index and its
     # values to the sorted ones
     partner = np.argsort(order)[partner[order]]
     w = w[order]
     VR = VR[:, order]
-    if UL is not None:
-        UL = UL[:, order]
 
     chosen = _select_indices(w, spec, scale)
     sel = np.zeros(w.size, dtype=bool)
@@ -393,8 +375,7 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
 
     lambdas = w[chosen]
     V = VR[:, chosen].copy()
-    Ut = (left_vectors(system, V, lambdas) if UL is None
-          else UL[:, chosen].copy())
+    Ut = left_vectors(system, V, lambdas)
 
     # cluster-wise Gram correction restores U^H B V = I. A cluster's
     # Gram G = U_c^H B V_c is bounded by ||U_c|| ||B V_c||; a G that is
@@ -414,20 +395,14 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
                 "biorthogonal eigenbasis exists" % lambdas[cols[0]])
         Ut[:, cols] = Ut[:, cols] @ la.inv(G).conj().T
 
-    # canonical scaling, conjugate partners mirrored exactly
-    sel_partner = np.arange(len(chosen))
-    pos_of = {g: i for i, g in enumerate(chosen)}
-    for i, g in enumerate(chosen):
-        p = partner[g]
-        if p != g and p in pos_of:
-            sel_partner[i] = pos_of[p]
-    done = np.zeros(len(chosen), dtype=bool)
-    for i in range(len(chosen)):
-        if done[i]:
-            continue
-        j = sel_partner[i]
-        rep = i if (i == j or lambdas[i].imag > 0) else j
-        oth = j if rep == i else i
+    # canonical scaling of one member per pair (Im > 0) and of each real
+    # mode, its partner mirrored exactly; the closure and the cluster
+    # check leave every partner inside the selection
+    position = np.empty(w.size, dtype=int)
+    position[chosen] = np.arange(len(chosen))
+    pairing = position[partner[chosen]]
+    for rep in np.flatnonzero((pairing == np.arange(len(chosen)))
+                              | (lambdas.imag > 0)):
         v = V[:, rep]
         nrm = la.norm(v)
         if nrm == 0:
@@ -436,12 +411,11 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         beta = 1.0 / (nrm * np.exp(1j * np.angle(v[top])))
         V[:, rep] = v * beta
         Ut[:, rep] = Ut[:, rep] / np.conj(beta)
-        done[rep] = True
+        oth = pairing[rep]
         if oth != rep:
             lambdas[oth] = lambdas[rep].conjugate()
             V[:, oth] = V[:, rep].conjugate()
             Ut[:, oth] = Ut[:, rep].conjugate()
-            done[oth] = True
 
     # residual check against the Frobenius scale of A
     A_fro = (spla.norm(A) if sp.issparse(A) else la.norm(A))
@@ -463,15 +437,15 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
 
     diag = {
         "method": "dense" if dense else "shift-invert",
-        "left_vectors": ("closed-form" if closed_form else "dense-left"
-                         if dense else "inverse-iteration"),
+        "left_vectors": ("closed-form" if system.mech is not None
+                         and system.mech.symmetric else "inverse-iteration"),
         "route": None if dense else shifted_route(system),
         "selection": spec,
         "residual_right": res_r,
         "residual_left": res_l,
         "normalization_error": check_norm_arrays(Ut, B, V),
     }
-    return MasterSubspace(lambdas, V, Ut, sel_partner, outer, diag)
+    return MasterSubspace(lambdas, V, Ut, pairing, outer, diag)
 
 
 def check_norm_arrays(U, B, V):

@@ -229,6 +229,13 @@ def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_frc_amplitude_has_one_key(capsys):
+    # --system.eps sets the forcing amplitude of every command
+    assert main(["frc", "--system.builtin", "chain", "--frc.eps",
+                 "0.05"]) == 2
+    assert "unknown config key 'frc.eps'" in capsys.readouterr().err
+
+
 def test_empty_samples_exit_with_code_2(capsys, tmp_path):
     # each count sizes a sample whose largest value the command reports
     chain = ["--system.builtin", "chain", "--ssm.select.pair", "2",

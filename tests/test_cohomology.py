@@ -330,7 +330,7 @@ def test_dense_and_sparse_pencils_give_the_same_expansion():
                for info in man_d.diagnostics["orders"])
 
 
-def reference_solve_shifted(system, master, shift, rhs, scale, what,
+def reference_solve_shifted(system, master, shift, rhs, what,
                             rhs_scale=1.0):
     """
     ``solve_shifted`` on the 2N pencil ``shift B - A`` for every system:
@@ -363,6 +363,7 @@ def reference_solve_shifted(system, master, shift, rhs, scale, what,
     if singular:
         X = la.lstsq(mat, rhs, cond=cohomology.RCOND_SINGULAR,
                      lapack_driver="gelsd")[0]
+    scale = max(np.abs(master.lambdas).max(), 1.0)
     for k in range(master.dim):
         if abs(shift - master.lambdas[k]) <= 1e-8 * scale:
             X -= np.multiply.outer(master.V[:, k],
@@ -748,6 +749,31 @@ def test_load_rejects_a_master_that_does_not_fit(edit, message):
     man = _first_pair_manifold(oscillator_chain(3), order=3)
     data = man.to_dict()
     edit(data["master"], man.master)
+    with pytest.raises(ValidationError, match=message):
+        ManifoldExpansion.from_dict(data)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.__setitem__("order", 5), r"W holds the degrees \['1', "
+     r"'2', '3'\], not 1..5"),
+    (lambda d: d["W"].pop("2"), r"W holds the degrees \['1', '3'\], "
+     "not 1..3"),
+    (lambda d: d["R"].pop("3"), r"R holds the degrees \['1', '2'\], "
+     "not 1..3"),
+    (lambda d: d.__setitem__("W", {}), r"W holds the degrees \[\], "
+     "not 1..3"),
+    (lambda d: d.__setitem__("order", 0), "order must be an integer >= 1, "
+     "not 0"),
+    (lambda d: d.__setitem__("order", 3.0), "order must be an integer"),
+    (lambda d: d.__setitem__("style", "banana"), "style 'banana' is not "
+     "one of"),
+], ids=["order-5", "no-W2", "no-R3", "no-W", "order-0", "order-float",
+        "style-banana"])
+def test_load_rejects_a_header_that_does_not_fit_the_blocks(
+        chain_mode2_master, chain10_forced, edit, message):
+    man = compute_manifold(chain10_forced, chain_mode2_master, order=3)
+    data = man.to_dict()
+    edit(data)
     with pytest.raises(ValidationError, match=message):
         ManifoldExpansion.from_dict(data)
 

@@ -7,12 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 from ssmkit import (MechanicalSystem, FirstOrderSystem, as_first_order,
-                    build_first_order, oscillator_chain, load_system,
-                    save_system)
+                    build_first_order, compute_manifold, master_spectrum,
+                    oscillator_chain, load_system, save_system)
 from ssmkit.errors import ValidationError
 from ssmkit.fileio import read_tensor_text, write_tensor_text
 from ssmkit.multiindex import encode_positions
 from ssmkit.polytensor import PolyCoeffs
+from test_spectrum import csr_chain
 
 
 def reference_read(path, nrows, nvars):
@@ -293,6 +294,21 @@ def test_sparse_matrices_stay_sparse_when_large(tmp_path):
     manifest = save_system(mech, tmp_path)
     back = load_system(manifest)
     assert sp.issparse(back.K)
+
+
+def test_a_small_csr_model_loads_as_csr(tmp_path):
+    # the file's format decides the storage, whatever the size
+    mech = csr_chain(50)
+    back = load_system(save_system(mech, tmp_path))
+    assert all(sp.isspmatrix_csr(mat) for mat in (back.M, back.C, back.K))
+    want, got = (master_spectrum(m, select={"mode": "pair", "pair": 2})
+                 for m in (mech, back))
+    assert np.abs(got.lambdas - want.lambdas).max() <= 1e-12
+    W_want, W_got = (compute_manifold(build_first_order(m), ms, order=3).W
+                     for m, ms in ((mech, want), (back, got)))
+    for i in W_want:
+        assert (np.abs(W_got[i] - W_want[i]).max()
+                <= 1e-12 * np.abs(W_want[i]).max())
 
 
 def test_manifest_validation(tmp_path):

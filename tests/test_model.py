@@ -286,12 +286,26 @@ def test_lorenz_extended_model():
 
 @pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
                          ids=["dense", "csr"])
-def test_left_vectors_refuse_an_exactly_singular_factor(conv):
+def test_left_vectors_step_next_to_an_exactly_singular_factor(conv):
     # a zero eigenvalue of a plain pencil, as Lorenz's, makes the
     # inverse-iteration matrix exactly singular at lambda = 0
-    sys = FirstOrderSystem(conv(np.diag([0.0, -1.0])), conv(np.eye(2)))
+    A, B = np.diag([0.0, -1.0]), np.eye(2)
+    sys = FirstOrderSystem(conv(A), conv(B))
     V = np.array([[1.0], [0.0]], dtype=complex)
-    with pytest.raises(NumericalError, match="singular at the eigenvalue 0j"):
+    u = left_vectors(sys, V, np.zeros(1, dtype=complex))[:, 0]
+    assert np.abs(A.T @ u).max() <= 1e-15 * np.abs(u).max()
+    assert abs(u.conj() @ B @ V[:, 0]) >= 0.5 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
+                         ids=["dense", "csr"])
+def test_left_vectors_refuse_when_the_next_shift_is_singular_too(conv):
+    # the eigenvalues 0 and eps: lambda = 0 and the shift next to it both
+    # have an exactly zero pivot
+    eps = np.finfo(float).eps
+    sys = FirstOrderSystem(conv(np.diag([0.0, eps])), conv(np.eye(2)))
+    V = np.array([[1.0], [0.0]], dtype=complex)
+    with pytest.raises(NumericalError, match="exactly singular at 0j"):
         left_vectors(sys, V, np.zeros(1, dtype=complex))
 
 

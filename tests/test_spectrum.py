@@ -41,13 +41,13 @@ def test_normalization_nonsymmetric_variant():
 
 def test_eigenvalues_independent_of_variant():
     # the symmetric L2 pencil B = [[C, M], [M, 0]], given as a plain
-    # first-order system, takes LAPACK's left vectors
+    # first-order system, takes one inverse-iteration step
     mech = oscillator_chain(6, c=0.15)
     lifted = master_spectrum(build_first_order(mech),
                              select={"mode": "smallest", "count": 6})
     l2 = plain_pencil(mech, "L2", "mass")
     plain = master_spectrum(l2, select={"mode": "smallest", "count": 6})
-    assert plain.diagnostics["left_vectors"] == "dense-left"
+    assert plain.diagnostics["left_vectors"] == "inverse-iteration"
     assert np.allclose(np.sort_complex(lifted.lambdas),
                        np.sort_complex(plain.lambdas), atol=1e-9)
     assert check_normalization(plain, l2) <= 1e-10
@@ -102,7 +102,9 @@ def test_outer_spectrum_excludes_selection(chain10):
 
 
 def test_lorenz_center_pair(lorenz_master):
+    # lambda = 0 is an exact zero pivot of -A; the step is taken next to it
     sys, ms = lorenz_master
+    assert ms.diagnostics["left_vectors"] == "inverse-iteration"
     assert np.allclose(ms.lambdas, 0.0, atol=1e-12)
     # the center basis: the symmetric (x+y) direction and the
     # parameter axis
@@ -272,13 +274,12 @@ def test_sparse_spectrum_is_repeatable(layout):
     (csr_bar(10**4, 4), {"mode": "pair", "pair": 1}),
 ], ids=["dense-chain", "csr-N620", "csr-bar-N2e4"])
 def test_closed_form_left_vectors_match_the_general_routes(mech, select):
-    # the same pencil without its mechanical model takes LAPACK's left
-    # vectors (dense) or one inverse-iteration step (N > 600)
+    # the same pencil without its mechanical model takes one
+    # inverse-iteration step, dense or sparse
     lifted = master_spectrum(build_first_order(mech), select=select)
     plain = master_spectrum(plain_pencil(mech), select=select)
     assert lifted.diagnostics["left_vectors"] == "closed-form"
-    assert plain.diagnostics["left_vectors"] in ("dense-left",
-                                                 "inverse-iteration")
+    assert plain.diagnostics["left_vectors"] == "inverse-iteration"
     assert plain.diagnostics["residual_left"] <= 1e-10
     for attr in ("lambdas", "V", "U"):
         want = getattr(plain, attr)
@@ -286,16 +287,15 @@ def test_closed_form_left_vectors_match_the_general_routes(mech, select):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("method,conv,route", [
-    pytest.param("dense", np.asarray, "dense-left", id="dense-dense-left"),
-    pytest.param("shift-invert", np.asarray, "inverse-iteration",
+@pytest.mark.parametrize("method,conv", [
+    pytest.param("dense", np.asarray, id="dense"),
+    pytest.param("shift-invert", np.asarray,
                  id="shift-invert-inverse-iteration"),
     # SuperLU's factor of Q(lambda)^H on the N/2 route
-    pytest.param("shift-invert", sp.csr_matrix, "inverse-iteration",
+    pytest.param("shift-invert", sp.csr_matrix,
                  id="csr-shift-invert-inverse-iteration"),
 ])
-def test_nonsymmetric_damping_takes_the_general_left_vectors(method, conv,
-                                                             route):
+def test_nonsymmetric_damping_takes_the_general_left_vectors(method, conv):
     mech = oscillator_chain(40, c=0.05)
     C = mech.C.copy()
     C[0, 1] += 0.02
@@ -305,8 +305,24 @@ def test_nonsymmetric_damping_takes_the_general_left_vectors(method, conv,
     sys = build_first_order(skewed)
     ms = master_spectrum(sys, select={"mode": "smallest", "count": 4},
                          method=method, shift=0.3j, n_outer=0)
-    assert ms.diagnostics["left_vectors"] == route
+    assert ms.diagnostics["left_vectors"] == "inverse-iteration"
     assert check_normalization(ms, sys) <= 1e-10
+
+
+def test_inverse_iteration_matches_lapack_left_vectors():
+    # LAPACK's left vectors of a dense non-symmetric pencil, scaled as
+    # the Gram correction scales them, are the oracle
+    mech = oscillator_chain(40, c=0.05)
+    C = mech.C.copy()
+    C[0, 1] += 0.02
+    lift = build_first_order(MechanicalSystem(mech.M, C, mech.K))
+    A, B = lift.dense_pencil()
+    ms = master_spectrum(FirstOrderSystem(A, B), select=6, n_outer=0)
+    w, UL = la.eig(A, B, left=True, right=False)
+    for lam, v, u in zip(ms.lambdas, ms.V.T, ms.U.T):
+        ul = UL[:, np.argmin(np.abs(w - lam))]
+        want = ul / np.conj(ul.conj() @ B @ v)
+        assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def twin(mech, delta=0.0):
