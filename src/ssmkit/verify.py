@@ -34,19 +34,32 @@ at its tolerances (rtol 1e-8, atol 1e-10) it needs 40 % fewer
 right-hand sides than the 5(4) pair RK45. The trapezoidal
 rule is the natural companion for stiff models and conservative checks,
 because it preserves quadratic invariants exactly and has no artificial
-damping. The adaptive path factors B once per call; the trapezoidal
-path factors only its Newton matrix B - (h/2) A, once per call, and
-never solves with B. That matrix is (h/2) (sigma B - A) at the real
-shift sigma = 2/h, so it is factored by ``model.shifted_solver``:
-on the real N/2 matrix sigma^2 M + sigma C + K for a lifted mechanical
-model.
+damping.
+
+The adaptive path factors B once per call and stacks, whatever A's
+storage, one CSR operator
+
+    H = [A | F_2 | F_3 ... | eps Re f_kappa | -eps Im f_kappa]
+
+with each F_j over its distinct sorted monomials, so that every
+right-hand side is one product H u, u = [z; monomials of z;
+cos(<kappa, Omega> t); sin(<kappa, Omega> t)], and one solve with B.
+On models the size of the forced chain a right-hand side costs a few
+microseconds, so the count of small numpy calls, not the arithmetic,
+sets its time. The trapezoidal path factors only its Newton matrix
+B - (h/2) A, once per call, and never solves with B. That matrix is
+(h/2) (sigma B - A) at the real shift sigma = 2/h, so it is factored
+by ``model.shifted_solver``: on the real N/2 matrix
+sigma^2 M + sigma C + K for a lifted mechanical model.
 """
 
 import numbers
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NumericalError, ValidationError
 from .model import as_first_order, factorize, shifted_solver
@@ -240,6 +253,67 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0):
                           n_dirs, seed)
 
 
+def _adaptive_rhs(system, Om):
+    """
+    ``rhs(t, z) = B^-1 (A z + F(z) + eps Fext(Om t))`` of the adaptive
+    path through the stacked operator H of the module docstring, built
+    once (no forcing columns when ``Om`` is None). Each F_j block is
+    ``PolyCoeffs.monomials``, its entries in storage order and not
+    folded, so each row of H sums A's entries, then each piece's as
+    ``evaluate`` does, then the forcing's.
+    """
+    N = system.N
+    # A, each F_j and the forcing as CSR blocks over their own columns,
+    # and the gather table of A's and F's columns: row s holds the s-th
+    # factor of a column's monomial, and z's own columns and shorter
+    # monomials point their missing factors at a trailing 1
+    A = sp.csr_matrix(system.A)
+    tables = [np.arange(N)[None]]
+    blocks = [(A.indptr, A.indices, A.data)]
+    for fc in system.F_coeffs:
+        tuples, *csr = fc.monomials
+        tables.append(tuples)
+        blocks.append(csr)
+    depth = max(tuples.shape[0] for tuples in tables)
+    factors = np.hstack([np.pad(tuples, ((0, depth - tuples.shape[0]), (0, 0)),
+                                constant_values=N) for tuples in tables])
+    width = factors.shape[1]
+    rates = np.zeros(0)
+    if Om is not None:
+        rates = np.array([kt for kt, _ in system.forcing], float) @ Om
+        vectors = system.eps * np.array([vec for _, vec in system.forcing]).T
+        Fext = sp.csr_matrix(np.hstack([vectors.real, -vectors.imag]))
+        blocks.append((Fext.indptr, Fext.indices, Fext.data))
+    # the blocks side by side, each row's entries block by block and
+    # each block's in its stored order
+    offsets = np.cumsum([0] + [tuples.shape[1] for tuples in tables])
+    rows = np.concatenate([np.repeat(np.arange(N), np.diff(indptr))
+                           for indptr, _, _ in blocks])
+    order = np.argsort(rows, kind="stable")
+    indices = np.concatenate([index.astype(np.int64) + offset for
+                              (_, index, _), offset in zip(blocks, offsets)])
+    data = np.concatenate([values for _, _, values in blocks])
+    indices, data = indices[order], data.astype(float)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=N))])
+    solveB = factorize(system.B)[0]
+    padded = np.ones(N + 1)
+    u = np.empty(width + 2 * rates.size)
+    monomials, cos, sin = np.split(u, [width, width + rates.size])
+
+    def rhs(t, z):
+        padded[:N] = z
+        # left to right down each column, as evaluate multiplies
+        np.multiply.reduce(padded[factors], axis=0, out=monomials)
+        phase = rates * t
+        np.cos(phase, out=cos)
+        np.sin(phase, out=sin)
+        g = np.zeros(N)
+        csr_matvec(N, u.size, indptr, indices, data, u, g)
+        return solveB(g)
+
+    return rhs
+
+
 def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
                    dt=None, rtol=1e-8, atol=1e-10, t_eval=None,
                    newton_tol=1e-12, max_newton=50):
@@ -250,16 +324,20 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     ----------
     system : FirstOrderSystem
     z0 : (N,) array_like
+        Start state, real: a complex dtype is accepted when every
+        imaginary part is zero.
     t_span : (t0, t1)
     Omega : float or sequence, optional
         Forcing base frequencies, one per entry of the harmonic labels;
         required when the system is forced with eps != 0.
     method : {"adaptive", "trapezoid"}, optional
         "adaptive" is the explicit Runge-Kutta pair of order 8(5,3)
-        (DOP853 of Hairer, Norsett & Wanner) with error control; B is
-        factored once per call, each forcing vector solved with those
-        factors once, and every right-hand side is one solve of
-        ``A z + F(z)`` plus the solved forcing at its phases.
+        (DOP853 of Hairer, Norsett & Wanner) with error control. Once
+        per call, B is factored and A, the F pieces and the forcing
+        vectors are stacked side by side into one CSR operator, whatever
+        A's storage; every right-hand side is then one product of that
+        operator with z, its monomials and the cosines and sines of the
+        forcing phases, and one solve with B's factors.
         "trapezoid" is the fixed-step implicit trapezoidal rule, solved
         by chord Newton iterations with the constant matrix
         B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h, factored once
@@ -297,12 +375,24 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     over all steps.
     """
     system = as_first_order(system)
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
+    z0 = np.asarray(z0).reshape(-1)
     if z0.size != system.N:
         raise ValidationError("z0 has length %d, expected %d"
                               % (z0.size, system.N))
+    if np.iscomplexobj(z0):
+        # as for the model's nonlinearity: a cast to real would drop
+        # nonzero imaginary parts with only a warning
+        if np.any(z0.imag != 0):
+            raise ValidationError(
+                "z0 has nonzero imaginary parts; the state must be real")
+        z0 = z0.real
+    z0 = z0.astype(float)
     if method not in ("adaptive", "trapezoid"):
         raise ValidationError("method must be 'adaptive' or 'trapezoid'")
+    t0, t1 = (float(t) for t in t_span)
+    if not np.isfinite([t0, t1]).all():
+        # DOP853 never reaches a NaN end and steps on without end
+        raise ValidationError("t_span must hold two finite times")
     forced = bool(system.forcing) and system.eps != 0.0
     if forced and Omega is None:
         raise ValidationError("the system is forced; pass Omega")
@@ -311,29 +401,12 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         raise ValidationError(
             "Omega has %d frequencies; the forcing labels expect %d"
             % (Om.size, system.nfreq))
-    A, B = system.A, system.B
-    eps = system.eps
+    if forced and not np.isfinite(Om).all():
+        raise ValidationError("Omega must be finite")
 
     if method == "adaptive":
-        solveB = factorize(B)[0]
-        if forced:
-            # B^-1 eps f_kappa once per call, the real and imaginary
-            # parts through the same factors, and the rates <kappa, Omega>
-            vectors = eps * np.array([vec for _, vec in system.forcing]).T
-            response = solveB(vectors.real) + 1j * solveB(vectors.imag)
-            rates = np.array([kt for kt, _ in system.forcing], float) @ Om
-
-        def rhs(t, z):
-            g = A @ z
-            for fc in system.F_coeffs:
-                fc.evaluate(z, add_to=g)
-            g = solveB(g)
-            if forced:
-                g += (response @ np.exp(1j * rates * t)).real
-            return g
-
-        sol = solve_ivp(rhs, t_span, z0, method="DOP853", rtol=rtol,
-                        atol=atol, t_eval=t_eval)
+        sol = solve_ivp(_adaptive_rhs(system, Om), (t0, t1), z0,
+                        method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
         if not sol.success:
             raise NumericalError("integration failed: %s" % sol.message)
         return {"t": sol.t, "z": sol.y}
@@ -342,11 +415,12 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         raise ValidationError(
             "the trapezoidal rule returns every step and takes no t_eval; "
             "choose dt so the steps land on the wanted times")
-    if dt is None or dt <= 0:
+    if dt is None or not dt > 0:
         raise ValidationError("the trapezoidal rule needs a positive dt")
-    t0, t1 = float(t_span[0]), float(t_span[1])
     n = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n
+    A, B = system.A, system.B
+    eps = system.eps
 
     def forcing(t):
         return eps * system.forcing_eval(Om * t) if forced else 0.0
@@ -408,10 +482,18 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     dof : int
         State index whose amplitude is reported; an integer, since a
         fractional index names no state.
+    n_transient : int, optional
+        Periods integrated before the first window (>= 0).
+    n_window, max_windows, samples_per_period : int, optional
+        Periods per window, windows allowed and output samples per
+        period (each >= 1).
+    tol : float, optional
+        Relative agreement of two successive window peaks (> 0).
     z0 : (N,) array_like, optional
         Start state; a good guess (for instance a point predicted by a
         reduced model) shortens the transient and selects among
-        coexisting stable branches.
+        coexisting stable branches. A complex dtype is accepted when
+        every imaginary part is zero.
 
     Returns
     -------
@@ -421,16 +503,26 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     if not system.forcing or system.eps == 0.0:
         raise ValidationError("steady-state amplitude needs a forced system")
     Omega = float(Omega)
-    if Omega <= 0:
-        raise ValidationError("Omega must be positive")
+    if not 0 < Omega < np.inf:
+        # a NaN period would send the integrator into an endless loop
+        raise ValidationError("Omega must be positive and finite")
     if not isinstance(dof, numbers.Integral):
         raise ValidationError("dof must be an integer state index, got %r"
                               % (dof,))
     if not 0 <= dof < system.N:
         raise ValidationError("dof %d outside the state dimension" % dof)
+    for name, count, least in (("n_transient", n_transient, 0),
+                               ("n_window", n_window, 1),
+                               ("max_windows", max_windows, 1),
+                               ("samples_per_period", samples_per_period, 1)):
+        if not isinstance(count, numbers.Integral) or count < least:
+            raise ValidationError("%s must be an integer >= %d, got %r"
+                                  % (name, least, count))
+    if not (isinstance(tol, numbers.Real) and tol > 0):
+        raise ValidationError("tol must be positive, got %r" % (tol,))
     T = 2.0 * np.pi / Omega
-    z = (np.zeros(system.N) if z0 is None
-         else np.asarray(z0, dtype=float).reshape(-1))
+    # integrate_full checks z0's length and that it is real
+    z = np.zeros(system.N) if z0 is None else z0
     t = 0.0
     if n_transient > 0:
         out = integrate_full(system, z, (t, t + n_transient * T),

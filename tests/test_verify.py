@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ssmkit import (FirstOrderSystem, MechanicalSystem, NumericalError,
                     compute_manifold, integrate_full, invariance_residual,
                     master_spectrum, oscillator_chain,
                     steady_state_amplitude)
+from ssmkit import verify
 from ssmkit.cli import DEFAULTS
 from ssmkit.cohomology import ManifoldExpansion
 from ssmkit.polytensor import PolyCoeffs
@@ -278,6 +280,98 @@ def test_adaptive_forced_chain_matches_a_tight_reference(chain10_forced):
     assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
+def _quadratic_cubic_system(forced, storage):
+    """
+    A seeded 8-state pencil with a non-diagonal B, a degree-2 and a
+    degree-3 piece and, when forced, a two-frequency forcing table with
+    a real zero harmonic and the harmonics (1, 0), (0, 1), (1, -2) and
+    their conjugates.
+    """
+    rng = np.random.default_rng(11)
+    N = 8
+    A = rng.normal(size=(N, N))
+    B = np.eye(N) + 0.2 * rng.normal(size=(N, N))
+    pieces = []
+    for degree, nnz in ((2, 30), (3, 40)):
+        pieces.append(PolyCoeffs.from_factors(
+            degree, N, N, rng.integers(0, N, nnz),
+            rng.integers(0, N, (degree, nnz)), rng.normal(size=nnz)))
+    forcing = None
+    if forced:
+        forcing = [((0, 0), rng.normal(size=N))]
+        for kappa in ((1, 0), (0, 1), (1, -2)):
+            vec = rng.normal(size=N) + 1j * rng.normal(size=N)
+            forcing += [(kappa, vec), (tuple(-k for k in kappa), vec.conj())]
+    if storage == "csr":
+        A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+    return FirstOrderSystem(A, B, pieces, forcing, eps=0.3 if forced else 0.0)
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
+def test_adaptive_rhs_matches_the_model_equation(forced, storage):
+    # the stacked operator against B^-1 (A z + F(z) + eps Fext(Omega t))
+    # from the model's own evaluators and a dense solve
+    system = _quadratic_cubic_system(forced, storage)
+    Omega = np.array([0.7, 1.3]) if forced else None
+    rhs = verify._adaptive_rhs(system, Omega)
+    A, B = system.dense_pencil()
+    rng = np.random.default_rng(12)
+    for t in (0.0, 0.37, 41.5):
+        z = rng.normal(size=system.N)
+        g = A @ z + system.F_eval(z)
+        size = np.abs(A) @ np.abs(z) + sum(
+            fc.absolute().evaluate(np.abs(z)) for fc in system.F_coeffs)
+        if forced:
+            g += system.eps * system.forcing_eval(Omega * t)
+            size += abs(system.eps) * sum(np.abs(vec)
+                                          for _, vec in system.forcing)
+        # both sides sum the same terms in other orders and solve with
+        # other LU factors: a few ulps of each term's size, through B^-1
+        bound = 8 * np.finfo(float).eps * la.norm(la.inv(B), np.inf) \
+            * size.max()
+        assert np.abs(rhs(t, z) - la.solve(B, g)).max() <= bound
+
+
+def test_adaptive_does_not_depend_on_matrix_storage(chain10_forced):
+    dense = as_first_order(chain10_forced)
+    assert not sp.issparse(dense.A) and not sp.issparse(dense.B)
+    csr = FirstOrderSystem(sp.csr_matrix(dense.A), sp.csr_matrix(dense.B),
+                           dense.F_coeffs, dense.forcing, dense.eps)
+    Omega = 0.6158
+    t_end = 5 * 2.0 * np.pi / Omega
+    t_eval = np.linspace(0.0, t_end, 101)
+    z0 = np.random.default_rng(6).normal(size=20) * 0.1
+    one, two = (integrate_full(system, z0, (0.0, t_end), Omega=Omega,
+                               t_eval=t_eval)["z"]
+                for system in (dense, csr))
+    # the stacked operator is one CSR matrix whatever A's storage, so
+    # the two runs differ only by the rounding of LAPACK's and SuperLU's
+    # solves with B; a step-size choice moved by that would show as a
+    # difference of the 1e-8 tolerance, a rounding difference stays
+    # near 1e-16 times the growth over five periods
+    assert np.abs(one - two).max() <= 1e-12 * np.abs(one).max()
+
+
+def test_adaptive_path_stays_sparse():
+    # N = 2 * 10^4: a dense N x N matrix would take 8 N^2 = 3.2 GB
+    system = build_first_order(cubic_bar(10**4, 5))
+    assert sp.issparse(system.A) and system.N == 2 * 10**4
+    z0 = np.random.default_rng(3).normal(size=system.N) * 1e-3
+    tracemalloc.start()
+    try:
+        # about ten explicit steps of the stiff bar, the build of the
+        # stacked operator and B's factors included
+        out = integrate_full(system, z0, (0.0, 1e-7), Omega=5.4,
+                             t_eval=[1e-7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out["z"]).all()
+    # 21 MB at N = 2 * 10^4: the cubic's monomial plan, H and the stages
+    assert peak < 0.01 * 8 * system.N**2
+
+
 def test_trapezoid_preserves_quadratic_energy():
     chain = oscillator_chain(6, m=1.0, k=1.0, c=0.0, kappa=0.0)
     fo = as_first_order(chain)
@@ -362,14 +456,22 @@ def test_trapezoid_newton_work_and_accuracy(chain10_forced):
 def test_integrate_full_validations(chain10_forced, chain10):
     with pytest.raises(ValidationError, match="pass Omega"):
         integrate_full(chain10_forced, np.zeros(20), (0.0, 1.0))
-    with pytest.raises(ValidationError, match="positive dt"):
-        integrate_full(chain10, np.zeros(20), (0.0, 1.0),
-                       method="trapezoid")
+    for dt in (None, 0.0, float("nan")):
+        with pytest.raises(ValidationError, match="positive dt"):
+            integrate_full(chain10, np.zeros(20), (0.0, 1.0),
+                           method="trapezoid", dt=dt)
+    for method in ("adaptive", "trapezoid"):
+        with pytest.raises(ValidationError, match="two finite times"):
+            integrate_full(chain10, np.zeros(20), (0.0, float("nan")),
+                           method=method, dt=0.1)
     with pytest.raises(ValidationError, match="method must be"):
         integrate_full(chain10, np.zeros(20), (0.0, 1.0), method="euler")
     with pytest.raises(ValidationError, match="expect 1"):
         integrate_full(chain10_forced, np.zeros(20), (0.0, 1.0),
                        Omega=[0.6, 0.7])
+    with pytest.raises(ValidationError, match="Omega must be finite"):
+        integrate_full(chain10_forced, np.zeros(20), (0.0, 1.0),
+                       Omega=float("nan"))
     with pytest.raises(ValidationError, match="expected 20"):
         integrate_full(chain10, np.zeros(7), (0.0, 1.0))
     with pytest.raises(ValidationError, match="takes no t_eval"):
@@ -392,9 +494,41 @@ def test_forced_linear_steady_state_matches_transfer_function():
 def test_steady_state_validations(chain10, chain10_forced):
     with pytest.raises(ValidationError, match="forced system"):
         steady_state_amplitude(chain10, 0.6, 4)
-    with pytest.raises(ValidationError, match="Omega must be positive"):
-        steady_state_amplitude(chain10_forced, -0.6, 4)
+    for Omega in (-0.6, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="Omega must be positive"):
+            steady_state_amplitude(chain10_forced, Omega, 4)
     with pytest.raises(ValidationError, match="outside the state"):
         steady_state_amplitude(chain10_forced, 0.6, 25)
     with pytest.raises(ValidationError, match="integer state index"):
         steady_state_amplitude(chain10_forced, 0.6, 2.7)
+    for kw, name in ((dict(n_window=0), "n_window"),
+                     (dict(n_window=2.5), "n_window"),
+                     (dict(samples_per_period=0), "samples_per_period"),
+                     (dict(max_windows=0), "max_windows"),
+                     (dict(max_windows=3.0), "max_windows"),
+                     (dict(n_transient=-1), "n_transient"),
+                     (dict(n_transient=1.5), "n_transient")):
+        with pytest.raises(ValidationError, match="%s must be an integer"
+                           % name):
+            steady_state_amplitude(chain10_forced, 0.6, 4, **kw)
+    for tol in (0.0, -0.01, float("nan")):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            steady_state_amplitude(chain10_forced, 0.6, 4, tol=tol)
+
+
+def test_start_state_must_be_real(chain10_forced):
+    z0 = np.random.default_rng(6).normal(size=20) * 0.1
+    kw = dict(Omega=0.6158, t_eval=[1.0])
+    want = integrate_full(chain10_forced, z0, (0.0, 1.0), **kw)["z"]
+    # a complex dtype holding real values is the same start state
+    got = integrate_full(chain10_forced, z0 + 0j, (0.0, 1.0), **kw)["z"]
+    assert np.array_equal(got, want)
+    z0c = z0 + 1e-3j
+    for method, extra in (("adaptive", kw), ("trapezoid", dict(
+            Omega=0.6158, dt=0.5))):
+        with pytest.raises(ValidationError, match="nonzero imaginary"):
+            integrate_full(chain10_forced, z0c, (0.0, 1.0), method=method,
+                           **extra)
+    with pytest.raises(ValidationError, match="nonzero imaginary"):
+        steady_state_amplitude(chain10_forced, 0.6, 4, n_transient=1,
+                               z0=z0c)
