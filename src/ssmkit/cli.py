@@ -177,9 +177,9 @@ def _build_system(cfg):
 
 
 def _resolve_select(sel):
-    if sel.get("indices"):
+    if sel.get("indices") is not None:
         return {"mode": "indices", "indices": sel["indices"]}
-    if sel.get("pair"):
+    if sel.get("pair") is not None:
         return {"mode": "pair", "pair": sel["pair"]}
     return {"mode": sel.get("mode", "smallest"),
             "count": sel.get("count", 2)}

@@ -27,8 +27,8 @@ warning because they shrink the validity region in eps.
 Each block goes through ``cohomology.solve_shifted`` at the shift
 ``i <kappa, Omega>``, on the same route as an autonomous block of the
 same system: the N/2 matrix ``-nu^2 M + i nu C + K`` for a lifted
-mechanical model, else the 2N pencil, then the same dense, sparse or
-least-squares path and the same kernel projection. The diagnostics
+mechanical model, else the 2N pencil, then the same LU, residual check
+and kernel projection, dense or sparse. The diagnostics
 record the route and, per harmonic, the residual and the normwise
 backward residual
 

@@ -36,8 +36,8 @@ from .polytensor import PolyCoeffs
 __all__ = [
     "MechanicalSystem", "FirstOrderSystem", "build_first_order",
     "as_first_order", "oscillator_chain", "lorenz_extended",
-    "cosine_forcing", "factorize", "shifted_route", "shifted_solver",
-    "reduced_shifted", "left_vectors",
+    "cosine_forcing", "factorize", "factorize_near", "shifted_route",
+    "shifted_solver", "reduced_shifted", "left_vectors",
 ]
 
 
@@ -433,14 +433,40 @@ def shifted_solver(system, shift):
     and return ``solve``: ``solve(rhs)`` gives X with
     ``(shift B - A) X = rhs`` for an (N,) or (N, k) ``rhs``, in real
     arithmetic for a real ``shift`` and ``rhs``. An exactly singular
-    matrix raises RuntimeError, dense or sparse; ``cohomology``'s
-    ``solve_shifted`` makes the other singular tests.
+    matrix raises RuntimeError, dense or sparse, as the shift-invert
+    eigensolve and the trapezoidal rule need; :func:`factorize_near`
+    takes the blocks that may sit on the spectrum.
     """
     mat, fold, unfold = reduced_shifted(system, shift)
     solve, rcond = factorize(mat)
     if rcond == 0.0:
         raise RuntimeError("a pivot of the dense LU is exactly zero")
     return lambda rhs: unfold(solve(fold(rhs)), rhs)
+
+
+def factorize_near(system, shift, adjoint=False):
+    """
+    :func:`factorize` of :func:`reduced_shifted`'s matrix at ``shift``
+    (its conjugate transpose with ``adjoint``) or, when a pivot is
+    exactly zero, of the one at ``shift + eps max(|shift|, 1)``, as
+    LAPACK's ``xLAEIN`` does: a solve then errs only along the null
+    vector (Peters & Wilkinson, SIAM Rev. 21, 1979). Returns ``(solve,
+    rcond, reduced)``, ``reduced`` being :func:`reduced_shifted` at
+    ``shift`` itself; NumericalError when both are exactly singular.
+    """
+    reduced = reduced_shifted(system, shift)
+    mat = reduced[0]
+    for _ in range(2):
+        try:
+            solve, rcond = factorize(mat.conj().T if adjoint else mat)
+        except RuntimeError:  # SuperLU on an exactly zero pivot
+            rcond = 0.0
+        if rcond != 0.0:
+            return solve, rcond, reduced
+        near = shift + np.finfo(float).eps * max(abs(shift), 1.0)
+        mat = reduced_shifted(system, near)[0]
+    raise NumericalError("the shifted pencil is exactly singular at %s and "
+                         "next to it" % shift)
 
 
 def left_vectors(system, V, lambdas):
@@ -458,10 +484,10 @@ def left_vectors(system, V, lambdas):
     ``B = [[C, M], [M, 0]]``. A column with negative imaginary part
     whose eigenvalue and vector are the exact conjugates of another
     column's takes the conjugate of that column's left vector, without a
-    solve of its own. A factor with an exactly zero pivot, as at
-    Lorenz's ``lambda = 0``, is replaced by the one at
-    ``lambda_k + eps max(|lambda_k|, 1)``, as LAPACK's ``xLAEIN`` does;
-    NumericalError is raised only when that one is exactly singular too.
+    solve of its own. Each step factors through :func:`factorize_near`,
+    so an exactly zero pivot, as at Lorenz's ``lambda = 0``, moves the
+    shift by one ulp, and NumericalError is raised only when the shift
+    next to ``lambda_k`` is exactly singular too.
     """
     mech = system.mech
     if mech is not None and mech.symmetric:
@@ -477,18 +503,7 @@ def left_vectors(system, V, lambdas):
     for k, lam in enumerate(lambdas):
         if k in partner:
             continue
-        for shift in (lam, lam + np.finfo(float).eps * max(abs(lam), 1.0)):
-            adjoint = reduced_shifted(system, shift)[0].conj().T
-            try:
-                solve, rcond = factorize(adjoint)
-            except RuntimeError:  # SuperLU on an exactly zero pivot
-                continue
-            if rcond != 0.0:
-                break
-        else:
-            raise NumericalError(
-                "the shifted pencil is exactly singular at %s and next to "
-                "it; the left eigenvector has no inverse-iteration step" % lam)
+        solve = factorize_near(system, lam, adjoint=True)[0]
         if mech is None:
             U[:, k] = solve(V[:, k])
         else:

@@ -143,10 +143,10 @@ def _matrix_from_dict(data, what):
 def _resolve_select(select):
     """Normalize the selection argument to a canonical dict."""
     if isinstance(select, numbers.Integral):
-        return {"mode": "smallest", "count": int(select)}
-    if isinstance(select, (list, tuple)) and select and all(
+        select = {"mode": "smallest", "count": select}
+    elif isinstance(select, (list, tuple)) and all(
             isinstance(i, numbers.Integral) for i in select):
-        return {"mode": "indices", "indices": [int(i) for i in select]}
+        select = {"mode": "indices", "indices": select}
     if isinstance(select, dict):
         mode = select.get("mode", "smallest")
         if mode not in ("smallest", "slowest", "indices", "pair"):
@@ -154,10 +154,15 @@ def _resolve_select(select):
         out = {"mode": mode}
         if mode == "indices":
             out["indices"] = [int(i) for i in select["indices"]]
+            if not out["indices"]:
+                raise ValidationError("the selection lists no indices")
         elif mode == "pair":
             out["pair"] = int(select.get("pair", 1))
         else:
             out["count"] = int(select.get("count", 2))
+            if out["count"] < 1:
+                raise ValidationError("the selection count must be >= 1, "
+                                      "not %d" % out["count"])
         return out
     raise ValidationError("cannot interpret selection %r" % (select,))
 
@@ -239,7 +244,7 @@ def _select_indices(w_sorted, spec, scale):
         want = spec["pair"]
         if not 1 <= want <= len(pairs):
             raise ValidationError(
-                "requested pair %d but only %d conjugate pairs available"
+                "requested pair %d; the conjugate pairs are numbered 1..%d"
                 % (want, len(pairs)))
         i = pairs[want - 1]
         chosen = [i]

@@ -78,6 +78,11 @@ __all__ = [
 # A MARGIN inside that window keeps those verdicts off a single radius.
 MARGIN = 30.0
 
+# steady_state_amplitude's DOP853 tolerances, windows allowed and output
+# samples per period
+STEADY_RTOL, STEADY_ATOL = 1e-8, 1e-10
+STEADY_MAX_WINDOWS, STEADY_SAMPLES = 30, 64
+
 
 class ResidualReport:
     """
@@ -463,16 +468,16 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
 
 
 def steady_state_amplitude(system, Omega, dof, n_transient=300,
-                           n_window=20, tol=0.005, max_windows=30,
-                           samples_per_period=64, z0=None,
-                           rtol=1e-8, atol=1e-10):
+                           n_window=20, tol=0.005, z0=None):
     """
     Peak steady-state amplitude of one state under periodic forcing.
 
     Integrates through a transient, then compares the peak of
     ``|z[dof]|`` over successive windows of ``n_window`` periods until
-    two windows agree to within ``tol`` relative. Every stretch is one
-    adaptive (DOP853) ``integrate_full`` call at ``rtol`` and ``atol``.
+    two windows agree to within ``tol`` relative, for at most
+    ``STEADY_MAX_WINDOWS`` windows sampled ``STEADY_SAMPLES`` times per
+    period. Every stretch is one adaptive (DOP853) ``integrate_full``
+    call at ``STEADY_RTOL`` and ``STEADY_ATOL``.
 
     Parameters
     ----------
@@ -484,9 +489,8 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
         fractional index names no state.
     n_transient : int, optional
         Periods integrated before the first window (>= 0).
-    n_window, max_windows, samples_per_period : int, optional
-        Periods per window, windows allowed and output samples per
-        period (each >= 1).
+    n_window : int, optional
+        Periods per window (>= 1).
     tol : float, optional
         Relative agreement of two successive window peaks (> 0).
     z0 : (N,) array_like, optional
@@ -512,9 +516,7 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     if not 0 <= dof < system.N:
         raise ValidationError("dof %d outside the state dimension" % dof)
     for name, count, least in (("n_transient", n_transient, 0),
-                               ("n_window", n_window, 1),
-                               ("max_windows", max_windows, 1),
-                               ("samples_per_period", samples_per_period, 1)):
+                               ("n_window", n_window, 1)):
         if not isinstance(count, numbers.Integral) or count < least:
             raise ValidationError("%s must be an integer >= %d, got %r"
                                   % (name, least, count))
@@ -526,16 +528,17 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     t = 0.0
     if n_transient > 0:
         out = integrate_full(system, z, (t, t + n_transient * T),
-                             Omega=Omega, rtol=rtol, atol=atol,
-                             t_eval=[t + n_transient * T])
+                             Omega=Omega, rtol=STEADY_RTOL,
+                             atol=STEADY_ATOL, t_eval=[t + n_transient * T])
         z = out["z"][:, -1]
         t += n_transient * T
     prev = None
-    for _ in range(max_windows):
+    for _ in range(STEADY_MAX_WINDOWS):
         t_end = t + n_window * T
-        t_eval = np.linspace(t, t_end, samples_per_period * n_window + 1)
+        t_eval = np.linspace(t, t_end, STEADY_SAMPLES * n_window + 1)
         out = integrate_full(system, z, (t, t_end), Omega=Omega,
-                             rtol=rtol, atol=atol, t_eval=t_eval)
+                             rtol=STEADY_RTOL, atol=STEADY_ATOL,
+                             t_eval=t_eval)
         amp = float(np.abs(out["z"][dof]).max())
         z = out["z"][:, -1]
         t = t_end
@@ -545,4 +548,4 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     raise NumericalError(
         "steady-state amplitude did not settle within %d windows; the "
         "response may be quasi-periodic or chaotic at Omega=%g"
-        % (max_windows, Omega))
+        % (STEADY_MAX_WINDOWS, Omega))

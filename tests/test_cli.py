@@ -223,6 +223,14 @@ def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
                  "--ssm.select", "2"]) == 2
     assert "is a section" in capsys.readouterr().err
 
+    # an empty or zero selection is refused, not read as the default
+    for flag, value, message in (("pair", "0", "numbered 1..10"),
+                                 ("indices", "[]", "lists no indices"),
+                                 ("count", "0", "count must be >= 1")):
+        assert main(["ssm", "--system.builtin", "chain",
+                     "--ssm.select.%s" % flag, value]) == 2
+        assert message in capsys.readouterr().err
+
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["ssm", "--config", str(bad)]) == 2

@@ -4,6 +4,7 @@ import base64
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,18 +25,19 @@ from ssmkit.polytensor import PolyCoeffs
 from test_spectrum import csr_chain, plain_pencil
 
 
-def twin_rotor(f_row):
+def twin_rotor(f_row, conv=np.asarray):
     """Two undamped rotors at frequencies 1 and 3 with one cubic term.
 
     The eigenvalues are +-1j and +-3j, so the order-3 sum over the slow
     pair lands exactly on the fast pair. Which row carries the cubic
-    forcing decides whether the singular block stays consistent.
+    forcing decides whether the singular block stays consistent. The
+    pencil's matrices are stored by ``conv``.
     """
     A = np.zeros((4, 4))
     A[0, 1], A[1, 0] = -1.0, 1.0
     A[2, 3], A[3, 2] = -3.0, 3.0
     F3 = PolyCoeffs.from_entries(3, 4, 4, [(f_row, (0, 0, 0), 1.0)])
-    return FirstOrderSystem(np.eye(4) @ A, np.eye(4), F_coeffs=[F3])
+    return FirstOrderSystem(conv(A), conv(np.eye(4)), F_coeffs=[F3])
 
 
 def manifold_residual(man, p):
@@ -276,11 +278,17 @@ def test_outer_resonance_blocks_normal_form():
     assert any(abs(abs(lam.imag) - 3.0) < 1e-8 for _, lam in err.value.pairs)
 
 
-def test_outer_resonance_warn_continues_when_consistent():
-    sys = twin_rotor(0)
-    ms = master_spectrum(sys, select=[0, 1], n_outer=2)
+STORAGES = pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
+                                   ids=["dense", "csr"])
+
+
+@STORAGES
+def test_outer_resonance_warn_continues_when_consistent(conv):
+    # the order-3 block at 3j is exactly singular, dense or sparse
+    ms = master_spectrum(twin_rotor(0), select=[0, 1], n_outer=2)
     with pytest.warns(UserWarning, match="domain of validity"):
-        man = compute_manifold(sys, ms, order=3, on_outer="warn")
+        man = compute_manifold(twin_rotor(0, conv), ms, order=3,
+                               on_outer="warn")
     assert man.order == 3
     assert man.W[3].shape == (4, 4)
     rng = np.random.default_rng(1)
@@ -289,12 +297,47 @@ def test_outer_resonance_warn_continues_when_consistent():
         assert manifold_residual(man, [c, np.conj(c)]) < 1e-10
 
 
-def test_inconsistent_singular_block_raises():
-    sys = twin_rotor(2)
-    ms = master_spectrum(sys, select=[0, 1], n_outer=2)
+@STORAGES
+def test_inconsistent_singular_block_raises(conv):
+    ms = master_spectrum(twin_rotor(2), select=[0, 1], n_outer=2)
     with pytest.warns(UserWarning):
         with pytest.raises(NumericalError, match="singular and inconsistent"):
-            compute_manifold(sys, ms, order=3, on_outer="warn")
+            compute_manifold(twin_rotor(2, conv), ms, order=3,
+                             on_outer="warn")
+
+
+def test_singular_blocks_of_an_embedded_lorenz_stay_sparse(lorenz_master,
+                                                           lorenz_man3):
+    # Lorenz's center blocks at orders 2 and 3 sit at lambda = 0 with an
+    # exactly zero pivot; padded with 1996 decoupled stable states into
+    # a CSR pencil, they factor one ulp off the shift like the dense
+    # ones, with no dense N x N matrix
+    lorenz, ms = lorenz_master
+    N = 2000
+    big = FirstOrderSystem(
+        sp.block_diag((sp.csr_matrix(lorenz.A), -sp.identity(N - 4)),
+                      format="csr"),
+        sp.identity(N, format="csr"),
+        [fc.relabel(N, N) for fc in lorenz.F_coeffs])
+    pad = np.zeros((N - 4, ms.dim), dtype=complex)
+    padded = MasterSubspace(ms.lambdas, np.vstack([ms.V, pad]),
+                            np.vstack([ms.U, pad]), ms.pairing,
+                            ms.outer_lambdas)
+    tracemalloc.start()
+    try:
+        man = compute_manifold(big, padded, order=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 2000 x 2000 complex matrix alone takes 64 MB
+    assert peak < 16e6
+    for i in range(1, 4):
+        assert np.array_equal(man.W[i][:4], lorenz_man3.W[i])
+        assert not man.W[i][4:].any()
+        assert np.array_equal(man.R[i], lorenz_man3.R[i])
+    assert ([info["kernel_columns"] for info in man.diagnostics["orders"]]
+            == [info["kernel_columns"]
+                for info in lorenz_man3.diagnostics["orders"]])
 
 
 def _conservative_chain(sparse):
@@ -307,7 +350,8 @@ def _conservative_chain(sparse):
 
 def test_dense_and_sparse_pencils_give_the_same_expansion():
     # undamped: the order-3 and order-5 blocks at the master eigenvalue
-    # are exactly singular, and both paths must remove the same kernel
+    # are exactly singular, and both storages take the one path and
+    # remove the same kernel
     dense = _conservative_chain(sparse=False)
     csr = _conservative_chain(sparse=True)
     assert sp.issparse(csr.A) and sp.issparse(csr.B)
@@ -315,8 +359,13 @@ def test_dense_and_sparse_pencils_give_the_same_expansion():
                          n_outer=8)
     man_d = compute_manifold(dense, ms, order=5)
     man_s = compute_manifold(csr, ms, order=5)
-    assert sum(info["lstsq_columns"]
-               for info in man_d.diagnostics["orders"]) > 0
+    kernel = [info["kernel_columns"] for info in man_d.diagnostics["orders"]]
+    assert sum(kernel) > 0
+    assert kernel == [info["kernel_columns"]
+                      for info in man_s.diagnostics["orders"]]
+    assert all(info["lstsq_columns"] == 0
+               for man in (man_d, man_s)
+               for info in man.diagnostics["orders"])
     for i in range(1, 6):
         assert np.abs(man_d.W[i] - man_s.W[i]).max() <= 1e-12
         assert np.abs(man_d.R[i] - man_s.R[i]).max() <= 1e-12
@@ -330,12 +379,19 @@ def test_dense_and_sparse_pencils_give_the_same_expansion():
                for info in man_d.diagnostics["orders"])
 
 
+# the condition estimate at which the reference takes least squares
+RCOND_SINGULAR = 1e-12
+
+
 def reference_solve_shifted(system, master, shift, rhs, what,
                             rhs_scale=1.0):
     """
-    ``solve_shifted`` on the 2N pencil ``shift B - A`` for every system:
-    SuperLU or ``lu_factor``/``lu_solve`` with the same singular tests,
-    least squares and kernel projection, the reference for the N/2 route.
+    ``solve_shifted`` on the 2N pencil ``shift B - A`` for every system,
+    by an independent route: SuperLU or ``lu_factor``/``lu_solve``, and
+    minimum-norm least squares on a block that SuperLU fails, leaves a
+    residual above 1e-6 or whose condition estimate is at most
+    ``RCOND_SINGULAR``, then the same kernel projection. The reference
+    for the N/2 route and for the one-ulp factor of a singular block.
     """
     A, B = system.A, system.B
     if sp.issparse(A) or sp.issparse(B):
@@ -357,21 +413,23 @@ def reference_solve_shifted(system, master, shift, rhs, what,
             lu, piv = la.lu_factor(mat)
         gecon = la.get_lapack_funcs("gecon", (mat,))
         rcond = float(gecon(lu, np.linalg.norm(mat, 1))[0])
-        singular = rcond <= cohomology.RCOND_SINGULAR
+        singular = rcond <= RCOND_SINGULAR
         if not singular:
             X = la.lu_solve((lu, piv), rhs)
     if singular:
-        X = la.lstsq(mat, rhs, cond=cohomology.RCOND_SINGULAR,
+        X = la.lstsq(mat, rhs, cond=RCOND_SINGULAR,
                      lapack_driver="gelsd")[0]
     scale = max(np.abs(master.lambdas).max(), 1.0)
+    removed = 0
     for k in range(master.dim):
         if abs(shift - master.lambdas[k]) <= 1e-8 * scale:
             X -= np.multiply.outer(master.V[:, k],
                                    master.U[:, k].conj() @ (B @ X))
+            removed += 1
     if singular:
         rnorm = np.abs(mat @ X - rhs).max()
         assert rnorm <= 1e-6 * max(np.abs(rhs).max(), rhs_scale, 1.0)
-    return X, rcond, singular
+    return X, rcond, removed
 
 
 # pencils of one model, each given as a plain first-order system: the
@@ -466,12 +524,15 @@ def test_exactly_singular_blocks_still_take_least_squares(
     (man, _), (ref, _) = _expansions(
         monkeypatch, _chain(sparse, c=0.0), (variant, n_choice),
         {"mode": "pair", "pair": 2}, 5, "normal-form", 0.6)
-    lstsq = [info["lstsq_columns"] for info in man.diagnostics["orders"]]
-    assert lstsq == [info["lstsq_columns"]
-                     for info in ref.diagnostics["orders"]]
-    # a dense block is singular by its condition estimate; SuperLU
-    # factors these blocks, and the kernel projection does the rest
-    assert (sum(lstsq) > 0) == (not sparse)
+    # the reference takes least squares on the dense singular blocks;
+    # the solver factors every block, dense or sparse, and the kernel
+    # projection does the rest
+    kernel = [info["kernel_columns"] for info in man.diagnostics["orders"]]
+    assert sum(kernel) > 0
+    assert kernel == [info["kernel_columns"]
+                      for info in ref.diagnostics["orders"]]
+    assert all(info["lstsq_columns"] == 0
+               for info in man.diagnostics["orders"])
     _assert_blocks_agree(man, ref, 1e-8)
 
 

@@ -89,6 +89,10 @@ def test_selection_validation(chain10):
         master_spectrum(chain10, select={"mode": "indices", "indices": [99]})
     with pytest.raises(ValidationError):
         master_spectrum(chain10, select={"mode": "banana"})
+    with pytest.raises(ValidationError, match="count must be >= 1"):
+        master_spectrum(chain10, select={"mode": "smallest", "count": 0})
+    with pytest.raises(ValidationError, match="lists no indices"):
+        master_spectrum(chain10, select={"mode": "indices", "indices": []})
     with pytest.raises(ValidationError, match="method"):
         master_spectrum(chain10, method="qr")
 

@@ -503,9 +503,6 @@ def test_steady_state_validations(chain10, chain10_forced):
         steady_state_amplitude(chain10_forced, 0.6, 2.7)
     for kw, name in ((dict(n_window=0), "n_window"),
                      (dict(n_window=2.5), "n_window"),
-                     (dict(samples_per_period=0), "samples_per_period"),
-                     (dict(max_windows=0), "max_windows"),
-                     (dict(max_windows=3.0), "max_windows"),
                      (dict(n_transient=-1), "n_transient"),
                      (dict(n_transient=1.5), "n_transient")):
         with pytest.raises(ValidationError, match="%s must be an integer"
