@@ -10,9 +10,11 @@ be overridden on the command line with its dotted name::
         --system.eps 0.05 --frc.omega_min 0.5 --frc.omega_max 0.7
 
 Override values are parsed as JSON when possible (so lists, numbers,
-null and booleans work) and fall back to plain strings. Precedence is
-flag over file over default. Outputs are plain text with full float
-precision and are byte-identical for identical configs and seeds.
+null and booleans work) and fall back to plain strings. Counts and
+indices (``ssm.order``, ``backbone.dof``, ...) must be JSON integers.
+Precedence is flag over file over default. Outputs are plain text with
+full float precision and are byte-identical for identical configs and
+seeds.
 
 Exit codes: 0 success, 2 invalid input or config, 3 numerical failure,
 4 outer resonance obstruction.
@@ -56,7 +58,7 @@ DEFAULTS = {
         "shift": 0.0,
         "tol": {"rel": 1e-3, "slack": 1.0, "abs": None},
         "on_outer": None,
-        "output": "manifold.json",
+        "output": "manifold.bin",
     },
     "frc": {
         "omega": None,
@@ -152,13 +154,25 @@ def _load_config(argv):
     return args.command, cfg
 
 
+def _integer(cfg, dotted):
+    """The count or index at ``dotted`` (``"ssm.order"``); ValidationError
+    unless the config holds a JSON integer there, so that 2.7 is not
+    read as 2."""
+    section, key = dotted.split(".")
+    value = cfg[section][key]
+    if type(value) is not int:
+        raise ValidationError("%s must be an integer, not %r"
+                              % (dotted, value))
+    return value
+
+
 def _build_system(cfg):
     scfg = cfg["system"]
     if scfg["manifest"]:
         system = as_first_order(load_system(scfg["manifest"]))
     elif scfg["builtin"] == "chain":
         system = as_first_order(oscillator_chain(
-            int(scfg["n"]), m=float(scfg["m"]), k=float(scfg["k"]),
+            _integer(cfg, "system.n"), m=float(scfg["m"]), k=float(scfg["k"]),
             c=float(scfg["c"]), kappa=float(scfg["kappa"]),
             forcing_amplitude=scfg["forcing_amplitude"],
             eps=float(scfg["eps"] or 0.0)))
@@ -188,10 +202,10 @@ def _resolve_select(sel):
 def _build_manifold(cfg, system):
     ssm = cfg["ssm"]
     master = master_spectrum(system, select=_resolve_select(ssm["select"]),
-                             n_outer=int(ssm["n_outer"]),
+                             n_outer=_integer(cfg, "ssm.n_outer"),
                              method=ssm["method"],
                              shift=complex(ssm["shift"]))
-    manifold = compute_manifold(system, master, int(ssm["order"]),
+    manifold = compute_manifold(system, master, _integer(cfg, "ssm.order"),
                                 style=ssm["style"],
                                 graph_modes=ssm["graph_modes"],
                                 tol=ssm["tol"], on_outer=ssm["on_outer"])
@@ -241,14 +255,15 @@ def _cmd_ssm(cfg):
     return 0
 
 
-def _frc_grid(fcfg):
+def _frc_grid(cfg):
+    fcfg = cfg["frc"]
     if fcfg["omega"]:
         return [float(w) for w in fcfg["omega"]]
     if fcfg["omega_min"] is None or fcfg["omega_max"] is None:
         raise ValidationError(
             "set frc.omega or both frc.omega_min and frc.omega_max")
     lo, hi = float(fcfg["omega_min"]), float(fcfg["omega_max"])
-    n = int(fcfg["n_omega"])
+    n = _integer(cfg, "frc.n_omega")
     if not (hi > lo and n >= 2):
         raise ValidationError("need omega_max > omega_min and n_omega >= 2")
     return np.linspace(lo, hi, n).tolist()
@@ -258,9 +273,9 @@ def _cmd_frc(cfg):
     system = _build_system(cfg)
     _, manifold = _build_manifold(cfg, system)
     fcfg = cfg["frc"]
-    result = frc_sweep(manifold, _frc_grid(fcfg),
+    result = frc_sweep(manifold, _frc_grid(cfg),
                        dofs=fcfg["dofs"], eta=fcfg["eta"],
-                       n_phases=int(fcfg["n_phases"]))
+                       n_phases=_integer(cfg, "frc.n_phases"))
     print("frc points: %d (eta=%d, eps=%s)"
           % (len(result.points), result.eta, _fmt(result.eps)))
     if fcfg["output_csv"]:
@@ -279,8 +294,10 @@ def _cmd_backbone(cfg):
     system = _build_system(cfg)
     _, manifold = _build_manifold(cfg, system)
     bcfg = cfg["backbone"]
-    curve = backbone(manifold, float(bcfg["rho_max"]), n=int(bcfg["n"]),
-                     dof=int(bcfg["dof"]), n_phases=int(bcfg["n_phases"]))
+    curve = backbone(manifold, float(bcfg["rho_max"]),
+                     n=_integer(cfg, "backbone.n"),
+                     dof=_integer(cfg, "backbone.dof"),
+                     n_phases=_integer(cfg, "backbone.n_phases"))
     print("backbone points: %d" % curve.rho.size)
     print("omega(0) = %s" % _fmt(curve.omega[0]))
     if bcfg["output_csv"]:
@@ -294,8 +311,8 @@ def _cmd_verify(cfg):
     _, manifold = _build_manifold(cfg, system)
     vcfg = cfg["verify"]
     report = invariance_residual(manifold, vcfg["radii"],
-                                 n_dirs=int(vcfg["n_dirs"]),
-                                 seed=int(vcfg["seed"]))
+                                 n_dirs=_integer(cfg, "verify.n_dirs"),
+                                 seed=_integer(cfg, "verify.seed"))
     for line in report.describe():
         print(line)
     if vcfg["output"]:

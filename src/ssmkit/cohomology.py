@@ -45,15 +45,16 @@ columns whose block removed a master direction.
 """
 
 import json
+import math
+import os
 import warnings
 
 import numpy as np
 
 from .errors import NumericalError, OuterResonanceError, ValidationError
-from .fileio import decode_column, encode_column
 from .model import as_first_order, factorize_near, shifted_route
 from .multiindex import (MultiIndexSet, conjugate_permutation,
-                         kron_sum_lambdas, tuple_positions)
+                         kron_sum_lambdas)
 from .polytensor import apply_kron_sum, compose
 from .spectrum import MasterSubspace
 
@@ -65,7 +66,7 @@ __all__ = [
 
 STYLES = ("normal-form", "graph", "per-mode")
 LAMBDA_MERGE_RTOL = 1e-14
-FORMAT = 2  # the manifold file layout ManifoldExpansion.save writes
+FORMAT = 3  # the manifold file layout ManifoldExpansion.save writes
 
 
 class ResonanceReport:
@@ -416,99 +417,98 @@ def compute_manifold(system, master, order, style="normal-form",
                              {"orders": infos})
 
 
-def _pack(block, degree, M):
+def _check_header(data):
     """
-    The format-2 entry of one coefficient block: its entries other than
-    zero (a NaN part counts as nonzero), sorted by row, then by column
-    (``np.nonzero`` scans row-major), as binary columns of 1-based rows
-    (n,) and sorted factor indices (degree, n) and of complex values
-    (n,).
+    ValidationError unless ``data`` holds the header fields of format 3:
+    an integer ``order`` >= 1, a ``style`` of ``STYLES`` and integers
+    1 <= ``dim`` <= ``state_dim``. Data of formats 1 and 2 is refused
+    with its format named: recompute such a file.
     """
-    rows, cols = np.nonzero(block != 0)
-    factors = MultiIndexSet(degree, M).factors[:, cols] + 1
-    return {"count": int(rows.size),
-            "rows": encode_column(rows + 1, "<i4"),
-            "factors": encode_column(factors, "<i4"),
-            "values": encode_column(block[rows, cols], "<c16")}
+    fmt = data.get("format", 1) if isinstance(data, dict) else None
+    if fmt != FORMAT:
+        raise ValidationError(
+            "manifold data is format %r, and only format %d is read; "
+            "recompute the file with this version" % (fmt, FORMAT))
+    order = data.get("order")
+    if type(order) is not int or order < 1:
+        raise ValidationError("manifold order must be an integer >= 1, "
+                              "not %r" % (order,))
+    if data.get("style") not in STYLES:
+        raise ValidationError("manifold style %r is not one of %r"
+                              % (data.get("style"), STYLES))
+    dim, state_dim = data.get("dim"), data.get("state_dim")
+    if not (type(dim) is int and type(state_dim) is int
+            and 1 <= dim <= state_dim):
+        raise ValidationError("manifold dim %r and state_dim %r must be "
+                              "integers with 1 <= dim <= state_dim"
+                              % (dim, state_dim))
 
 
-def _in_range(arr, what, name, high):
-    """ValidationError naming the block unless ``arr`` lies in 1..high."""
-    if arr.size and (arr.min() < 1 or arr.max() > high):
-        bad = arr[(arr < 1) | (arr > high)][0]
-        raise ValidationError("manifold block %s: %s %s outside 1..%d"
-                              % (what, name, bad, high))
-
-
-def _unpack(entry, what, degree, nrows, M):
-    """
-    A dense (nrows, C(M+degree-1, degree)) block from its :func:`_pack`
-    entry. Entries whose factor tuples permute one another name one
-    monomial and are summed, in the order stored; an exactly repeated
-    (row, tuple) is refused.
-    """
-    if not isinstance(entry, dict) or not {"count", "rows", "factors",
-                                           "values"} <= entry.keys():
-        raise ValidationError("manifold block %s: needs count, rows, "
-                              "factors and values" % what)
-    count = entry["count"]
-    if type(count) is not int or count < 0:
-        raise ValidationError("manifold block %s: count must be an integer "
-                              ">= 0" % what)
-
-    def column(key, dtype, per, need):
-        arr = decode_column(entry[key], dtype,
-                            "manifold block %s: %s" % (what, key))
-        if arr.size != per * count:
-            raise ValidationError("manifold block %s: %s: count is %d, %s "
-                                  "holds %d" % (what, need, count, key,
-                                                arr.size))
-        return arr
-
-    rows = column("rows", "<i4", 1, "each entry needs one row")
-    factors = column("factors", "<i4", degree, "each entry needs a tuple "
-                     "of %d factors" % degree).reshape(degree, count)
-    values = column("values", "<c16", 1,
-                    "values must be one complex number per entry")
-    _in_range(rows, what, "row", nrows)
-    _in_range(factors, what, "factor", M)
-    size = MultiIndexSet(degree, M).size
-    flat = ((rows.astype(np.int64) - 1) * size
-            + tuple_positions(factors - 1, M))
-    block = np.zeros((nrows, size), dtype=complex)
-    ordered = np.sort(flat)
-    if (ordered[1:] != ordered[:-1]).all():
-        block.reshape(-1)[flat] = values
-        return block
-    # tuples that permute one another: their values are summed in the
-    # order stored, unless one repeats a (row, tuple) exactly
-    if np.unique(np.vstack([rows, factors]), axis=1).shape[1] < count:
-        raise ValidationError("manifold block %s: a (row, tuple) entry is "
-                              "given twice" % what)
-    order = np.argsort(flat, kind="stable")
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    block.reshape(-1)[ordered[starts]] = np.add.reduceat(values[order],
-                                                         starts)
-    return block
+def _check_array(arr, what, shape=None, named=None):
+    """ValidationError naming ``what`` unless ``arr`` is a complex128
+    array, of ``shape`` when given (``named`` spells it in header
+    fields)."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != complex:
+        raise ValidationError("manifold %s is %s, not a complex128 array"
+                              % (what, getattr(arr, "dtype",
+                                               type(arr).__name__)))
+    if shape is not None and arr.shape != shape:
+        raise ValidationError("manifold %s has shape %s, not %s = %s"
+                              % (what, arr.shape, named, shape))
 
 
 def _check_master(master, N, M):
-    """ValidationError unless the master fits the blocks: V and U of
-    shape (state_dim, dim), dim lambdas and dim pairing entries in
-    0..dim-1."""
-    for name, mat in (("V", master.V), ("U", master.U)):
-        if mat.shape != (N, M):
-            raise ValidationError(
-                "manifold master %s has shape %s, not (state_dim, dim) = %s"
-                % (name, mat.shape, (N, M)))
-    for name, arr in (("lambdas", master.lambdas),
-                      ("pairing", master.pairing)):
-        if arr.shape != (M,):
+    """ValidationError unless the master's arrays fit the blocks:
+    complex V and U of shape (state_dim, dim), dim complex lambdas, a
+    complex (n_outer,) outer_lambdas and dim integer pairing entries
+    in 0..dim-1."""
+    for name in ("V", "U"):
+        _check_array(master[name], "master " + name, (N, M),
+                     "(state_dim, dim)")
+    for name in ("lambdas", "outer_lambdas"):
+        _check_array(master[name], "master " + name)
+    if master["outer_lambdas"].ndim != 1:
+        raise ValidationError("manifold master outer_lambdas has shape %s, "
+                              "not (n_outer,)"
+                              % (master["outer_lambdas"].shape,))
+    pairing = master["pairing"]
+    if not isinstance(pairing, np.ndarray) or pairing.dtype.kind not in "iu":
+        raise ValidationError("manifold master pairing is not an integer "
+                              "array")
+    for name in ("lambdas", "pairing"):
+        if master[name].shape != (M,):
             raise ValidationError("manifold master has %d %s for dim %d"
-                                  % (arr.size, name, M))
-    if M and (master.pairing.min() < 0 or master.pairing.max() >= M):
+                                  % (master[name].size, name, M))
+    if pairing.min() < 0 or pairing.max() >= M:
         raise ValidationError("manifold master pairing %s leaves 0..%d"
-                              % (master.pairing.tolist(), M - 1))
+                              % (pairing.tolist(), M - 1))
+
+
+def _file_shapes(header):
+    """The shapes of a format-3 file's arrays, in file order: lambdas,
+    outer lambdas, V, U, W_1..W_order, then R_1..R_order."""
+    M, N = header["dim"], header["state_dim"]
+    yield from ((M,), (header["n_outer"],), (N, M), (N, M))
+    for rows in (N, M):
+        for i in range(1, header["order"] + 1):
+            yield (rows, math.comb(M + i - 1, i))
+
+
+def _read_header(fh, path):
+    """The JSON object on the first line of ``fh``, else ValidationError.
+    A file of format 1 or 2 is one indented JSON document, read whole so
+    that :func:`_check_header` refuses it by its format."""
+    text = fh.readline()
+    if text == b"{\n":
+        text += fh.read()
+    try:
+        header = json.loads(text)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise ValidationError("manifold file %s does not start with a JSON "
+                              "header line" % path)
+    return header
 
 
 class ManifoldExpansion:
@@ -617,93 +617,125 @@ class ManifoldExpansion:
 
     def to_dict(self):
         """
-        JSON-ready dict, format 2 (``"format": 2``). Each W and R degree
-        holds its nonzero coefficients, sorted by row, then by column,
-        each under its sorted factor tuple, as
-        ``{"count": n, "rows": <"<i4" (n,)>, "factors": <"<i4" (degree,
-        n)>, "values": <"<c16" (n,)>}``, rows and factor indices 1-based;
-        each ``<...>`` is a base64 binary column of
-        ``fileio.encode_column``. The master's V and U are stored by
-        ``MasterSubspace.to_dict``. Every stored value is exact.
+        The data of a format-3 file: the header fields ``format`` (3),
+        ``kind``, ``order``, ``style``, ``dim`` and ``state_dim``, the
+        master's arrays (``MasterSubspace.to_dict``) and the W and R
+        blocks keyed by degree. The arrays are this expansion's own, not
+        copies, and the dict is not JSON-ready: :meth:`save` writes it.
         """
-        M = self.dim
         return {
             "format": FORMAT,
             "kind": "manifold-expansion",
             "order": self.order,
             "style": self.style,
-            "dim": M,
+            "dim": self.dim,
             "state_dim": self.N,
             "master": self.master.to_dict(),
-            "W": {str(i): _pack(self.W[i], i, M) for i in sorted(self.W)},
-            "R": {str(i): _pack(self.R[i], i, M) for i in sorted(self.R)},
+            "W": dict(self.W),
+            "R": dict(self.R),
         }
 
     def save(self, path):
         """
-        Write :meth:`to_dict` as indent-1 JSON with sorted keys and a
-        final newline, in one write. The same expansion always gives the
-        same bytes. :meth:`load` rejects what :meth:`from_dict` rejects.
+        Write the format-3 file of :meth:`to_dict`. Its first line is the
+        header, sorted-key JSON of the scalar fields plus ``n_outer`` and
+        the master ``pairing``. The arrays follow as little-endian
+        complex128 in C order with no metadata, since every shape
+        follows from the header: lambdas (dim,), outer lambdas
+        (n_outer,), V and U (state_dim, dim), W_1..W_order (state_dim,
+        C(dim+i-1, i)), then R_1..R_order (dim, C(dim+i-1, i)). The
+        same expansion always gives the same bytes.
         """
-        text = json.dumps(self.to_dict(), indent=1, sort_keys=True)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        data = self.to_dict()
+        master, W, R = data.pop("master"), data.pop("W"), data.pop("R")
+        data.update(n_outer=master["outer_lambdas"].size,
+                    pairing=master["pairing"].tolist())
+        arrays = ([master[name] for name in ("lambdas", "outer_lambdas",
+                                             "V", "U")]
+                  + [W[i] for i in sorted(W)] + [R[i] for i in sorted(R)])
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(data, sort_keys=True).encode() + b"\n")
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, "<c16"))
 
     @classmethod
     def from_dict(cls, data, system=None):
         """
-        Rebuild from :meth:`to_dict` data; stored coefficients and the
-        master's V and U come back bit for bit, unstored ones as zeros.
-        Data without ``"format": 2`` (files of earlier versions are
-        format 1) raises ValidationError: recompute such a file. Tuples
-        of one block that permute one another, as files of versions that
-        stored every ordering kept them, are read as one monomial whose
-        coefficient is their sum. A W or R block whose columns are not
-        base64 or do not hold ``count`` entries, with a row outside
-        1..nrows, a factor outside 1..dim, or a (row, tuple) given twice
-        in the same order raises ValidationError naming the
-        block (``W3``, ``R2``); so does a master whose V or U is not
-        (state_dim, dim) or whose lambdas or pairing do not have dim
-        entries in range. So does an ``order`` that is not an integer
-        >= 1, a W or R that does not hold exactly the degrees 1..order,
-        and a ``style`` outside ``STYLES``. The stored U is the left
-        family of the pencil the data was computed on, so ``system``
-        must be that pencil.
+        Rebuild from :meth:`to_dict` data, holding its arrays. Data of
+        another format than 3 raises ValidationError: recompute such a
+        file. So does an ``order`` that is not an integer >= 1, a
+        ``style`` outside ``STYLES``, a ``dim`` or ``state_dim`` that is
+        not an integer with 1 <= dim <= state_dim, and a W or R that
+        does not hold exactly the degrees 1..order; a block that is not
+        complex128 of shape (state_dim, C(dim+i-1, i)) for W_i and (dim,
+        C(dim+i-1, i)) for R_i, named (``W3``); and a master whose
+        arrays do not fit (see ``_check_master``). The stored U is the
+        left family of the pencil the data was computed on, so
+        ``system`` must be that pencil.
         """
-        fmt = data.get("format", 1) if isinstance(data, dict) else None
-        if fmt != FORMAT:
-            raise ValidationError(
-                "manifold data is format %r, and only format %d is read; "
-                "recompute the file with this version" % (fmt, FORMAT))
-        order = data["order"]
-        if type(order) is not int or order < 1:
-            raise ValidationError("manifold order must be an integer >= 1, "
-                                  "not %r" % (order,))
-        if data["style"] not in STYLES:
-            raise ValidationError("manifold style %r is not one of %r"
-                                  % (data["style"], STYLES))
+        _check_header(data)
+        order, M, N = data["order"], data["dim"], data["state_dim"]
         for name in ("W", "R"):
             held = set(data[name])
-            if (len(held) != order
-                    or held != set(map(str, range(1, order + 1)))):
+            if held != set(range(1, order + 1)):
                 raise ValidationError(
                     "manifold %s holds the degrees %s, not 1..%d"
-                    % (name, sorted(data[name], key=str), order))
-        M = int(data["dim"])
-        N = int(data["state_dim"])
-        master = MasterSubspace.from_dict(data["master"])
-        _check_master(master, N, M)
-        W = {int(i): _unpack(e, "W" + i, int(i), N, M)
-             for i, e in data["W"].items()}
-        R = {int(i): _unpack(e, "R" + i, int(i), M, M)
-             for i, e in data["R"].items()}
-        return cls(system, master, order, data["style"], W, R, None)
+                    % (name, sorted(held, key=str), order))
+        _check_master(data["master"], N, M)
+        for i in range(1, order + 1):
+            C = math.comb(M + i - 1, i)
+            named = "C(dim+%d, %d)" % (i - 1, i)
+            _check_array(data["W"][i], "block W%d" % i, (N, C),
+                         "(state_dim, %s)" % named)
+            _check_array(data["R"][i], "block R%d" % i, (M, C),
+                         "(dim, %s)" % named)
+        return cls(system, MasterSubspace.from_dict(data["master"]), order,
+                   data["style"], dict(data["W"]), dict(data["R"]), None)
 
     @classmethod
     def load(cls, path, system=None):
-        """Read a file written by :meth:`save`; see :meth:`from_dict`."""
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), system=system)
+        """
+        Read a file written by :meth:`save`; see :meth:`from_dict`. A
+        file whose first line is not a JSON header of format 3, whose
+        ``n_outer`` is not an integer >= 0 or ``pairing`` not a list of
+        integers, or which does not hold exactly the bytes its header
+        implies raises ValidationError, before any array is allocated.
+        """
+        with open(path, "rb") as fh:
+            header = _read_header(fh, path)
+            _check_header(header)
+            n_outer, pairing = header.get("n_outer"), header.get("pairing")
+            if type(n_outer) is not int or n_outer < 0:
+                raise ValidationError("manifold n_outer must be an integer "
+                                      ">= 0, not %r" % (n_outer,))
+            if not (isinstance(pairing, list)
+                    and all(type(k) is int for k in pairing)):
+                raise ValidationError("manifold pairing must be a list of "
+                                      "integers, not %r" % (pairing,))
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            shapes, need = [], 0
+            # every W_i holds at least one entry (1 <= dim <= state_dim),
+            # so a header with a huge order stops here too
+            for shape in _file_shapes(header):
+                shapes.append(shape)
+                need += 16 * math.prod(shape)
+                if need > held:
+                    break
+            if need != held:
+                raise ValidationError(
+                    "manifold file %s holds %d bytes after its header, and "
+                    "the header implies %s%d" % (path, held, "at least "
+                                                 if need > held else "",
+                                                 need))
+            arrays = [np.fromfile(fh, "<c16", math.prod(shape)).astype(
+                complex, copy=False).reshape(shape) for shape in shapes]
+        lambdas, outer, V, U, *blocks = arrays
+        order = header["order"]
+        data = dict(header, W=dict(enumerate(blocks[:order], 1)),
+                    R=dict(enumerate(blocks[order:], 1)),
+                    master={"lambdas": lambdas, "outer_lambdas": outer,
+                            "V": V, "U": U, "pairing": np.array(pairing)})
+        return cls.from_dict(data, system=system)
 
     def __repr__(self):
         return ("ManifoldExpansion(order=%d, dim=%d, N=%d, style=%r)"

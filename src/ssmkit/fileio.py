@@ -35,14 +35,11 @@ manifest looks like::
 "first_order" manifests name "A" and "B" instead of "M", "C", "K".
 Paths are resolved relative to the manifest. Other keys are ignored.
 
-Manifold files (``ManifoldExpansion.save``) store each large array as
-one binary column: :func:`encode_column` writes the base64 of its
-entries as fixed little-endian bytes in C order, ``"<c16"`` for
-complex values and ``"<i4"`` for indices, and :func:`decode_column`
-reads them back bit for bit.
+Manifold files (``ManifoldExpansion.save``) are not JSON documents: a
+line of JSON header is followed by raw little-endian complex128 arrays,
+whose shapes follow from the header (see ``ManifoldExpansion.save``).
 """
 
-import base64
 import itertools
 import json
 import os
@@ -58,34 +55,7 @@ from .polytensor import PolyCoeffs
 
 __all__ = [
     "load_system", "save_system", "read_tensor_text", "write_tensor_text",
-    "encode_column", "decode_column",
 ]
-
-
-def encode_column(arr, dtype):
-    """The entries of ``arr`` as ``dtype`` (``"<c16"`` or ``"<i4"``) in C
-    order, base64-encoded into an ASCII string."""
-    raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def decode_column(text, dtype, what):
-    """
-    The entries that :func:`encode_column` wrote into ``text``, as a
-    read-only flat array of ``dtype``. Text that is not base64, or whose
-    bytes are not a whole number of entries, raises ValidationError
-    naming ``what``.
-    """
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError):  # binascii.Error is a ValueError
-        raise ValidationError("%s is not valid base64" % what) from None
-    dtype = np.dtype(dtype)
-    if len(raw) % dtype.itemsize:
-        raise ValidationError("%s holds %d bytes, not whole %d-byte %s "
-                              "entries" % (what, len(raw), dtype.itemsize,
-                                           dtype.str))
-    return np.frombuffer(raw, dtype=dtype)
 
 
 def read_tensor_text(path, nrows, nvars):
@@ -240,8 +210,10 @@ def _load_forcing(spec_list):
             raise ValidationError(
                 "forcing harmonic %r: real and imag parts differ in length"
                 % (kappa,))
+        vec = real.astype(complex)
+        vec.imag = imag  # set apart, so that an imaginary -0.0 keeps its sign
         forcing.append((tuple(kappa) if isinstance(kappa, list) else kappa,
-                        real + 1j * imag))
+                        vec))
     return forcing
 
 

@@ -121,16 +121,21 @@ class NonAutonomousLeading:
     def from_dict(cls, data):
         harmonics = {}
         for h in data["harmonics"]:
-            kt = tuple(h["kappa"])
-            harmonics[kt] = {
-                "x0": np.asarray(h["x0"]["real"]) + 1j * np.asarray(h["x0"]["imag"]),
-                "s0": np.asarray(h["s0"]["real"]) + 1j * np.asarray(h["s0"]["imag"]),
-            }
+            harmonics[tuple(h["kappa"])] = {
+                key: _complex(h[key]) for key in ("x0", "s0")}
         return cls(data["Omega"], harmonics, data["style"], data.get("eps", 0.0))
 
     def __repr__(self):
         return ("NonAutonomousLeading(Omega=%s, harmonics=%d, style=%r)"
                 % (self.Omega, len(self.harmonics), self.style))
+
+
+def _complex(parts):
+    """A complex array from ``{"real": [...], "imag": [...]}``, each part
+    set apart, so that an infinite or -0.0 imaginary part is kept."""
+    out = np.asarray(parts["real"], dtype=float).astype(complex)
+    out.imag = parts["imag"]
+    return out
 
 
 def _canonical_kappa(kt):

@@ -121,9 +121,9 @@ def kappa_tuple(kappa):
 def _validate_forcing(forcing, n):
     """
     Check one forcing table: entries are (kappa, vector), vectors have
-    length n, the table is closed under conjugation and any zero
-    harmonic is real. Returns a normalized list of (tuple, complex
-    ndarray) with deterministic ordering.
+    length n and finite entries, the table is closed under conjugation
+    and any zero harmonic is real. Returns a normalized list of (tuple,
+    complex ndarray) with deterministic ordering.
     """
     if forcing is None:
         return []
@@ -145,6 +145,9 @@ def _validate_forcing(forcing, n):
             raise ValidationError(
                 "forcing vector for harmonic %r has length %d, expected %d"
                 % (kt, vec.size, n))
+        if not np.isfinite(vec).all():
+            raise ValidationError("forcing vector for harmonic %r has "
+                                  "non-finite entries" % (kt,))
         if kt in table:
             raise ValidationError("duplicate forcing harmonic %r" % (kt,))
         table[kt] = vec

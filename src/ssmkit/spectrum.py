@@ -36,7 +36,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
-from .fileio import decode_column, encode_column
 from .model import (as_first_order, left_vectors, shifted_route,
                     shifted_solver)
 
@@ -87,57 +86,20 @@ class MasterSubspace:
                 if self.pairing[i] == i or self.lambdas[i].imag > 0]
 
     def to_dict(self):
-        """JSON-ready description of the subspace: V and U as
-        ``{"shape": [N, M], "data": <"<c16" column>}`` (see
-        ``fileio.encode_column``), the eigenvalues as lists of real and
-        of imaginary parts."""
-        return {
-            "lambdas": _clist(self.lambdas),
-            "outer_lambdas": _clist(self.outer_lambdas),
-            "pairing": self.pairing.tolist(),
-            "V": _matrix_dict(self.V),
-            "U": _matrix_dict(self.U),
-        }
+        """The subspace's arrays by name: lambdas, outer_lambdas,
+        pairing, V and U, themselves, not copies."""
+        return {"lambdas": self.lambdas, "outer_lambdas": self.outer_lambdas,
+                "pairing": self.pairing, "V": self.V, "U": self.U}
 
     @classmethod
     def from_dict(cls, data):
-        """Rebuild from :meth:`to_dict` data, V and U bit for bit; a
-        matrix whose shape is not two counts or whose data does not hold
-        that shape raises ValidationError naming it."""
-        lambdas = _carr(data["lambdas"])
-        V = _matrix_from_dict(data["V"], "master V")
-        U = _matrix_from_dict(data["U"], "master U")
-        return cls(lambdas, V, U, data["pairing"], _carr(data["outer_lambdas"]))
+        """Rebuild from :meth:`to_dict` data, holding its arrays."""
+        return cls(data["lambdas"], data["V"], data["U"], data["pairing"],
+                   data["outer_lambdas"])
 
     def __repr__(self):
         return "MasterSubspace(dim=%d, lambdas=%s)" % (
             self.dim, np.array2string(self.lambdas, precision=4))
-
-
-def _clist(arr):
-    return {"real": np.asarray(arr).real.tolist(),
-            "imag": np.asarray(arr).imag.tolist()}
-
-
-def _carr(data):
-    return np.asarray(data["real"], dtype=float) + 1j * np.asarray(data["imag"])
-
-
-def _matrix_dict(mat):
-    return {"shape": list(mat.shape), "data": encode_column(mat, "<c16")}
-
-
-def _matrix_from_dict(data, what):
-    shape = data["shape"]
-    if (not isinstance(shape, list) or len(shape) != 2
-            or not all(type(n) is int and n >= 0 for n in shape)):
-        raise ValidationError("%s: shape must be two counts [rows, columns]"
-                              % what)
-    flat = decode_column(data["data"], "<c16", what)
-    if flat.size != shape[0] * shape[1]:
-        raise ValidationError("%s: shape %s needs %d entries, data holds %d"
-                              % (what, shape, shape[0] * shape[1], flat.size))
-    return flat.reshape(shape).astype(complex)
 
 
 def _resolve_select(select):

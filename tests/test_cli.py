@@ -45,16 +45,16 @@ def test_model_save_feeds_the_manifest_path(capsys, monkeypatch, tmp_path):
     code = main(["ssm", "--system.manifest", str(manifest),
                  "--ssm.select.pair", "1", "--ssm.order", "2",
                  "--ssm.n_outer", "4",
-                 "--ssm.output", str(tmp_path / "man.json")])
+                 "--ssm.output", str(tmp_path / "man.bin")])
     assert code == 0
-    back = ManifoldExpansion.load(tmp_path / "man.json")
+    back = ManifoldExpansion.load(tmp_path / "man.bin")
     assert back.N == 12
 
 
 def test_ssm_prints_spectrum_and_writes_manifold(capsys, monkeypatch,
                                                  tmp_path):
     monkeypatch.chdir(tmp_path)
-    out = tmp_path / "man.json"
+    out = tmp_path / "man.bin"
     code = main(["ssm", "--system.builtin", "chain",
                  "--ssm.select.pair", "2", "--ssm.order", "3",
                  "--ssm.n_outer", "8", "--ssm.output", str(out)])
@@ -114,14 +114,14 @@ def test_sparse_manifest_gives_identical_bytes(capsys, monkeypatch,
     # outer modes are screened here (they would flag a resonance)
     manifest = save_system(csr_chain(310), tmp_path / "model", name="bar")
     outs = []
-    for name in ("one.json", "two.json"):
+    for name in ("one.bin", "two.bin"):
         assert main(["ssm", "--system.manifest", str(manifest),
                      "--ssm.select.pair", "1", "--ssm.order", "3",
                      "--ssm.n_outer", "0",
                      "--ssm.output", str(tmp_path / name)]) == 0
         capsys.readouterr()
         outs.append((tmp_path / name).read_bytes())
-    assert ManifoldExpansion.load(tmp_path / "one.json").N == 620
+    assert ManifoldExpansion.load(tmp_path / "one.bin").N == 620
     assert outs[0] == outs[1]
 
 
@@ -194,11 +194,11 @@ def test_config_file_with_flag_precedence(capsys, monkeypatch, tmp_path):
     cfg.write_text(json.dumps({
         "system": {"builtin": "chain", "n": 6},
         "ssm": {"select": {"pair": 1}, "order": 2, "n_outer": 4,
-                "output": str(tmp_path / "man.json")},
+                "output": str(tmp_path / "man.bin")},
     }))
     assert main(["ssm", "--config", str(cfg), "--ssm.order=3"]) == 0
     capsys.readouterr()
-    back = ManifoldExpansion.load(tmp_path / "man.json")
+    back = ManifoldExpansion.load(tmp_path / "man.bin")
     assert back.order == 3
     assert back.N == 12
 
@@ -235,6 +235,30 @@ def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
     bad.write_text("{not json")
     assert main(["ssm", "--config", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+    # every count and index must be a JSON integer: 0.5 is not read as
+    # dof 0, nor 2.7 as order 2 (nor true as 1)
+    chain = ["--system.builtin", "chain", "--ssm.select.pair", "2",
+             "--ssm.n_outer", "8"]
+    for command, key, value in (
+            ("ssm", "system.n", "10.0"), ("ssm", "ssm.order", "2.7"),
+            ("ssm", "ssm.n_outer", "8.5"), ("frc", "frc.n_omega", "3.5"),
+            ("frc", "frc.n_phases", "64.0"), ("backbone", "backbone.n", "4.5"),
+            ("backbone", "backbone.dof", "0.5"),
+            ("backbone", "backbone.n_phases", '"64"'),
+            ("verify", "verify.n_dirs", "2.5"),
+            ("verify", "verify.seed", "true")):
+        argv = [command] + chain + ["--" + key, value,
+                                    "--frc.omega_min", "0.54",
+                                    "--frc.omega_max", "0.6",
+                                    "--frc.output_csv",
+                                    str(tmp_path / "frc.csv"),
+                                    "--backbone.output_csv",
+                                    str(tmp_path / "bb.csv"),
+                                    "--ssm.output", str(tmp_path / "m.bin")]
+        assert main(argv) == 2, key
+        assert ("%s must be an integer, not %r"
+                % (key, json.loads(value)) in capsys.readouterr().err)
 
 
 def test_frc_amplitude_has_one_key(capsys):

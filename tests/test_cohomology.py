@@ -19,7 +19,6 @@ from ssmkit import (FirstOrderSystem, ManifoldExpansion, MasterSubspace,
                     classify_resonances, compute_manifold, extract_polar_rom,
                     leading_order, master_spectrum, oscillator_chain)
 from ssmkit import cohomology, forcing
-from ssmkit.fileio import encode_column
 from ssmkit.multiindex import MultiIndexSet
 from ssmkit.polytensor import PolyCoeffs
 from test_spectrum import csr_chain, plain_pencil
@@ -551,7 +550,8 @@ def test_systems_without_the_mechanical_model_take_the_2n_route(
 
 
 def test_expansion_roundtrips_through_json(tmp_path, chain_mode2_man5):
-    path = tmp_path / "manifold.json"
+    # the header line is JSON; the arrays after it are raw bytes
+    path = tmp_path / "manifold.bin"
     chain_mode2_man5.save(path)
     back = ManifoldExpansion.load(path)
     assert back.order == chain_mode2_man5.order
@@ -563,6 +563,27 @@ def test_expansion_roundtrips_through_json(tmp_path, chain_mode2_man5):
         assert np.array_equal(back.R[i], chain_mode2_man5.R[i])
     assert np.array_equal(back.master.lambdas,
                           chain_mode2_man5.master.lambdas)
+
+
+def _parts(arr):
+    return {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
+
+
+def _old_master(master, matrix):
+    """The master as files of formats 1 and 2 stored it, V and U through
+    ``matrix``."""
+    return {"lambdas": _parts(master.lambdas),
+            "outer_lambdas": _parts(master.outer_lambdas),
+            "pairing": master.pairing.tolist(),
+            "V": matrix(master.V), "U": matrix(master.U)}
+
+
+def _old_save(man, path, data):
+    data.update({"kind": "manifold-expansion", "order": man.order,
+                 "style": man.style, "dim": man.dim, "state_dim": man.N})
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _per_entry_save(man, path):
@@ -581,30 +602,41 @@ def _per_entry_save(man, path):
                             v.real, v.imag])
         return entries
 
-    master = man.master.to_dict()
-    for name in ("V", "U"):
-        mat = getattr(man.master, name)
-        master[name] = {"real": mat.real.tolist(), "imag": mat.imag.tolist()}
-    data = {
-        "kind": "manifold-expansion",
-        "order": man.order,
-        "style": man.style,
-        "dim": man.dim,
-        "state_dim": man.N,
-        "master": master,
+    _old_save(man, path, {
+        "master": _old_master(man.master, _parts),
         "W": {str(i): pack(man.W[i], i) for i in sorted(man.W)},
         "R": {str(i): pack(man.R[i], i) for i in sorted(man.R)},
-        "resonances": None,
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        "resonances": None})
+
+
+def _base64_save(man, path):
+    """The format-2 writer of earlier versions: each W and R block as its
+    nonzero entries, in base64 columns of 1-based rows, sorted factor
+    tuples and complex values; the master V and U as base64 matrices."""
+    def column(arr, dtype):
+        raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+        return base64.b64encode(raw).decode("ascii")
+
+    def pack(block, degree):
+        rows, cols = np.nonzero(block != 0)
+        factors = MultiIndexSet(degree, man.dim).factors[:, cols] + 1
+        return {"count": int(rows.size), "rows": column(rows + 1, "<i4"),
+                "factors": column(factors, "<i4"),
+                "values": column(block[rows, cols], "<c16")}
+
+    _old_save(man, path, {
+        "format": 2,
+        "master": _old_master(man.master, lambda mat: {
+            "shape": list(mat.shape), "data": column(mat, "<c16")}),
+        "W": {str(i): pack(man.W[i], i) for i in sorted(man.W)},
+        "R": {str(i): pack(man.R[i], i) for i in sorted(man.R)}})
 
 
 def _hand_set_manifold(request):
-    # stored entries with a signed zero part, a tiny, a huge, an
-    # infinite and a NaN part: format 1 spelled the infinite ones
-    # Infinity and dropped the NaN entry
+    # entries with a signed zero part, a tiny, a huge, an infinite and
+    # a NaN part, and an entry that is -0 in both parts: format 1 spelled
+    # the infinite ones Infinity and dropped the NaN entry, format 2
+    # stored no zero entry
     man = request.getfixturevalue("lorenz_man3")
     W = {i: b.copy() for i, b in man.W.items()}
     R = {i: b.copy() for i, b in man.R.items()}
@@ -612,6 +644,7 @@ def _hand_set_manifold(request):
                complex(np.inf, 1.0)]
     W[2][1, 2] = complex(1.0, -np.inf)
     W[3][1, 2] = complex(np.nan, -0.0)
+    W[3][2, 0] = complex(-0.0, -0.0)
     R[3][1, 3] = complex(-1e-20, 1e300)
     return ManifoldExpansion(man.system, man.master, man.order, man.style,
                              W, R, man.resonances)
@@ -637,48 +670,50 @@ BYTE_CASES = {
     # order-2 blocks empty
     "csr-N620": lambda rq: _first_pair_manifold(
         build_first_order(csr_chain(310)), order=3),
-    # degrees 10 and 11 sort before 2 among the keys
+    # degrees 10 and 11 sort before 2 as strings
     "M2-order11": lambda rq: _first_pair_manifold(
         oscillator_chain(2, c=0.05, kappa=0.3), order=11),
     "hand-set-values": _hand_set_manifold,
 }
 
 
-def _no_constants(name):
-    raise AssertionError("the file spells a number %s" % name)
-
-
 @pytest.mark.parametrize("case", sorted(BYTE_CASES))
 def test_save_round_trips_bit_for_bit(case, request, tmp_path):
     man = BYTE_CASES[case](request)
-    man.save(tmp_path / "one.json")
-    man.save(tmp_path / "two.json")
-    text = (tmp_path / "one.json").read_bytes()
-    assert text == (tmp_path / "two.json").read_bytes()
-    # W and R hold no Infinity or NaN tokens, even for infinite parts
-    data = json.loads(text, parse_constant=_no_constants)
-    assert data["format"] == 2 and text.endswith(b"}\n")
+    man.save(tmp_path / "one.bin")
+    man.save(tmp_path / "two.bin")
+    raw = (tmp_path / "one.bin").read_bytes()
+    assert raw == (tmp_path / "two.bin").read_bytes()
+    line, arrays = raw.split(b"\n", 1)
+    header = json.loads(line)
+    assert line == json.dumps(header, sort_keys=True).encode()
+    assert header == {"format": 3, "kind": "manifold-expansion",
+                      "order": man.order, "style": man.style,
+                      "dim": man.dim, "state_dim": man.N,
+                      "n_outer": man.master.outer_lambdas.size,
+                      "pairing": man.master.pairing.tolist()}
+    ms = man.master
+    stored = ([ms.lambdas, ms.outer_lambdas, ms.V, ms.U]
+              + [man.W[i] for i in range(1, man.order + 1)]
+              + [man.R[i] for i in range(1, man.order + 1)])
+    assert arrays == b"".join(np.ascontiguousarray(a, "<c16").tobytes()
+                              for a in stored)
     if case == "csr-N620":
-        assert man.N == 620 and data["W"]["2"]["count"] == 0
-    if case == "M2-order11":
-        assert text.index(b'"10": {') < text.index(b'"2": {')
-    # stored entries and the master come back bit for bit; the file
-    # holds no zero entries, so a signed zero entry comes back as +0
-    for back in (ManifoldExpansion.load(tmp_path / "one.json"),
+        assert man.N == 620 and not man.W[2].any()
+    # every block comes back whole, bit for bit
+    for back in (ManifoldExpansion.load(tmp_path / "one.bin"),
                  ManifoldExpansion.from_dict(man.to_dict())):
         for got, blocks in ((back.W, man.W), (back.R, man.R)):
             assert sorted(got) == sorted(blocks)
             for i in blocks:
-                stored = blocks[i] != 0
+                assert got[i].dtype == complex
                 assert got[i].shape == blocks[i].shape
-                assert got[i][stored].tobytes() == blocks[i][stored].tobytes()
-                assert not got[i][~stored].any()
-        for name in ("V", "U"):
-            got, mat = getattr(back.master, name), getattr(man.master, name)
-            assert got.shape == mat.shape
-            assert got.tobytes() == mat.tobytes()
-        assert back.master.lambdas.tobytes() == man.master.lambdas.tobytes()
-        assert np.array_equal(back.master.pairing, man.master.pairing)
+                assert got[i].tobytes() == blocks[i].tobytes()
+        for name in ("V", "U", "lambdas", "outer_lambdas"):
+            got, arr = getattr(back.master, name), getattr(ms, name)
+            assert got.shape == arr.shape
+            assert got.tobytes() == arr.tobytes()
+        assert np.array_equal(back.master.pairing, ms.pairing)
 
 
 def test_format_1_files_are_refused(tmp_path, lorenz_man3):
@@ -688,123 +723,95 @@ def test_format_1_files_are_refused(tmp_path, lorenz_man3):
         ManifoldExpansion.load(path)
 
 
-def _column(entry, key, dtype, change):
-    """Re-encode one binary column of a block after ``change`` edits a
-    writable copy of its entries."""
-    arr = np.frombuffer(base64.b64decode(entry[key]), dtype=dtype).copy()
-    if key == "factors":
-        arr = arr.reshape(-1, entry["count"])
-    arr = change(arr)
-    entry[key] = base64.b64encode(arr.tobytes()).decode("ascii")
-
-
-def _set(index, value):
-    def change(arr):
-        arr[index] = value
-        return arr
-    return change
-
-
-def _repeat_entry(entry):
-    # append a copy of the fourth stored entry to every column
-    for key, dtype in (("rows", "<i4"), ("factors", "<i4"),
-                       ("values", "<c16")):
-        _column(entry, key, dtype,
-                lambda arr: np.concatenate([arr, arr[..., 3:4]], axis=-1))
-    entry["count"] += 1
-
-
-def _truncate(entry, key, nbytes):
-    raw = base64.b64decode(entry[key])[:-nbytes]
-    entry[key] = base64.b64encode(raw).decode("ascii")
-
-
-def _extend(arr):
-    return np.concatenate([arr, arr[..., :1]], axis=-1)
-
-
-@pytest.mark.parametrize("block,edit,message", [
-    ("W3", lambda e: _column(e, "rows", "<i4", _set(0, 0)),
-     "W3: row 0 outside 1..4"),
-    ("W3", lambda e: _column(e, "rows", "<i4", _set(0, 5)),
-     "W3: row 5 outside 1..4"),
-    ("R2", lambda e: _column(e, "rows", "<i4", _set(0, 3)),
-     "R2: row 3 outside 1..2"),
-    ("W3", lambda e: _column(e, "factors", "<i4", _set((1, 1), 3)),
-     "W3: factor 3 outside 1..2"),
-    ("W2", lambda e: _column(e, "factors", "<i4", _set((0, 0), 0)),
-     "W2: factor 0 outside 1..2"),
-    ("W3", lambda e: _repeat_entry(e),
-     r"W3: a \(row, tuple\) entry is given twice"),
-    # each column must hold count entries
-    ("W3", lambda e: _column(e, "rows", "<i4", _extend),
-     "W3: each entry needs one row"),
-    ("W3", lambda e: _column(e, "factors", "<i4", lambda a: a.ravel()[:-1]),
-     "W3: each entry needs a tuple of 3 factors"),
-    ("R2", lambda e: _column(e, "factors", "<i4", lambda a: a.ravel()[1:]),
-     "R2: each entry needs a tuple of 2 factors"),
-    ("W3", lambda e: _column(e, "values", "<c16", lambda a: a[:-1]),
-     "W3: values must be"),
-    ("W3", lambda e: _column(e, "values", "<c16", _extend),
-     "W3: values must be"),
-    ("W3", lambda e: e.__setitem__("count", e["count"] + 1),
-     "W3: each entry needs one row: count is 7, rows holds 6"),
-    # the payload itself
-    ("W3", lambda e: e.__setitem__("rows", "AQAAAAEAAA*="),
-     "W3: rows is not valid base64"),
-    ("R2", lambda e: e.__setitem__("values", 12),
-     "R2: values is not valid base64"),
-    ("W3", lambda e: _truncate(e, "values", 3),
-     "W3: values holds 93 bytes, not whole 16-byte <c16 entries"),
-    ("W2", lambda e: _truncate(e, "factors", 1),
-     "W2: factors holds 23 bytes, not whole 4-byte <i4 entries"),
-    ("W3", lambda e: e.__setitem__("count", 1.5),
-     "W3: count must be an integer"),
-    ("R2", lambda e: e.pop("factors"),
-     "R2: needs count, rows, factors and values"),
-])
-def test_load_rejects_malformed_entries(tmp_path, lorenz_man3, block, edit,
-                                        message):
-    # the counts in the messages are those of a W3 with six entries:
-    # the five of the expansion and one set by hand
-    W = dict(lorenz_man3.W)
-    W[3] = W[3].copy()
-    W[3][3, 3] = 0.5
-    data = ManifoldExpansion(lorenz_man3.system, lorenz_man3.master, 3,
-                             lorenz_man3.style, W, lorenz_man3.R,
-                             None).to_dict()
-    edit(data[block[0]][block[1:]])
-    with pytest.raises(ValidationError, match=message):
+def test_format_2_files_are_refused(tmp_path, lorenz_man3):
+    path = tmp_path / "old.json"
+    _base64_save(lorenz_man3, path)
+    with pytest.raises(ValidationError, match="format 2.*recompute"):
+        ManifoldExpansion.load(path)
+    with open(path) as fh:
+        data = json.load(fh)
+    with pytest.raises(ValidationError, match="format 2.*recompute"):
         ManifoldExpansion.from_dict(data)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+
+
+def _edit_header(raw, **fields):
+    line, arrays = raw.split(b"\n", 1)
+    header = dict(json.loads(line), **fields)
+    return json.dumps(header).encode() + b"\n" + arrays
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: raw[:-1], "holds 1183 bytes after its header, and the "
+     "header implies at least 1184"),
+    (lambda raw: raw + b"\0", "holds 1185 bytes after its header, and the "
+     "header implies 1184$"),
+    (lambda raw: raw.split(b"\n", 1)[0] + b"\n", "holds 0 bytes"),
+    # state_dim 10**12 would need 32 TB for V alone
+    (lambda raw: _edit_header(raw, state_dim=10**12), "implies at least"),
+    (lambda raw: _edit_header(raw, order=10**9), "implies at least"),
+    (lambda raw: _edit_header(raw, n_outer=-1), "n_outer must be an "
+     "integer >= 0, not -1"),
+    (lambda raw: _edit_header(raw, pairing=[1.0, 0]), "pairing must be a "
+     r"list of integers, not \[1.0, 0\]"),
+    (lambda raw: _edit_header(raw, pairing=[1, 0, 0]),
+     "master has 3 pairing for dim 2"),
+    (lambda raw: _edit_header(raw, dim=0), "manifold dim 0 and state_dim "
+     "4 must be integers with 1 <= dim <= state_dim"),
+    (lambda raw: _edit_header(raw, format=4), "format 4, and only format 3"),
+    (lambda raw: b"\x93NUMPY" + raw, "does not start with a JSON header "
+     "line"),
+    (lambda raw: b"[3]\n" + raw, "does not start with a JSON header line"),
+    (lambda raw: b"", "does not start with a JSON header line"),
+], ids=["truncated", "trailing-byte", "no-arrays", "state_dim-1e12",
+        "order-1e9", "n_outer-negative", "pairing-float", "pairing-long",
+        "dim-0", "format-4", "binary-first-line", "list-first-line",
+        "empty"])
+def test_load_refuses_a_file_that_does_not_fit_its_header(
+        tmp_path, lorenz_man3, edit, message):
+    # lorenz_man3 holds 74 complex numbers (1184 bytes): 2 lambdas and
+    # 2 outer ones, V and U (4, 2), W (4, 2 + 3 + 4) and R (2, 9)
+    path = tmp_path / "bad.bin"
+    lorenz_man3.save(path)
+    path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ValidationError, match=message):
         ManifoldExpansion.load(path)
 
 
-def _matrix(mat):
-    return {"shape": list(mat.shape), "data": encode_column(mat, "<c16")}
-
-
-def _add_lambda(master):
-    for part in ("real", "imag"):
-        master["lambdas"][part].append(0.0)
+def test_load_refuses_an_oversized_header_before_allocating(tmp_path,
+                                                            lorenz_man3):
+    path = tmp_path / "big.bin"
+    lorenz_man3.save(path)
+    # V alone would take 16 * 2 * 10**9 bytes
+    path.write_bytes(_edit_header(path.read_bytes(), state_dim=10**9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="implies at least"):
+            ManifoldExpansion.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda m, ms: m.__setitem__("V", _matrix(ms.V[:5])),
+    (lambda m, ms: m.__setitem__("V", ms.V[:5]),
      r"master V has shape \(5, 2\), not \(state_dim, dim\) = \(6, 2\)"),
-    (lambda m, ms: m.__setitem__("U", _matrix(ms.U[:, :1])),
+    (lambda m, ms: m.__setitem__("U", ms.U[:, :1]),
      r"master U has shape \(6, 1\)"),
-    (lambda m, ms: _add_lambda(m), "master has 3 lambdas for dim 2"),
-    (lambda m, ms: m.__setitem__("pairing", [1]),
+    (lambda m, ms: m.__setitem__("lambdas", np.append(ms.lambdas, 0)),
+     "master has 3 lambdas for dim 2"),
+    (lambda m, ms: m.__setitem__("pairing", np.array([1])),
      "master has 1 pairing for dim 2"),
-    (lambda m, ms: m.__setitem__("pairing", [1, 2]),
+    (lambda m, ms: m.__setitem__("pairing", np.array([1, 2])),
      r"master pairing \[1, 2\] leaves 0..1"),
-    (lambda m, ms: m["V"].__setitem__("shape", [6]),
-     "master V: shape must be two counts"),
-    (lambda m, ms: m["V"].__setitem__("shape", [6, 3]),
-     r"master V: shape \[6, 3\] needs 18 entries, data holds 12"),
+    (lambda m, ms: m.__setitem__("V", ms.V.real),
+     "master V is float64, not a complex128 array"),
+    (lambda m, ms: m.__setitem__("lambdas", ms.lambdas.tolist()),
+     "master lambdas is list, not a complex128 array"),
+    (lambda m, ms: m.__setitem__("outer_lambdas", ms.outer_lambdas[None]),
+     r"master outer_lambdas has shape \(1, 0\), not \(n_outer,\)"),
+    (lambda m, ms: m.__setitem__("pairing", np.array([1.0, 0.0])),
+     "master pairing is not an integer array"),
 ])
 def test_load_rejects_a_master_that_does_not_fit(edit, message):
     man = _first_pair_manifold(oscillator_chain(3), order=3)
@@ -814,13 +821,31 @@ def test_load_rejects_a_master_that_does_not_fit(edit, message):
         ManifoldExpansion.from_dict(data)
 
 
+@pytest.mark.parametrize("block,change,message", [
+    ("W3", lambda b: b.real, "block W3 is float64, not a complex128 array"),
+    ("R2", lambda b: b.astype(np.complex64), "block R2 is complex64"),
+    ("W1", lambda b: b.tolist(), "block W1 is list"),
+    ("W3", lambda b: b[:, :-1], r"block W3 has shape \(4, 3\), not "
+     r"\(state_dim, C\(dim\+2, 3\)\) = \(4, 4\)"),
+    ("R2", lambda b: b[:1], r"block R2 has shape \(1, 3\), not "
+     r"\(dim, C\(dim\+1, 2\)\) = \(2, 3\)"),
+    ("W2", lambda b: b.ravel(), r"block W2 has shape \(12,\)"),
+], ids=["W3-real", "R2-complex64", "W1-list", "W3-column-short",
+        "R2-row-short", "W2-flat"])
+def test_from_dict_rejects_a_block_that_does_not_fit(lorenz_man3, block,
+                                                     change, message):
+    data = lorenz_man3.to_dict()
+    blocks, degree = data[block[0]], int(block[1:])
+    blocks[degree] = change(blocks[degree])
+    with pytest.raises(ValidationError, match=message):
+        ManifoldExpansion.from_dict(data)
+
+
 @pytest.mark.parametrize("edit,message", [
-    (lambda d: d.__setitem__("order", 5), r"W holds the degrees \['1', "
-     r"'2', '3'\], not 1..5"),
-    (lambda d: d["W"].pop("2"), r"W holds the degrees \['1', '3'\], "
-     "not 1..3"),
-    (lambda d: d["R"].pop("3"), r"R holds the degrees \['1', '2'\], "
-     "not 1..3"),
+    (lambda d: d.__setitem__("order", 5), r"W holds the degrees \[1, 2, 3\], "
+     "not 1..5"),
+    (lambda d: d["W"].pop(2), r"W holds the degrees \[1, 3\], not 1..3"),
+    (lambda d: d["R"].pop(3), r"R holds the degrees \[1, 2\], not 1..3"),
     (lambda d: d.__setitem__("W", {}), r"W holds the degrees \[\], "
      "not 1..3"),
     (lambda d: d.__setitem__("order", 0), "order must be an integer >= 1, "
@@ -828,8 +853,12 @@ def test_load_rejects_a_master_that_does_not_fit(edit, message):
     (lambda d: d.__setitem__("order", 3.0), "order must be an integer"),
     (lambda d: d.__setitem__("style", "banana"), "style 'banana' is not "
      "one of"),
+    (lambda d: d.__setitem__("state_dim", 1), "dim 2 and state_dim 1 must "
+     "be integers with 1 <= dim <= state_dim"),
+    (lambda d: d.__setitem__("dim", 2.0), "dim 2.0 and state_dim 20 must "
+     "be integers"),
 ], ids=["order-5", "no-W2", "no-R3", "no-W", "order-0", "order-float",
-        "style-banana"])
+        "style-banana", "state_dim-below-dim", "dim-float"])
 def test_load_rejects_a_header_that_does_not_fit_the_blocks(
         chain_mode2_master, chain10_forced, edit, message):
     man = compute_manifold(chain10_forced, chain_mode2_master, order=3)
@@ -865,32 +894,6 @@ def test_blocks_hold_one_column_per_monomial(chain10_forced, count, order):
     for i in range(1, order + 1):
         assert man.W[i].shape == (man.N, math.comb(count + i - 1, i))
         assert man.R[i].shape == (count, math.comb(count + i - 1, i))
-
-
-def test_permuted_tuples_load_as_their_sum(lorenz_man3):
-    # files that kept every ordering of a monomial in its own entry
-    data = lorenz_man3.to_dict()
-    entry = data["W"]["3"]
-    factors = np.frombuffer(base64.b64decode(entry["factors"]),
-                            "<i4").reshape(3, -1)
-    values = np.frombuffer(base64.b64decode(entry["values"]), "<c16")
-    rows = np.frombuffer(base64.b64decode(entry["rows"]), "<i4")
-    # split each value whose tuple has a second ordering into two parts
-    rolled = np.roll(factors, 1, axis=0)
-    two = (rolled != factors).any(axis=0)
-    assert two.sum() >= 2
-    split = {"count": entry["count"] + int(two.sum()),
-             "rows": encode_column(np.concatenate([rows, rows[two]]), "<i4"),
-             "factors": encode_column(np.hstack([factors, rolled[:, two]]),
-                                      "<i4"),
-             "values": encode_column(np.concatenate(
-                 [np.where(two, 0.25, 1.0) * values, 0.75 * values[two]]),
-                 "<c16")}
-    data["W"]["3"] = split
-    back = ManifoldExpansion.from_dict(data)
-    want = lorenz_man3.W[3]
-    assert np.abs(back.W[3] - want).max() <= 1e-15 * np.abs(want).max()
-    assert np.array_equal(back.W[2], lorenz_man3.W[2])
 
 
 def test_compute_manifold_validates_arguments(lorenz_master):

@@ -273,6 +273,33 @@ def test_mech_roundtrip(tmp_path):
     assert np.allclose(back.f_eval(x), mech.f_eval(x))
 
 
+def test_forcing_round_trips_bit_for_bit(tmp_path):
+    # the real and imaginary parts are read apart: an imaginary -0.0
+    # keeps its sign
+    vec = np.array([complex(1.0, -0.0), complex(-0.0, 1e-300), 0.5j])
+    mech = MechanicalSystem(np.eye(3), np.zeros((3, 3)), np.eye(3), eps=0.1,
+                            forcing=[((1,), vec), ((-1,), vec.conj())])
+    back = load_system(save_system(mech, tmp_path))
+    assert [kt for kt, _ in back.forcing] == [kt for kt, _ in mech.forcing]
+    for (_, got), (_, want) in zip(back.forcing, mech.forcing):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_non_finite_forcing_in_a_manifest_is_refused(tmp_path):
+    manifest = save_system(MechanicalSystem(np.eye(2), np.zeros((2, 2)),
+                                            np.eye(2)), tmp_path)
+    with open(manifest) as fh:
+        data = json.load(fh)
+    data.update(epsilon=0.1, forcing=[
+        {"kappa": [1], "real": [float("nan"), 0.0], "imag": [0.0, 0.0]},
+        {"kappa": [-1], "real": [float("nan"), 0.0], "imag": [0.0, 0.0]}])
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(ValidationError, match=r"harmonic \(1,\) has "
+                       "non-finite entries"):
+        load_system(manifest)
+
+
 def test_first_order_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     A = rng.standard_normal((3, 3))

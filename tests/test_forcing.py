@@ -212,8 +212,22 @@ def test_leading_order_roundtrips_through_dict(chain10_forced,
     assert back.style == nonaut.style
     assert back.eps == nonaut.eps
     for kt in nonaut.harmonics:
-        assert np.allclose(back.x0(kt), nonaut.x0(kt), atol=1e-15)
-        assert np.allclose(back.s0(kt), nonaut.s0(kt), atol=1e-15)
+        assert back.x0(kt).tobytes() == nonaut.x0(kt).tobytes()
+        assert back.s0(kt).tobytes() == nonaut.s0(kt).tobytes()
+
+
+def test_leading_order_dict_keeps_signed_zero_and_infinite_parts():
+    # the real and imaginary parts are set apart: re + 1j*im would turn
+    # an infinite imaginary part into a NaN real one and drop the sign
+    # of an imaginary -0.0
+    values = np.array([complex(1.0, -0.0), complex(-0.0, np.inf),
+                       complex(np.nan, -np.inf), complex(-np.inf, 2.0)])
+    nonaut = NonAutonomousLeading([0.6], {(1,): {"x0": values,
+                                                 "s0": values[::-1]}},
+                                  "normal-form")
+    back = NonAutonomousLeading.from_dict(nonaut.to_dict())
+    assert back.x0((1,)).tobytes() == values.tobytes()
+    assert back.s0((1,)).tobytes() == values[::-1].tobytes()
 
 
 @pytest.mark.parametrize("layout", ["L1", "L2"])

@@ -167,6 +167,19 @@ def test_forcing_validation():
         FirstOrderSystem(eye, eye, forcing=[((1, 0), [1, 0]), (-1, [1, 0])])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_forcing_is_refused(bad):
+    # a NaN pair passes the conjugation check, since NaN compares false
+    eye = np.eye(2)
+    with pytest.raises(ValidationError, match=r"harmonic \(1,\) has "
+                       "non-finite entries"):
+        MechanicalSystem(eye, np.zeros((2, 2)), eye, eps=0.1,
+                         forcing=[(1, [bad, 0]), (-1, [np.conj(bad), 0])])
+    with pytest.raises(ValidationError, match=r"harmonic \(0,\) has "
+                       "non-finite entries"):
+        FirstOrderSystem(eye, eye, forcing=[(0, [0, bad])])
+
+
 def test_forcing_eval_matches_the_per_harmonic_loop():
     # two base frequencies, a combination harmonic and a static load
     rng = np.random.default_rng(3)
