@@ -12,18 +12,20 @@ under 2 GB.
 
 Every shifted solve takes the second-order route: one sparse LU of the
 N/2 matrix lambda^2 M + lambda C + K per block (lambda = i Omega for a
-forcing block) instead of one of the 2N pencil lambda B - A. So does
-the spectrum's shift-invert Arnoldi run, whose operator factors
-sigma^2 M + sigma C + K once; the script asserts that its route is
-"second-order", so a fallback to the 2N pencil fails the run.
+forcing block) instead of one of the 2N pencil lambda B - A. The
+bar's damping is Rayleigh, C = 0.002 K, so the spectrum takes the modal
+route: one real symmetric shift-invert Lanczos run on K phi = omega^2 M
+phi at N/2 unknowns, each mode giving its pair of eigenvalues in closed
+form. The script prints the route and the fitted (alpha, beta) and
+asserts "modal", so a fallback to the complex Arnoldi run fails it.
 The forcing blocks at the sweep's two end frequencies are solved once
 more through ``leading_order``, whose route and normwise backward
 residual are printed; the residual must be at most 1e-12.
 
 The lift's B = diag(I, M) is as well conditioned as M. Since M, C and
 K are symmetric, the spectrum takes its left eigenvectors in closed form
-from the right ones, so it needs one Arnoldi run; the script prints
-where the left vectors came from and asserts "closed-form".
+from the right ones; the script prints where the left vectors came from
+and asserts "closed-form".
 
 The residual check must pass. At this size every residual sits at the
 rounding level of N-dimensional sums, under the floor the check works
@@ -91,10 +93,11 @@ def main():
     peak = peak_rss_mb()
 
     print()
-    print("N = %d states, omega_1 = %.6f, spectrum on the %s route, left "
-          "vectors %s, %d FRC points"
+    print("N = %d states, omega_1 = %.6f, spectrum on the %s route "
+          "(alpha, beta = %r), left vectors %s, %d FRC points"
           % (system.N, omega1, ms.diagnostics["route"],
-             ms.diagnostics["left_vectors"], len(result.points)))
+             ms.diagnostics["rayleigh"], ms.diagnostics["left_vectors"],
+             len(result.points)))
     print("%10s %10s %8s %12s" % ("Omega/w1", "rho", "stable",
                                   "amp dof %d" % dof))
     for pt in result.points:
@@ -115,8 +118,9 @@ def main():
 
     assert ms.diagnostics["left_vectors"] == "closed-form", \
         "left vectors from %s" % ms.diagnostics["left_vectors"]
-    assert ms.diagnostics["route"] == "second-order", \
-        "spectrum factored on the %s route" % ms.diagnostics["route"]
+    assert ms.diagnostics["route"] == "modal", \
+        "spectrum on the %s route: %s" % (ms.diagnostics["route"],
+                                          ms.diagnostics["modal"])
     assert result.points, "the sweep found no forced response"
     assert max(backward) <= 1e-12, "forcing block backward residual %.1e" \
         % max(backward)

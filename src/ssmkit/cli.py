@@ -34,7 +34,7 @@ from .cohomology import compute_manifold
 from .errors import NumericalError, OuterResonanceError, ValidationError
 from .fileio import load_system, save_system
 from .model import as_first_order, lorenz_extended, oscillator_chain
-from .spectrum import check_normalization, master_spectrum
+from .spectrum import as_index, check_normalization, master_spectrum
 from .verify import invariance_residual
 
 DEFAULTS = {
@@ -159,11 +159,7 @@ def _integer(cfg, dotted):
     unless the config holds a JSON integer there, so that 2.7 is not
     read as 2."""
     section, key = dotted.split(".")
-    value = cfg[section][key]
-    if type(value) is not int:
-        raise ValidationError("%s must be an integer, not %r"
-                              % (dotted, value))
-    return value
+    return as_index(cfg[section][key], dotted)
 
 
 def _build_system(cfg):

@@ -56,7 +56,7 @@ from .model import as_first_order, factorize_near, shifted_route
 from .multiindex import (MultiIndexSet, conjugate_permutation,
                          kron_sum_lambdas)
 from .polytensor import apply_kron_sum, compose
-from .spectrum import MasterSubspace
+from .spectrum import MasterSubspace, as_index
 
 __all__ = [
     "ResonanceReport", "classify_resonances", "resonance_tolerance",
@@ -344,7 +344,7 @@ def check_style(style, graph_modes, dim):
         raise ValidationError("style must be one of %r" % (STYLES,))
     if style == "per-mode":
         for g in graph_modes:
-            if not 0 <= int(g) < dim:
+            if not 0 <= as_index(g, "a graph mode") < dim:
                 raise ValidationError("graph mode %r outside 0..%d"
                                       % (g, dim - 1))
 
@@ -384,6 +384,7 @@ def compute_manifold(system, master, order, style="normal-form",
     """
     system = as_first_order(system)
     check_style(style, graph_modes, master.dim)
+    order = as_index(order, "order")
     if order < 1:
         raise ValidationError("order must be >= 1")
     report = classify_resonances(master, order, tol)

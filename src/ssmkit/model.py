@@ -379,6 +379,9 @@ def shifted_route(system):
     return "first-order" if system.mech is None else "second-order"
 
 
+RAYLEIGH_ULPS = 8
+
+
 class _SecondOrder:
     """M, C and K of a mechanical model. Sparse ones share one CSC pattern,
     their union, so that ``Q(shift)`` costs one vector expression."""
@@ -396,6 +399,37 @@ class _SecondOrder:
             self.pattern = (rows, union.indptr)
             self.values = np.array([np.asarray(mat[rows, cols]).ravel()
                                     for mat in (M, C, K)], dtype=float)
+
+    @functools.cached_property
+    def rayleigh(self):
+        """
+        ``(alpha, beta)`` when ``C = alpha M + beta K`` with alpha, beta
+        >= 0, else None. C is fitted by least squares over the stored
+        entries, with one step of refinement, on K alone, on M alone and
+        then on both; the first fit, clipped at 0, whose every misfit
+        ``|c_i - alpha m_i - beta k_i|`` is at most ``RAYLEIGH_ULPS`` ulps
+        of ``|alpha m_i| + |beta k_i|`` is taken: C is then the Rayleigh
+        combination up to the rounding of forming it. The one-matrix fits
+        come first because a two-column fit leaves the absent coefficient
+        at rounding size, not at 0, and the entries where C vanishes
+        refuse any nonzero one; the refinement step because a single
+        solve errs by about ``eps ||c||_2``, 8 to 20 ulps of the chain's
+        diagonal ``beta k_i``.
+        """
+        vm, vc, vk = (np.ravel(vals) for vals in self.values)
+        tol = RAYLEIGH_ULPS * np.finfo(float).eps
+        for cols in ((1,), (0,), (0, 1)):
+            basis = np.column_stack([(vm, vk)[j] for j in cols])
+            fit = np.linalg.lstsq(basis, vc, rcond=None)[0]
+            fit += np.linalg.lstsq(basis, vc - basis @ fit, rcond=None)[0]
+            coef = np.zeros(2)
+            coef[list(cols)] = np.maximum(fit, 0.0)
+            alpha, beta = coef
+            misfit = np.abs(vc - alpha * vm - beta * vk)
+            size = np.abs(alpha * vm) + np.abs(beta * vk)
+            if np.all(misfit <= tol * size):
+                return float(alpha), float(beta)
+        return None
 
     def matrices(self, shift):
         """``Q = shift^2 M + shift C + K`` and ``D = shift M + C``, dense

@@ -18,17 +18,30 @@ with symmetric M, C and K (Tisseur & Meerbergen, SIAM Rev. 43, 2001),
 else by one inverse-iteration step per master eigenvalue (Ipsen, SIAM
 Rev. 39, 1997).
 
-Shift-invert runs complex ARPACK from a fixed start on
+Shift-invert takes one of two routes, both from a fixed start, and
+``diagnostics["route"]`` names it. A lifted model with symmetric
+positive definite M and K, Rayleigh damping ``C = alpha M + beta K``
+(alpha, beta >= 0, recognized from the stored entries) and shift 0 takes
+the "modal" route: one real symmetric shift-invert Lanczos run on
+``K phi = omega^2 M phi`` at N/2 unknowns, each mode giving the roots of
+``lambda^2 + (alpha + beta omega^2) lambda + omega^2 = 0`` and the
+vectors ``[phi; lambda phi]`` (Tisseur & Meerbergen, SIAM Rev. 43, 2001),
+when a bound on the uncomputed modes shows that the computed roots are
+the ones nearest 0. Every other pencil takes complex ARPACK on
 ``(sigma B - A)^-1 B``, factored by ``model.shifted_solver``: the N/2
-matrix ``sigma^2 M + sigma C + K`` for a lifted model, else
-``sigma B - A``. ``diagnostics["route"]`` names the route.
+matrix ``sigma^2 M + sigma C + K`` for a lifted model ("second-order"),
+else ``sigma B - A`` ("first-order"). ``diagnostics["modal"]`` says why
+the modal route was not taken ("taken" when it was), and
+``diagnostics["rayleigh"]`` holds the fitted ``(alpha, beta)``.
 
 Each right eigenvector is scaled to unit norm with its largest entry
 rotated onto the positive real axis, and complex conjugate pairs are
 stored as exact conjugates with the positive-frequency member first.
 """
 
+import functools
 import numbers
+import operator
 
 import numpy as np
 import scipy.linalg as la
@@ -40,7 +53,7 @@ from .model import (as_first_order, left_vectors, shifted_route,
                     shifted_solver)
 
 __all__ = ["MasterSubspace", "master_spectrum", "check_normalization",
-           "largest_entry"]
+           "largest_entry", "as_index"]
 
 CLUSTER_RTOL = 1e-8
 RESIDUAL_RTOL = 1e-9
@@ -102,6 +115,20 @@ class MasterSubspace:
             self.dim, np.array2string(self.lambdas, precision=4))
 
 
+def as_index(value, what):
+    """
+    ``value`` as an int, by ``operator.index``; ValidationError for a
+    bool or a value that is not an integer (2.5, and 2.0 as well), so
+    that no count or position is truncated.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError("%s must be an integer, not %r" % (what, value))
+
+
 def _resolve_select(select):
     """Normalize the selection argument to a canonical dict."""
     if isinstance(select, numbers.Integral):
@@ -115,13 +142,15 @@ def _resolve_select(select):
             raise ValidationError("unknown selection mode %r" % mode)
         out = {"mode": mode}
         if mode == "indices":
-            out["indices"] = [int(i) for i in select["indices"]]
+            out["indices"] = [as_index(i, "a selection index")
+                              for i in select["indices"]]
             if not out["indices"]:
                 raise ValidationError("the selection lists no indices")
         elif mode == "pair":
-            out["pair"] = int(select.get("pair", 1))
+            out["pair"] = as_index(select.get("pair", 1), "the pair")
         else:
-            out["count"] = int(select.get("count", 2))
+            out["count"] = as_index(select.get("count", 2),
+                                    "the selection count")
             if out["count"] < 1:
                 raise ValidationError("the selection count must be >= 1, "
                                       "not %d" % out["count"])
@@ -254,6 +283,82 @@ def _shift_invert_eigen(system, k, shift):
     return sigma + 1.0 / nu, VR
 
 
+def _modal_eigen(system, k, shift):
+    """
+    The eigenpairs nearest 0 of a lifted model with symmetric positive
+    definite M and K and ``C = alpha M + beta K``, alpha, beta >= 0,
+    from the undamped modes ``K phi = omega^2 M phi``: each mode gives
+    the roots of ``lambda^2 + (alpha + beta omega^2) lambda + omega^2 =
+    0`` and ``v = [phi; lambda phi]`` (Tisseur & Meerbergen, SIAM Rev. 43,
+    2001). One real shift-invert Lanczos run from a fixed start computes
+    ``k // 2 + 2`` modes at N/2 unknowns, one to spare beyond a double
+    mode. Every uncomputed mode has roots of modulus at least
+    ``min(omega_m, omega_m^2 / (alpha + beta omega_m^2))``, ``omega_m``
+    the largest computed one, so the roots below that bound, less the
+    cluster tolerance, are all of the spectrum there; the k smallest of
+    them, with every root of equal modulus, are returned as ``(w, VR)``.
+    Returns instead, as a string, why the route does not apply, and the
+    Arnoldi run is taken.
+    """
+    mech = system.mech
+    if mech is None:
+        return "no mechanical model"
+    if not mech.symmetric:
+        return "M, C and K are not all symmetric"
+    if shift != 0:
+        return "the shift is not 0"
+    rayleigh = system._second_order.rayleigh
+    if rayleigh is None:
+        return "C is not alpha M + beta K with alpha, beta >= 0"
+    alpha, beta = rayleigh
+    for mat in (mech.M, mech.K):  # K's solve is the one kept
+        try:
+            if sp.issparse(mat):
+                # pivots on the diagonal only: perm_r == perm_c makes
+                # diag(U) the D of L D L^T, whose signs are the inertia
+                lu = spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+                if not (np.array_equal(lu.perm_r, lu.perm_c)
+                        and (lu.U.diagonal() > 0).all()):
+                    return "M or K is not positive definite"
+                solve = lu.solve
+            else:
+                cho = la.cho_factor(mat)
+                solve = functools.partial(la.cho_solve, cho)
+        except (RuntimeError, la.LinAlgError):
+            return "M or K is not positive definite"
+    n = mech.n
+    m = min(k // 2 + 2, n - 1)
+    op = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    w2, phi = spla.eigsh(mech.K, m, mech.M, sigma=0.0, OPinv=op, v0=v0)
+    order = np.argsort(w2)
+    w2, phi = w2[order], phi[:, order]
+    c = alpha + beta * w2
+    disc = 0.25 * c * c - w2
+    root = np.sqrt(np.abs(disc))
+    big = 0.5 * c + root  # > 0, as omega > 0
+    # an underdamped mode gives a conjugate pair of modulus omega, an
+    # overdamped one two real roots, the smaller as omega^2 over the
+    # larger, without cancellation
+    first = np.where(disc < 0, -0.5 * c + 1j * root, -big)
+    second = np.where(disc < 0, first.conj(), -w2 / big)
+    lam = np.column_stack([first, second]).ravel()  # mode j at 2j, 2j + 1
+    omega_m = np.sqrt(w2[-1])
+    bound = omega_m if c[-1] <= omega_m else w2[-1] / c[-1]
+    mod = np.abs(lam)
+    # a root within the cluster tolerance of the bound may tie with an
+    # uncomputed one, and a cluster must not straddle the cut
+    below = np.sort(mod[mod < (1.0 - CLUSTER_RTOL) * bound])
+    if below.size < k:
+        return ("%d eigenvalues lie below the bound %.3g on the uncomputed "
+                "modes, %d are needed" % (below.size, bound, k))
+    keep = np.flatnonzero(mod <= below[k - 1])
+    vecs = phi[:, keep // 2]
+    return lam[keep], np.vstack([vecs, vecs * lam[keep]])
+
+
 def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
     """
     Compute the master eigenpairs of a first-order system.
@@ -275,8 +380,11 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         screening.
     method : {"auto", "dense", "shift-invert"}, optional
         "auto" uses the dense QZ solver up to N = 600 and shift-invert
-        Arnoldi beyond. Shift-invert computes the eigenvalues nearest
-        ``shift``; the selection then applies within that computed set.
+        beyond. Shift-invert computes the eigenvalues nearest ``shift``;
+        the selection then applies within that computed set. It runs a
+        real Lanczos solve of the undamped modes at N/2 unknowns for a
+        Rayleigh-damped model with symmetric positive definite M and K
+        at shift 0, and complex Arnoldi otherwise (module docstring).
     shift : complex, optional
         Target for shift-invert. Must not be an eigenvalue.
 
@@ -299,6 +407,7 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         raise ValidationError("method must be auto, dense or shift-invert")
     dense = method == "dense" or (method == "auto" and N <= 600)
 
+    modal = "dense QZ"
     if dense:
         A, B = system.dense_pencil()
         w, VR = _dense_eigen(A, B)
@@ -310,7 +419,11 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         else:
             k_need = spec["count"] + n_outer
         k = min(max(k_need, 6), N - 2)
-        w, VR = _shift_invert_eigen(system, k, shift)
+        modal = _modal_eigen(system, k, shift)
+        if isinstance(modal, str):
+            w, VR = _shift_invert_eigen(system, k, shift)
+        else:
+            (w, VR), modal = modal, "taken"
         A, B = system.A, system.B
 
     scale = float(np.abs(w).max()) if w.size else 1.0
@@ -406,7 +519,11 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         "method": "dense" if dense else "shift-invert",
         "left_vectors": ("closed-form" if system.mech is not None
                          and system.mech.symmetric else "inverse-iteration"),
-        "route": None if dense else shifted_route(system),
+        "route": (None if dense else "modal" if modal == "taken"
+                  else shifted_route(system)),
+        "modal": modal,
+        "rayleigh": (None if dense or system.mech is None
+                     else system._second_order.rayleigh),
         "selection": spec,
         "residual_right": res_r,
         "residual_left": res_l,

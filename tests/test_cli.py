@@ -260,6 +260,21 @@ def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
         assert ("%s must be an integer, not %r"
                 % (key, json.loads(value)) in capsys.readouterr().err)
 
+    # and so must every entry of a selection: 1.5 is not read as pair 1
+    for flags, message in (
+            (["--ssm.select.pair", "1.5"], "the pair must be an integer, "
+                                           "not 1.5"),
+            (["--ssm.select.count", "2.5"], "the selection count must be an "
+                                            "integer, not 2.5"),
+            (["--ssm.select.indices", "[0.5,1]"], "a selection index must be "
+                                                  "an integer, not 0.5"),
+            (["--ssm.style", "per-mode", "--ssm.graph_modes", "[0.5]"],
+             "a graph mode must be an integer, not 0.5")):
+        argv = ["ssm", "--system.builtin", "chain", "--ssm.output",
+                str(tmp_path / "m.bin")] + flags
+        assert main(argv) == 2, flags
+        assert message in capsys.readouterr().err
+
 
 def test_frc_amplitude_has_one_key(capsys):
     # --system.eps sets the forcing amplitude of every command

@@ -907,6 +907,29 @@ def test_compute_manifold_validates_arguments(lorenz_master):
                          graph_modes=(5,))
     with pytest.raises(ValidationError, match="on_outer"):
         compute_manifold(sys, ms, order=2, on_outer="maybe")
+    # an order or graph mode is an integer, not a float or a bool that
+    # would be truncated or read as 1
+    for order in (3.0, 2.5, True):
+        with pytest.raises(ValidationError,
+                           match="order must be an integer, not %r" % order):
+            compute_manifold(sys, ms, order=order)
+    with pytest.raises(ValidationError,
+                       match="a graph mode must be an integer, not 0.5"):
+        compute_manifold(sys, ms, order=2, style="per-mode",
+                         graph_modes=(0.5,))
+
+
+def test_a_numpy_integer_order_saves_and_loads(chain10_forced,
+                                               chain_mode2_master, tmp_path):
+    man = compute_manifold(chain10_forced, chain_mode2_master,
+                           order=np.int64(3))
+    assert type(man.order) is int and man.order == 3
+    man.save(tmp_path / "man.bin")
+    back = ManifoldExpansion.load(tmp_path / "man.bin")
+    assert back.order == 3
+    for i in range(1, 4):
+        assert np.array_equal(back.W[i], man.W[i])
+        assert np.array_equal(back.R[i], man.R[i])
 
 
 def test_lifted_mechanical_input_accepted(chain10, chain_mode2_master):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from ssmkit import (FirstOrderSystem, MechanicalSystem, oscillator_chain,
                     lorenz_extended, master_spectrum, check_normalization,
                     MasterSubspace, build_first_order, cosine_forcing)
+from ssmkit import spectrum
 from ssmkit.errors import NumericalError, ValidationError
 from ssmkit.spectrum import check_norm_arrays
 
@@ -97,6 +98,29 @@ def test_selection_validation(chain10):
         master_spectrum(chain10, method="qr")
 
 
+@pytest.mark.parametrize("select,message", [
+    ({"mode": "pair", "pair": 1.5}, "the pair must be an integer, not 1.5"),
+    ({"mode": "smallest", "count": 2.5}, "the selection count must be an "
+                                         "integer, not 2.5"),
+    ({"mode": "slowest", "count": 2.0}, "the selection count must be an "
+                                        "integer, not 2.0"),
+    ({"mode": "indices", "indices": [0.5, 1]}, "a selection index must be "
+                                               "an integer, not 0.5"),
+    ({"mode": "pair", "pair": True}, "the pair must be an integer, not True"),
+], ids=["pair", "count", "whole-float-count", "indices", "bool-pair"])
+def test_a_fractional_selection_is_refused(chain10, select, message):
+    # int() once read pair 1.5 as pair 1
+    with pytest.raises(ValidationError, match=message):
+        master_spectrum(chain10, select=select)
+
+
+def test_a_numpy_integer_selection_is_accepted(chain10):
+    ms = master_spectrum(chain10, select={"mode": "pair",
+                                          "pair": np.int64(2)})
+    assert ms.diagnostics["selection"] == {"mode": "pair", "pair": 2}
+    assert type(ms.diagnostics["selection"]["pair"]) is int
+
+
 def test_outer_spectrum_excludes_selection(chain10):
     ms = master_spectrum(chain10, select={"mode": "pair", "pair": 1},
                          n_outer=6)
@@ -161,7 +185,9 @@ def test_shift_invert_nonsymmetric():
 @pytest.mark.parametrize("lifted", [True, False], ids=["lift", "plain"])
 def test_a_shift_on_the_spectrum_is_refused(sparse, lifted):
     # a free-free chain has K singular, so 0 is an eigenvalue; SuperLU
-    # raises on the exact zero pivot, dense getrf only reports it
+    # raises on the exact zero pivot, dense getrf only reports it. The
+    # lifted model has C = 0.1 K, and the modal route leaves it to the
+    # Arnoldi run, since K is not positive definite
     n = 8
     lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     lap[0, 0] = lap[-1, -1] = 1.0
@@ -311,6 +337,101 @@ def test_nonsymmetric_damping_takes_the_general_left_vectors(method, conv):
                          method=method, shift=0.3j, n_outer=0)
     assert ms.diagnostics["left_vectors"] == "inverse-iteration"
     assert check_normalization(ms, sys) <= 1e-10
+
+
+def skewed(mech):
+    """``mech`` with one off-diagonal damping entry added: C is no longer
+    symmetric."""
+    C = sp.lil_matrix(mech.C)
+    C[0, 1] += 0.02
+    return MechanicalSystem(mech.M, C.tocsr(), mech.K, mech.f_coeffs)
+
+
+def undamped(mech):
+    """``mech`` with C = 0, the Rayleigh combination alpha = beta = 0."""
+    return MechanicalSystem(mech.M, 0.0 * mech.C, mech.K, mech.f_coeffs)
+
+
+def non_rayleigh(mech):
+    """``mech`` with a symmetric C that is no combination of M and K."""
+    C = sp.lil_matrix(mech.C)
+    C[0, 0] *= 1.5
+    return MechanicalSystem(mech.M, C.tocsr(), mech.K, mech.f_coeffs)
+
+
+@pytest.mark.parametrize("make,kwargs,route,modal,rayleigh", [
+    (lambda: build_first_order(csr_bar(1500, 4)), {}, "modal", "taken",
+     (0.0, 0.002)),
+    (lambda: build_first_order(csr_chain(310)), {}, "modal", "taken",
+     (0.0, 0.05)),
+    # dense storage above N = 600 takes shift-invert, and a Cholesky
+    # factor on the modal route
+    (lambda: build_first_order(oscillator_chain(310, c=0.05)), {}, "modal",
+     "taken", (0.0, 0.05)),
+    (lambda: build_first_order(undamped(csr_chain(310))), {}, "modal",
+     "taken", (0.0, 0.0)),
+    (lambda: build_first_order(skewed(csr_chain(310))), {}, "second-order",
+     "M, C and K are not all symmetric", None),
+    (lambda: build_first_order(non_rayleigh(csr_chain(310))), {},
+     "second-order", "C is not alpha M + beta K", None),
+    (lambda: plain_pencil(csr_chain(310)), {}, "first-order",
+     "no mechanical model", None),
+    (lambda: build_first_order(csr_chain(310)), {"shift": 0.3j},
+     "second-order", "the shift is not 0", (0.0, 0.05)),
+    (lambda: build_first_order(csr_chain(310)), {"method": "dense"}, None,
+     "dense QZ", None),
+], ids=["csr-bar", "csr-chain", "dense-chain", "undamped", "skewed",
+        "non-rayleigh", "plain", "shift", "dense"])
+def test_each_model_takes_its_spectrum_route(make, kwargs, route, modal,
+                                             rayleigh):
+    # the modal route is decided from the matrices, and the record says
+    # why it was not taken
+    ms = master_spectrum(make(), select={"mode": "pair", "pair": 1},
+                         n_outer=4, **kwargs)
+    assert ms.diagnostics["route"] == route
+    assert ms.diagnostics["modal"].startswith(modal)
+    assert ms.diagnostics["rayleigh"] == rayleigh
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 8])
+def test_the_modal_route_matches_the_arnoldi_run(seed, monkeypatch):
+    # seeds 1 and 8 stalled a real non-symmetric Arnoldi run; the complex
+    # one on the N/2 route is the reference
+    sys = build_first_order(csr_bar(1500, seed))
+    select = {"mode": "pair", "pair": 1}
+    modal = master_spectrum(sys, select=select, n_outer=8)
+    monkeypatch.setattr(spectrum, "_modal_eigen", lambda *args: "off")
+    arnoldi = master_spectrum(sys, select=select, n_outer=8)
+    assert modal.diagnostics["route"] == "modal"
+    assert arnoldi.diagnostics["route"] == "second-order"
+    for attr in ("lambdas", "V", "U", "outer_lambdas"):
+        want = getattr(arnoldi, attr)
+        got = getattr(modal, attr)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("alpha,route", [(0.3, "modal"),
+                                         (1.0, "second-order")])
+def test_overdamped_modes_and_the_completeness_bound(alpha, route):
+    # C = alpha M overdamps the chain's lowest modes. At alpha = 0.3 only
+    # the first one, and its real roots are among the modal route's; at
+    # alpha = 1 the six lowest, so the eigenvalues nearest 0 are the slow
+    # roots of more modes than the route computes, and its bound sends
+    # the model to the Arnoldi run. Both agree with dense QZ.
+    base = csr_chain(40)
+    sys = build_first_order(MechanicalSystem(base.M, alpha * base.M, base.K))
+    si = master_spectrum(sys, select=2, n_outer=4, method="shift-invert")
+    dense = master_spectrum(sys, select=2, n_outer=4, method="dense")
+    assert si.diagnostics["route"] == route
+    assert si.diagnostics["rayleigh"] == (alpha, 0.0)
+    if route != "modal":
+        assert "below the bound" in si.diagnostics["modal"]
+    assert np.abs(si.lambdas - dense.lambdas).max() <= 1e-12
+    # shift-invert keeps the outer eigenvalues it computed, k = 6 in all
+    outer = si.outer_lambdas
+    assert outer.size == 6 - si.dim
+    assert np.abs(outer - dense.outer_lambdas[:outer.size]).max() <= 1e-12
 
 
 def test_inverse_iteration_matches_lapack_left_vectors():
