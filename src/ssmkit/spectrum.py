@@ -412,12 +412,14 @@ def master_spectrum(system, select=2, n_outer=10, method="auto", shift=0.0):
         A, B = system.dense_pencil()
         w, VR = _dense_eigen(A, B)
     else:
+        # a count or indices selection may close with the conjugate
+        # just past its reach, one slot more than it names
         if spec["mode"] == "indices":
-            k_need = max(spec["indices"]) + 1 + n_outer
+            k_need = max(spec["indices"]) + 2 + n_outer
         elif spec["mode"] == "pair":
             k_need = 2 * spec["pair"] + 2 + n_outer
         else:
-            k_need = spec["count"] + n_outer
+            k_need = spec["count"] + 1 + n_outer
         k = min(max(k_need, 6), N - 2)
         modal = _modal_eigen(system, k, shift)
         if isinstance(modal, str):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 
 from ssmkit import (FirstOrderSystem, MechanicalSystem, NumericalError,
                     ValidationError, as_first_order, build_first_order,
@@ -311,10 +312,11 @@ def _quadratic_cubic_system(forced, storage):
 @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
 def test_adaptive_rhs_matches_the_model_equation(forced, storage):
     # the stacked operator against B^-1 (A z + F(z) + eps Fext(Omega t))
-    # from the model's own evaluators and a dense solve
+    # from the model's own evaluators and a dense solve, each state and
+    # time set up as the DOP853 stepper sets up a stage
     system = _quadratic_cubic_system(forced, storage)
     Omega = np.array([0.7, 1.3]) if forced else None
-    rhs = verify._adaptive_rhs(system, Omega)
+    state, rates, rhs = verify._adaptive_rhs(system, Omega)
     A, B = system.dense_pencil()
     rng = np.random.default_rng(12)
     for t in (0.0, 0.37, 41.5):
@@ -330,7 +332,59 @@ def test_adaptive_rhs_matches_the_model_equation(forced, storage):
         # other LU factors: a few ulps of each term's size, through B^-1
         bound = 8 * np.finfo(float).eps * la.norm(la.inv(B), np.inf) \
             * size.max()
-        assert np.abs(rhs(t, z) - la.solve(B, g)).max() <= bound
+        state[:] = z
+        got = rhs(verify._trig(rates, t))
+        assert np.abs(got - la.solve(B, g)).max() <= bound
+
+
+def _scipy_dop853(system, Omega, z0, t_span, t_eval):
+    """scipy's ``solve_ivp(method="DOP853")`` on the stage evaluation
+    of the in-house stepper, at integrate_full's default tolerances."""
+    state, rates, rhs = verify._adaptive_rhs(system, Omega)
+
+    def fun(t, z):
+        state[:] = z
+        return rhs(verify._trig(rates, t))
+
+    return solve_ivp(fun, t_span, z0, method="DOP853", rtol=1e-8,
+                     atol=1e-10, t_eval=t_eval)
+
+
+@pytest.mark.parametrize("case", ["chain-t_eval", "quadratic-cubic-steps"])
+def test_adaptive_takes_scipys_steps(case, chain10_forced):
+    # scipy's DOP853 on the same right-hand side is the oracle: the same
+    # step sizes, accepted and rejected alike, give the same count of
+    # right-hand sides, and the same arithmetic the same states
+    if case == "chain-t_eval":
+        # ten forced periods of the README chain, 64 samples a period
+        system = as_first_order(chain10_forced)
+        Omega = np.array([0.6158])
+        t_span = (0.0, 10 * 2.0 * np.pi / Omega[0])
+        t_eval = np.linspace(*t_span, 641)
+        z0 = np.random.default_rng(6).normal(size=20) * 0.1
+    else:
+        # a non-diagonal B and two frequencies, every accepted step
+        # returned; the system blows up soon after t = 0.4
+        system = _quadratic_cubic_system(True, "dense")
+        Omega = np.array([0.7, 1.3])
+        t_span, t_eval = (0.0, 0.25), None
+        z0 = np.random.default_rng(13).normal(size=8) * 0.01
+    ref = _scipy_dop853(system, Omega, z0, t_span, t_eval)
+    assert ref.success
+    got = integrate_full(system, z0, t_span, Omega=Omega, t_eval=t_eval)
+    assert got["rhs_evaluations"] == ref.nfev
+    assert got["t"].shape == ref.t.shape and got["z"].shape == ref.y.shape
+    assert np.abs(got["t"] - ref.t).max() <= 1e-12 * t_span[1]
+    assert np.abs(got["z"] - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+
+
+def test_adaptive_blow_up_raises():
+    # z' = z^2 from z = 1 reaches infinity at t = 1; the step falls
+    # below 10 ulps of t there, as scipy's does
+    square = FirstOrderSystem(np.zeros((1, 1)), np.eye(1), [
+        PolyCoeffs.from_factors(2, 1, 1, [0], [[0], [0]], [1.0])])
+    with pytest.raises(NumericalError, match="10 ulps of t"):
+        integrate_full(square, [1.0], (0.0, 2.0))
 
 
 def test_adaptive_does_not_depend_on_matrix_storage(chain10_forced):
@@ -477,6 +531,24 @@ def test_integrate_full_validations(chain10_forced, chain10):
     with pytest.raises(ValidationError, match="takes no t_eval"):
         integrate_full(chain10, np.zeros(20), (0.0, 1.0),
                        method="trapezoid", dt=0.1, t_eval=[0.5])
+    # both methods integrate forward only, over a span that is not empty
+    for method in ("adaptive", "trapezoid"):
+        for span in ((1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(ValidationError, match="t0 < t1"):
+                integrate_full(chain10, np.zeros(20), span, method=method,
+                               dt=0.1)
+    for t_eval, match in (([0.5, 0.2], "strictly ascending"),
+                          ([0.2, 0.2], "strictly ascending"),
+                          ([0.5, 1.5], "inside t_span"),
+                          ([-0.1, 0.5], "inside t_span"),
+                          ([float("nan")], "inside t_span"),
+                          ([[0.5]], "one-dimensional")):
+        with pytest.raises(ValidationError, match=match):
+            integrate_full(chain10, np.zeros(20), (0.0, 1.0), t_eval=t_eval)
+    for tol in (dict(rtol=-1e-8), dict(atol=-1e-10), dict(rtol=np.inf),
+                dict(atol=float("nan"))):
+        with pytest.raises(ValidationError, match="rtol and atol"):
+            integrate_full(chain10, np.zeros(20), (0.0, 1.0), **tol)
 
 
 def test_forced_linear_steady_state_matches_transfer_function():
