@@ -22,10 +22,14 @@ with A, B the odd polynomials above divided by rho. This module
 extracts the polar model, computes backbone curves of conservative
 models, sweeps forced response curves with stability from the polar
 Jacobian, and lifts reduced amplitudes back to physical coordinates.
+
+``PolarROM`` holds lam and the gamma_l once, and a sweep takes its
+roots, phases and Jacobians from one model at its eta (eta = 2 for a
+load cos(2 Omega t) near half the pair's frequency). The amplitude lift
+samples ``N_PHASES`` = 128 phases per response cycle.
 """
 
 import json
-import numbers
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -33,7 +37,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ValidationError
 from .forcing import leading_order
-from .spectrum import largest_entry
+from .spectrum import as_index, largest_entry, state_index
 
 __all__ = [
     "PolarROM", "extract_polar_rom", "BackboneCurve", "backbone",
@@ -42,6 +46,12 @@ __all__ = [
     "write_frc_svg", "write_backbone_csv",
 ]
 
+# phases per response cycle at which the amplitude lift samples a state
+N_PHASES = 128
+# how close Re(lambda) of a backbone's master pair must be to zero,
+# relative to |lambda|
+CONSERVATIVE_RTOL = 1e-9
+
 
 class PolarROM:
     """
@@ -49,10 +59,13 @@ class PolarROM:
 
     Attributes
     ----------
+    coeffs : (L+1,) complex ndarray
+        lam, gamma_1, .., gamma_L: the only copy of the polynomial. a
+        and A read the real parts, b and B the imaginary ones.
     lam : complex
-        Master eigenvalue with positive imaginary part.
+        Master eigenvalue with positive imaginary part, ``coeffs[0]``.
     gammas : (L,) complex ndarray
-        Coefficients of q |q|^(2l), l = 1..L.
+        Coefficients of q |q|^(2l), l = 1..L, ``coeffs[1:]``.
     row, partner : int
         Positions of the pair inside the master arrays.
     eta : int
@@ -65,60 +78,75 @@ class PolarROM:
     """
 
     def __init__(self, lam, gammas, row, partner, eta=1, f=0.0, Omega=None):
-        self.lam = complex(lam)
-        self.gammas = np.asarray(gammas, dtype=complex)
+        self.coeffs = np.concatenate(([complex(lam)],
+                                      np.asarray(gammas, dtype=complex)))
         self.row = int(row)
         self.partner = int(partner)
         self.eta = int(eta)
         self.f = complex(f)
         self.Omega = Omega
 
+    @property
+    def lam(self):
+        return complex(self.coeffs[0])
+
+    @property
+    def gammas(self):
+        return self.coeffs[1:]
+
     def with_forcing(self, f, Omega, eta=None):
         return PolarROM(self.lam, self.gammas, self.row, self.partner,
                         self.eta if eta is None else eta, f, Omega)
 
-    def _omega_term(self, Omega):
+    def _b_coeffs(self, Omega):
+        """Imaginary parts of the coefficients, eta Omega taken off Im lam;
+        Omega defaults to the model's own, and without one there is no
+        rotating frame."""
         if Omega is None:
             Omega = self.Omega
-        return 0.0 if Omega is None else self.eta * float(Omega)
+        c = self.coeffs.imag.copy()
+        if Omega is not None:
+            c[0] -= self.eta * float(Omega)
+        return c
+
+    @staticmethod
+    def _sum(c, rho, shift, weighted=False):
+        """sum_l w_l c_l rho^(2l + shift), w_l = 2l + 1 when ``weighted``
+        and 1 otherwise, added from l = 0 up: the odd polynomial at shift
+        1, its derivative at shift 0 weighted, its quotient by rho at
+        shift 0."""
+        rho = np.asarray(rho, dtype=float)
+        out = c[0] * rho if shift else np.full_like(rho, c[0])
+        for l in range(1, c.size):
+            w = 2 * l + 1 if weighted else 1
+            out = out + w * c[l] * rho ** (2 * l + shift)
+        return out
 
     def a(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = self.lam.real * rho
-        for l, g in enumerate(self.gammas, start=1):
-            out = out + g.real * rho ** (2 * l + 1)
-        return out
+        return self._sum(self.coeffs.real, rho, 1)
 
     def a_prime(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.full_like(rho, self.lam.real, dtype=float)
-        for l, g in enumerate(self.gammas, start=1):
-            out = out + (2 * l + 1) * g.real * rho ** (2 * l)
-        return out
+        return self._sum(self.coeffs.real, rho, 0, weighted=True)
 
     def b(self, rho, Omega=None):
-        rho = np.asarray(rho, dtype=float)
-        out = (self.lam.imag - self._omega_term(Omega)) * rho
-        for l, g in enumerate(self.gammas, start=1):
-            out = out + g.imag * rho ** (2 * l + 1)
-        return out
+        return self._sum(self._b_coeffs(Omega), rho, 1)
 
     def b_prime(self, rho, Omega=None):
-        rho = np.asarray(rho, dtype=float)
-        out = np.full_like(rho, self.lam.imag - self._omega_term(Omega),
-                           dtype=float)
-        for l, g in enumerate(self.gammas, start=1):
-            out = out + (2 * l + 1) * g.imag * rho ** (2 * l)
-        return out
+        return self._sum(self._b_coeffs(Omega), rho, 0, weighted=True)
 
     def phase_velocity(self, rho):
         """Instantaneous frequency of the unforced model, b/rho at
         Omega = 0: Im lam + sum Im(gamma_l) rho^(2l)."""
-        rho = np.asarray(rho, dtype=float)
-        out = np.full_like(rho, self.lam.imag, dtype=float)
-        for l, g in enumerate(self.gammas, start=1):
-            out = out + g.imag * rho ** (2 * l)
-        return out
+        return self._sum(self.coeffs.imag, rho, 0)
+
+    def amplitude_polynomial(self, f, Omega=None):
+        """Ascending coefficients of g(s) = s (A(s)^2 + B(s)^2) - |f|^2 in
+        s = rho^2, A = a/rho and B = b/rho: its positive roots are the
+        squared amplitudes of the fixed points under the forcing
+        coefficient f."""
+        re, im = self.coeffs.real, self._b_coeffs(Omega)
+        return np.concatenate(([-abs(f) ** 2],
+                               np.convolve(re, re) + np.convolve(im, im)))
 
     def to_dict(self):
         return {
@@ -183,19 +211,6 @@ def stability_jacobian(rom, rho, Omega=None):
     ])
 
 
-def _dof_index(dof, n=None):
-    """An integer state index as int; a fractional one is refused, not
-    truncated, and so is one outside 0..n-1 when the state count n is
-    given (a negative index would silently count from the end)."""
-    if not isinstance(dof, numbers.Integral):
-        raise ValidationError("dof must be an integer state index, got %r"
-                              % (dof,))
-    if n is not None and not 0 <= dof < n:
-        raise ValidationError("dof %d outside the states 0..%d"
-                              % (dof, n - 1))
-    return int(dof)
-
-
 class BackboneCurve:
     """Amplitude-frequency relation of an unforced conservative pair."""
 
@@ -203,40 +218,29 @@ class BackboneCurve:
         self.rho = np.asarray(rho, dtype=float)
         self.omega = np.asarray(omega, dtype=float)
         self.amp = np.asarray(amp, dtype=float)
-        self.dof = _dof_index(dof)
+        self.dof = state_index(dof)
         self.rom = rom
-
-    def to_dict(self):
-        return {
-            "kind": "backbone",
-            "dof": self.dof,
-            "rho": self.rho.tolist(),
-            "omega": self.omega.tolist(),
-            "amp": self.amp.tolist(),
-            "rom": self.rom.to_dict(),
-        }
 
 
 def physical_amplitude(manifold, rho, psi, dof, nonaut=None, eps=0.0,
-                       eta=1, n_phases=128):
+                       eta=1):
     """
     Peak amplitude of one state (a float) or of a sequence of states
-    (an array) over a response cycle.
+    (an array) over a response cycle, sampled at ``N_PHASES`` phases.
 
     The reduced phase advances as theta = psi + eta * phi with phi the
     forcing phase; the state is the manifold evaluation plus the
     order-eps time-periodic correction when one is supplied. One
     batched evaluation covers every phase and state.
     """
-    if not isinstance(n_phases, numbers.Integral) or n_phases < 1:
-        raise ValidationError("n_phases must be an integer >= 1, got %r"
-                              % (n_phases,))
-    rows = np.array([_dof_index(d, manifold.N) for d in np.atleast_1d(dof)],
+    # a list is read entry by entry, as an array would turn True into 1
+    dofs = [dof] if np.ndim(dof) == 0 else dof
+    rows = np.array([state_index(d, manifold.N) for d in dofs],
                     dtype=np.int64)
-    phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
+    phases = 2.0 * np.pi * np.arange(N_PHASES) / N_PHASES
     theta = psi + eta * phases
     row = 0 if manifold.master.lambdas[0].imag > 0 else 1
-    p = np.empty((2, n_phases), dtype=complex)
+    p = np.empty((2, N_PHASES), dtype=complex)
     p[row] = rho * np.exp(1j * theta)
     p[1 - row] = rho * np.exp(-1j * theta)
     z = manifold.evaluate(p, rows=rows).real
@@ -246,8 +250,7 @@ def physical_amplitude(manifold, rho, psi, dof, nonaut=None, eps=0.0,
     return float(peak[0]) if np.ndim(dof) == 0 else peak
 
 
-def backbone(manifold, rho_max, n=40, dof=0, n_phases=128,
-             conservative_rtol=1e-9):
+def backbone(manifold, rho_max, n=40, dof=0):
     """
     Backbone curve of a conservative conjugate-pair manifold.
 
@@ -256,15 +259,11 @@ def backbone(manifold, rho_max, n=40, dof=0, n_phases=128,
     manifold : ManifoldExpansion
         Normal-form expansion over one conjugate pair.
     rho_max : float
-        Largest reduced amplitude on the grid.
+        Largest reduced amplitude on the grid, positive and finite.
     n : int, optional
-        Number of grid points (rho = 0 included).
+        Number of grid points (rho = 0 included), at least 1.
     dof : int, optional
         State index reported in the amplitude column.
-    n_phases : int, optional
-        Phase resolution of the amplitude lift (>= 1).
-    conservative_rtol : float, optional
-        How close Re(lambda) must be to zero, relative to |lambda|.
 
     Returns
     -------
@@ -273,23 +272,28 @@ def backbone(manifold, rho_max, n=40, dof=0, n_phases=128,
     Raises
     ------
     ValidationError
-        For a damped master pair; the frequency of a damped free
+        For a damped master pair, |Re lambda| above
+        ``CONSERVATIVE_RTOL`` |lambda|; the frequency of a damped free
         oscillation decays through amplitudes, so the meaningful
         amplitude-frequency relation is the forced response sweep.
     """
     rom = extract_polar_rom(manifold)
-    if abs(rom.lam.real) > conservative_rtol * abs(rom.lam):
+    if abs(rom.lam.real) > CONSERVATIVE_RTOL * abs(rom.lam):
         raise ValidationError(
             "backbone curves are defined for conservative systems; the "
             "master eigenvalue %s has nonzero decay rate. Run a forced "
             "response sweep instead." % rom.lam)
-    if rho_max <= 0:
-        raise ValidationError("rho_max must be positive")
-    dof = _dof_index(dof, manifold.N)
-    rho = np.linspace(0.0, float(rho_max), int(n))
+    rho_max = float(rho_max)
+    if not 0 < rho_max < np.inf:
+        raise ValidationError("rho_max must be positive and finite, got %r"
+                              % rho_max)
+    n = as_index(n, "n")
+    if n < 1:
+        raise ValidationError("n must be an integer >= 1, got %d" % n)
+    dof = state_index(dof, manifold.N)
+    rho = np.linspace(0.0, rho_max, n)
     omega = rom.phase_velocity(rho)
-    amp = np.array([physical_amplitude(manifold, r, 0.0, dof,
-                                       n_phases=n_phases) for r in rho])
+    amp = np.array([physical_amplitude(manifold, r, 0.0, dof) for r in rho])
     return BackboneCurve(rho, omega, amp, dof, rom)
 
 
@@ -384,8 +388,7 @@ def _refine_root(g_asc, s0):
     return 0.5 * (lo + hi)
 
 
-def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
-              n_phases=128, tol=None):
+def frc_sweep(manifold, omega_values, dofs=(), eta=None):
     """
     Forced response curve over a frequency grid.
 
@@ -394,7 +397,12 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
     the sweep), the polar fixed-point equation is reduced to a real
     polynomial in s = rho^2, its positive roots are polished by
     bisection, and each fixed point is classified by the polar
-    Jacobian and lifted to physical amplitudes.
+    Jacobian and lifted to physical amplitudes. The polynomial, the
+    fixed points and the Jacobian all come from one polar model at the
+    sweep's eta. The forcing amplitude is the system's ``eps``; the
+    forcing screen takes the resonance tolerance the manifold was
+    classified with (the defaults for a loaded manifold, which holds
+    none).
 
     Parameters
     ----------
@@ -402,9 +410,7 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
         Normal-form expansion over one conjugate pair, with its system
         attached.
     omega_values : sequence of float
-        Forcing frequencies to sweep.
-    eps : float, optional
-        Forcing amplitude; defaults to the system's stored value.
+        Forcing frequencies to sweep, each positive and finite.
     dofs : sequence of int, optional
         State indices to lift amplitudes for. Defaults to the state
         with the largest master-mode displacement, the first of equal
@@ -412,14 +418,11 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
     eta : int, optional
         Harmonic multiple resonant with the pair. Autodetected from
         the grid midpoint among 1..3 when omitted.
-    n_phases : int, optional
-        Phase resolution of the amplitude lift (>= 1).
-    tol : dict, optional
-        Resonance tolerance forwarded to the forcing solve.
 
     Returns
     -------
     FrcResult
+        Its ``rom`` is the polar model at the sweep's eta.
 
     Raises
     ------
@@ -432,8 +435,7 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
         raise ValidationError(
             "the manifold has no system attached; rebuild or attach one")
     rom = extract_polar_rom(manifold)
-    if eps is None:
-        eps = system.eps
+    eps = system.eps
     if not system.forcing or eps == 0.0:
         raise ValidationError(
             "the model is unforced (no harmonics or eps = 0); the "
@@ -447,23 +449,28 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
     omega_values = sorted(float(w) for w in np.asarray(omega_values).ravel())
     if not omega_values:
         raise ValidationError("omega_values is empty")
+    bad = [w for w in omega_values if not 0 < w < np.inf]
+    if bad:
+        raise ValidationError("every Omega must be positive and finite, "
+                              "got %r" % bad[0])
 
     if eta is None:
         mid = omega_values[len(omega_values) // 2]
         eta = min(range(1, 4), key=lambda e: abs(rom.lam.imag - e * mid))
-    eta = int(eta)
-    kplus = (eta,)
+    rom.eta = as_index(eta, "eta")
+    kplus = (rom.eta,)
     table = dict(system.forcing)
     if kplus not in table:
         raise ValidationError(
             "no forcing harmonic matches the resonant multiple eta=%d; "
-            "harmonics present: %s" % (eta, sorted(table)))
+            "harmonics present: %s" % (rom.eta, sorted(table)))
     master = manifold.master
     override = {kplus: [rom.row], tuple(-k for k in kplus): [rom.partner]}
+    tol = None if manifold.resonances is None else manifold.resonances.params
 
     if not dofs:
         dofs = [largest_entry(master.V[:, rom.row])]
-    dofs = [_dof_index(d, manifold.N) for d in dofs]
+    dofs = [state_index(d, manifold.N) for d in dofs]
 
     points = []
     consistency_worst = 0.0
@@ -476,17 +483,8 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
             raise ValidationError(
                 "the resonant forcing coefficient vanishes at Omega=%g; "
                 "the model is effectively unforced there" % Omega)
-        L = rom.gammas.size
-        c_a = np.zeros(L + 1)
-        c_b = np.zeros(L + 1)
-        c_a[0] = rom.lam.real
-        c_b[0] = rom.lam.imag - eta * Omega
-        for l, g in enumerate(rom.gammas, start=1):
-            c_a[l] = g.real
-            c_b[l] = g.imag
-        mag = np.convolve(c_a, c_a) + np.convolve(c_b, c_b)
-        g_asc = np.concatenate(([0.0], mag))
-        g_asc[0] = -abs(f) ** 2
+        g_asc = rom.amplitude_polynomial(f, Omega)
+        f2 = abs(f) ** 2
         scale = max(abs(f) ** (2.0 / 3.0), 1e-12)
         roots = [_refine_root(g_asc, s) for s in
                  _real_positive_roots(g_asc, scale)]
@@ -494,7 +492,6 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
             rho = float(np.sqrt(s))
             a = float(rom.a(rho))
             b = float(rom.b(rho, Omega))
-            f2 = abs(f) ** 2
             cpsi = -(a * f.real + b * f.imag) / f2
             spsi = (b * f.real - a * f.imag) / f2
             err = abs(cpsi * cpsi + spsi * spsi - 1.0)
@@ -505,13 +502,12 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
                     "rho=%g; the amplitude root is unreliable" % (err, Omega, rho))
             norm = np.hypot(cpsi, spsi)
             psi = float(np.arctan2(spsi / norm, cpsi / norm))
-            J = stability_jacobian(rom.with_forcing(f, Omega, eta), rho, Omega)
+            J = stability_jacobian(rom, rho, Omega)
             tr = J[0, 0] + J[1, 1]
             det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
             stable = bool(tr < 0.0 and det > 0.0)
             peaks = physical_amplitude(manifold, rho, psi, dofs,
-                                       nonaut=nonaut, eps=eps, eta=eta,
-                                       n_phases=n_phases)
+                                       nonaut=nonaut, eps=eps, eta=rom.eta)
             amps = dict(zip(dofs, peaks.tolist()))
             points.append({"Omega": float(Omega), "rho": rho, "psi": psi,
                            "stable": stable, "amp": amps})
@@ -519,7 +515,7 @@ def frc_sweep(manifold, omega_values, eps=None, dofs=(), eta=None,
     diag = {"consistency_worst": consistency_worst,
             "truncation": "order-eps response; amplitudes include the "
                           "time-periodic correction at that order"}
-    return FrcResult(points, eta, eps, dofs, rom, diag)
+    return FrcResult(points, rom.eta, eps, dofs, rom, diag)
 
 
 def rom_integrate(rom, q0, t_span, t_eval=None, rtol=1e-9, atol=1e-12):
@@ -590,12 +586,14 @@ def write_frc_json(result, path):
         fh.write("\n")
 
 
-def write_frc_svg(result, path, dof=None, width=640, height=420):
+def write_frc_svg(result, path, dof=None):
     """
-    Self-contained response-curve plot: amplitude of one state against
-    forcing frequency, stable points filled, unstable points open.
+    Self-contained response-curve plot, 640 by 420 pixels: amplitude of
+    one state against forcing frequency, stable points filled, unstable
+    points open.
     """
-    dof = result.dofs[0] if dof is None else _dof_index(dof)
+    width, height = 640, 420
+    dof = result.dofs[0] if dof is None else state_index(dof)
     if dof not in result.dofs:
         raise ValidationError("dof %d is not among the swept dofs %s"
                               % (dof, result.dofs))

@@ -63,11 +63,11 @@ DEFAULTS = {
     "frc": {
         "omega": None,
         "omega_min": None, "omega_max": None, "n_omega": 41,
-        "eta": None, "dofs": [], "n_phases": 128,
+        "eta": None, "dofs": [],
         "output_csv": "frc.csv", "output_json": None, "output_svg": None,
     },
     "backbone": {
-        "rho_max": 0.3, "n": 40, "dof": 0, "n_phases": 128,
+        "rho_max": 0.3, "n": 40, "dof": 0,
         "output_csv": "backbone.csv",
     },
     "verify": {
@@ -270,8 +270,7 @@ def _cmd_frc(cfg):
     _, manifold = _build_manifold(cfg, system)
     fcfg = cfg["frc"]
     result = frc_sweep(manifold, _frc_grid(cfg),
-                       dofs=fcfg["dofs"], eta=fcfg["eta"],
-                       n_phases=_integer(cfg, "frc.n_phases"))
+                       dofs=fcfg["dofs"], eta=fcfg["eta"])
     print("frc points: %d (eta=%d, eps=%s)"
           % (len(result.points), result.eta, _fmt(result.eps)))
     if fcfg["output_csv"]:
@@ -292,8 +291,7 @@ def _cmd_backbone(cfg):
     bcfg = cfg["backbone"]
     curve = backbone(manifold, float(bcfg["rho_max"]),
                      n=_integer(cfg, "backbone.n"),
-                     dof=_integer(cfg, "backbone.dof"),
-                     n_phases=_integer(cfg, "backbone.n_phases"))
+                     dof=_integer(cfg, "backbone.dof"))
     print("backbone points: %d" % curve.rho.size)
     print("omega(0) = %s" % _fmt(curve.omega[0]))
     if bcfg["output_csv"]:

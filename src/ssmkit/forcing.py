@@ -55,7 +55,8 @@ __all__ = ["NonAutonomousLeading", "leading_order"]
 
 class NonAutonomousLeading:
     """
-    First order in eps response data for one base frequency vector.
+    First order in eps response data for one base frequency vector,
+    held in memory only: a sweep solves it afresh at each frequency.
 
     Attributes
     ----------
@@ -101,41 +102,9 @@ class NonAutonomousLeading:
         """Reduced forcing term at a phase vector (complex M-vector)."""
         return np.asarray(self._harmonic_sum("s0", phase), dtype=complex)
 
-    def to_dict(self):
-        return {
-            "kind": "nonautonomous-leading",
-            "Omega": self.Omega.tolist(),
-            "eps": self.eps,
-            "style": self.style,
-            "harmonics": [
-                {"kappa": list(kt),
-                 "x0": {"real": h["x0"].real.tolist(),
-                        "imag": h["x0"].imag.tolist()},
-                 "s0": {"real": h["s0"].real.tolist(),
-                        "imag": h["s0"].imag.tolist()}}
-                for kt, h in sorted(self.harmonics.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        harmonics = {}
-        for h in data["harmonics"]:
-            harmonics[tuple(h["kappa"])] = {
-                key: _complex(h[key]) for key in ("x0", "s0")}
-        return cls(data["Omega"], harmonics, data["style"], data.get("eps", 0.0))
-
     def __repr__(self):
         return ("NonAutonomousLeading(Omega=%s, harmonics=%d, style=%r)"
                 % (self.Omega, len(self.harmonics), self.style))
-
-
-def _complex(parts):
-    """A complex array from ``{"real": [...], "imag": [...]}``, each part
-    set apart, so that an infinite or -0.0 imaginary part is kept."""
-    out = np.asarray(parts["real"], dtype=float).astype(complex)
-    out.imag = parts["imag"]
-    return out
 
 
 def _canonical_kappa(kt):
@@ -166,6 +135,8 @@ def leading_order(system, master, Omega, style="normal-form",
         0 .. M - 1.
     tol : dict, optional
         Same keys as the resonance classifier ("rel", "slack", "abs").
+        ``analysis.frc_sweep`` passes the tolerance its manifold was
+        classified with (``ResonanceReport.params``).
     resonant_modes : dict, optional
         kappa tuple -> list of master mode indices, replacing the
         classifier decision for those harmonics. Useful to keep a

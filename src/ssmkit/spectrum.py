@@ -53,7 +53,7 @@ from .model import (as_first_order, left_vectors, shifted_route,
                     shifted_solver)
 
 __all__ = ["MasterSubspace", "master_spectrum", "check_normalization",
-           "largest_entry", "as_index"]
+           "largest_entry", "as_index", "state_index"]
 
 CLUSTER_RTOL = 1e-8
 RESIDUAL_RTOL = 1e-9
@@ -127,6 +127,19 @@ def as_index(value, what):
         except TypeError:
             pass
     raise ValidationError("%s must be an integer, not %r" % (what, value))
+
+
+def state_index(value, n=None):
+    """
+    ``value`` as a state index by :func:`as_index`, so a bool or a
+    fraction is refused; with the state count ``n`` given, also one
+    outside 0..n-1 (a negative index would count from the end).
+    """
+    dof = as_index(value, "dof (an integer state index)")
+    if n is not None and not 0 <= dof < n:
+        raise ValidationError("dof %d outside the states 0..%d"
+                              % (dof, n - 1))
+    return dof
 
 
 def _resolve_select(select):

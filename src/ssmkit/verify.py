@@ -78,6 +78,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NumericalError, ValidationError
 from .model import as_first_order, factorize, shifted_solver
+from .spectrum import state_index
 
 __all__ = [
     "ResidualReport", "invariance_residual", "integrate_full",
@@ -665,8 +666,8 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
         Forced, with scalar base frequency.
     Omega : float
     dof : int
-        State index whose amplitude is reported; an integer, since a
-        fractional index names no state.
+        State index in 0..N-1 whose amplitude is reported; a bool or a
+        fractional index names no state (``spectrum.state_index``).
     n_transient : int, optional
         Periods integrated before the first window (>= 0).
     n_window : int, optional
@@ -690,11 +691,7 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     if not 0 < Omega < np.inf:
         # a NaN period would send the integrator into an endless loop
         raise ValidationError("Omega must be positive and finite")
-    if not isinstance(dof, numbers.Integral):
-        raise ValidationError("dof must be an integer state index, got %r"
-                              % (dof,))
-    if not 0 <= dof < system.N:
-        raise ValidationError("dof %d outside the state dimension" % dof)
+    dof = state_index(dof, system.N)
     for name, count, least in (("n_transient", n_transient, 0),
                                ("n_window", n_window, 1)):
         if not isinstance(count, numbers.Integral) or count < least:

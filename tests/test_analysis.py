@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from ssmkit import (ManifoldExpansion, ValidationError, backbone,
-                    compute_manifold, extract_polar_rom, frc_sweep,
+import ssmkit.analysis
+from ssmkit import (ManifoldExpansion, MechanicalSystem, ValidationError,
+                    backbone, compute_manifold, extract_polar_rom, frc_sweep,
                     leading_order, master_spectrum, oscillator_chain,
                     physical_amplitude, rom_integrate, stability_jacobian,
-                    write_backbone_csv, write_frc_csv, write_frc_json,
-                    write_frc_svg)
+                    steady_state_amplitude, write_backbone_csv,
+                    write_frc_csv, write_frc_json, write_frc_svg)
 from ssmkit.multiindex import MultiIndexSet
 
 
@@ -89,8 +90,19 @@ def test_backbone_rejects_damped_pairs(chain_mode2_man5):
 
 def test_backbone_validates_rho_max():
     man = duffing_manifold(order=3)
-    with pytest.raises(ValidationError, match="rho_max"):
-        backbone(man, rho_max=0.0)
+    # a NaN or infinite rho_max used to give a NaN curve
+    for rho_max in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="rho_max"):
+            backbone(man, rho_max=rho_max)
+
+
+def test_backbone_grid_size_is_an_integer_of_at_least_one():
+    man = duffing_manifold(order=3)
+    # 2.7 used to be truncated to 2, and 0 to give an empty curve
+    for n in (2.7, 0, -1, True):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            backbone(man, rho_max=0.1, n=n)
+    assert backbone(man, rho_max=0.1, n=np.int64(1)).rho.tolist() == [0.0]
 
 
 def test_frc_points_are_polar_fixed_points(chain_mode2_man5):
@@ -129,12 +141,12 @@ def test_frc_amplitudes_match_the_lift(chain_mode2_man5):
 
 
 def _per_phase_amplitude(manifold, rho, psi, dof, nonaut=None, eps=0.0,
-                         eta=1, n_phases=128):
+                         eta=1):
     """The amplitude lift one phase at a time: one single-point
-    evaluate (and correction) per phase."""
+    evaluate (and correction) per phase, at 128 phases a cycle."""
     row = 0 if manifold.master.lambdas[0].imag > 0 else 1
     peak = 0.0
-    for phi in 2.0 * np.pi * np.arange(n_phases) / n_phases:
+    for phi in 2.0 * np.pi * np.arange(128) / 128:
         theta = psi + eta * phi
         p = np.zeros(2, dtype=complex)
         p[row] = rho * np.exp(1j * theta)
@@ -161,8 +173,8 @@ def test_physical_amplitude_matches_the_per_phase_loop(chain_mode2_man5):
                 assert abs(got - want) <= 1e-15 * want
     # unforced lift, as backbone curves use it
     for rho in (1e-3, 0.05):
-        want = _per_phase_amplitude(man, rho, 0.3, 4, n_phases=64)
-        got = physical_amplitude(man, rho, 0.3, 4, n_phases=64)
+        want = _per_phase_amplitude(man, rho, 0.3, 4)
+        got = physical_amplitude(man, rho, 0.3, 4)
         assert abs(got - want) <= 1e-15 * want
 
 
@@ -171,10 +183,20 @@ def test_frc_validations(chain10, chain10_forced, chain_mode2_master,
     unforced = compute_manifold(chain10, chain_mode2_master, order=3)
     with pytest.raises(ValidationError, match="backbone"):
         frc_sweep(unforced, [0.6])
+    eps0 = MechanicalSystem(chain10_forced.M, chain10_forced.C,
+                            chain10_forced.K, chain10_forced.f_coeffs,
+                            chain10_forced.forcing, eps=0.0)
     with pytest.raises(ValidationError, match="backbone"):
-        frc_sweep(chain_mode2_man5, [0.6], eps=0.0)
+        frc_sweep(compute_manifold(eps0, chain_mode2_master, order=3), [0.6])
     with pytest.raises(ValidationError, match="omega_values is empty"):
         frc_sweep(chain_mode2_man5, [])
+    # NaN used to reach the forcing solve, which found the pencil
+    # singular there, and 0 and -0.6 each gave a response
+    for Omega in (float("nan"), float("inf"), 0.0, -0.6):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            frc_sweep(chain_mode2_man5, [0.6, Omega])
+    with pytest.raises(ValidationError, match="eta must be an integer"):
+        frc_sweep(chain_mode2_man5, [0.6], eta=1.5)
     with pytest.raises(ValidationError, match="no forcing harmonic"):
         frc_sweep(chain_mode2_man5, [0.6], eta=3)
     detached = ManifoldExpansion.from_dict(chain_mode2_man5.to_dict())
@@ -182,16 +204,77 @@ def test_frc_validations(chain10, chain10_forced, chain_mode2_master,
         frc_sweep(detached, [0.6])
 
 
+def test_frc_screens_the_forcing_with_the_manifold_tolerance(
+        monkeypatch, chain10_forced, chain_mode2_master):
+    man = compute_manifold(chain10_forced, chain_mode2_master, order=3,
+                           tol={"rel": 2e-3, "slack": 0.5})
+    seen = []
+    solve = ssmkit.analysis.leading_order
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ssmkit.analysis, "leading_order", spy)
+    frc_sweep(man, [0.58, 0.6158])
+    assert man.resonances.params["rel"] == 2e-3
+    assert seen == [man.resonances.params] * 2
+    # a loaded manifold holds no classification; its screen takes the
+    # defaults
+    loaded = ManifoldExpansion.from_dict(man.to_dict(), system=man.system)
+    seen.clear()
+    frc_sweep(loaded, [0.6])
+    assert seen == [None]
+
+
+def test_frc_at_the_second_harmonic_matches_the_full_model(chain10_forced):
+    # the README load at twice the frequency, f0 cos(2 Omega t), drives
+    # the second pair near Omega = omega_2/2 (eta = 2); the fixed points
+    # used to be read off the eta = 1 model, which raised a phase
+    # inconsistency
+    base = chain10_forced
+    chain = MechanicalSystem(base.M, base.C, base.K, base.f_coeffs,
+                             [((2 * kt[0],), f) for kt, f in base.forcing],
+                             eps=0.002)
+    ms = master_spectrum(chain, select={"mode": "pair", "pair": 2},
+                         n_outer=8)
+    man = compute_manifold(chain, ms, order=5)
+    half = extract_polar_rom(man).lam.imag / 2.0
+    omegas = [0.995 * half, 1.01 * half]
+    result = frc_sweep(man, omegas, dofs=(4,))
+    assert result.eta == 2 and result.rom.eta == 2
+    rom = result.rom
+    override = {(2,): [rom.row], (-2,): [rom.partner]}
+    for Omega in omegas:
+        stable = [pt for pt in result.at(Omega) if pt["stable"]]
+        pt = max(stable, key=lambda q: q["rho"])
+        nonaut = leading_order(chain, ms, [Omega], style=man.style,
+                               resonant_modes=override)
+        p = np.zeros(2, dtype=complex)
+        p[rom.row] = pt["rho"] * np.exp(1j * pt["psi"])
+        p[rom.partner] = np.conj(p[rom.row])
+        z0 = man.evaluate(p).real + chain.eps * nonaut.correction([0.0])
+        oracle = steady_state_amplitude(chain, Omega, 4, n_transient=50,
+                                        n_window=10, tol=0.002, z0=z0)
+        assert abs(pt["amp"][4] - oracle) <= 0.02 * oracle
+
+
 def test_fractional_dofs_are_refused(tmp_path, chain_mode2_man5):
-    # 4.5 used to be truncated to state 4 without a word
-    with pytest.raises(ValidationError, match="integer state index"):
-        frc_sweep(chain_mode2_man5, [0.6], dofs=(4.5,))
-    with pytest.raises(ValidationError, match="integer state index"):
-        backbone(duffing_manifold(order=3), rho_max=0.1, n=3, dof=0.5)
-    result = frc_sweep(chain_mode2_man5, [0.6], dofs=(np.int64(4),))
-    assert result.dofs == [4]
-    with pytest.raises(ValidationError, match="integer state index"):
-        write_frc_svg(result, tmp_path / "frc.svg", dof=4.5)
+    # 4.5 used to be truncated to state 4 without a word, and True was
+    # read as state 1
+    for bad in (4.5, True):
+        with pytest.raises(ValidationError, match="integer state index"):
+            frc_sweep(chain_mode2_man5, [0.6], dofs=(bad,))
+        with pytest.raises(ValidationError, match="integer state index"):
+            physical_amplitude(chain_mode2_man5, 0.05, 0.0, [4, bad])
+    for bad in (0.5, False):
+        with pytest.raises(ValidationError, match="integer state index"):
+            backbone(duffing_manifold(order=3), rho_max=0.1, n=3, dof=bad)
+    result = frc_sweep(chain_mode2_man5, [0.6], dofs=(np.int64(4), 1))
+    assert result.dofs == [4, 1]
+    for bad in (4.5, True):
+        with pytest.raises(ValidationError, match="integer state index"):
+            write_frc_svg(result, tmp_path / "frc.svg", dof=bad)
 
 
 def test_dofs_outside_the_states_are_refused(tmp_path, chain_mode2_man5):

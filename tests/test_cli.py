@@ -243,9 +243,8 @@ def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
     for command, key, value in (
             ("ssm", "system.n", "10.0"), ("ssm", "ssm.order", "2.7"),
             ("ssm", "ssm.n_outer", "8.5"), ("frc", "frc.n_omega", "3.5"),
-            ("frc", "frc.n_phases", "64.0"), ("backbone", "backbone.n", "4.5"),
+            ("backbone", "backbone.n", "4.5"),
             ("backbone", "backbone.dof", "0.5"),
-            ("backbone", "backbone.n_phases", '"64"'),
             ("verify", "verify.n_dirs", "2.5"),
             ("verify", "verify.seed", "true")):
         argv = [command] + chain + ["--" + key, value,
@@ -275,6 +274,26 @@ def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
         assert main(argv) == 2, flags
         assert message in capsys.readouterr().err
 
+    # the amplitude lift samples a fixed 128 phases a cycle
+    for command, key in (("frc", "frc.n_phases"),
+                         ("backbone", "backbone.n_phases")):
+        assert main([command] + chain + ["--" + key, "64"]) == 2
+        assert ("unknown config key %r" % key) in capsys.readouterr().err
+
+    # a swept frequency must be positive and finite, and a dof an
+    # integer: NaN exited 3 from the forcing solve, and true was read
+    # as state 1
+    frc = ["frc"] + chain + ["--system.forcing_amplitude", FORCING,
+                             "--system.eps", "0.05", "--ssm.order", "3",
+                             "--frc.output_csv", str(tmp_path / "frc.csv")]
+    for flags, message in (
+            (["--frc.omega", "[NaN]"], "must be positive and finite"),
+            (["--frc.omega", "[0.6, 0]"], "must be positive and finite"),
+            (["--frc.omega", "[0.6158]", "--frc.dofs", "[true]"],
+             "integer state index")):
+        assert main(frc + flags) == 2, flags
+        assert message in capsys.readouterr().err
+
 
 def test_frc_amplitude_has_one_key(capsys):
     # --system.eps sets the forcing amplitude of every command
@@ -289,16 +308,12 @@ def test_empty_samples_exit_with_code_2(capsys, tmp_path):
              "--ssm.order", "3", "--ssm.n_outer", "8"]
     assert main(["verify"] + chain + ["--verify.n_dirs", "0"]) == 2
     assert "n_dirs must be an integer >= 1" in capsys.readouterr().err
-    assert main(["frc"] + chain + [
-        "--system.forcing_amplitude", FORCING, "--system.eps", "0.05",
-        "--frc.omega", "[0.6158]", "--frc.n_phases", "0",
-        "--frc.output_csv", str(tmp_path / "frc.csv")]) == 2
-    assert "n_phases must be an integer >= 1" in capsys.readouterr().err
+    # an empty backbone used to die on its first point with an IndexError
     assert main(["backbone", "--system.builtin", "chain", "--system.n", "1",
                  "--system.c", "0.0", "--ssm.select.pair", "1",
-                 "--ssm.n_outer", "0", "--backbone.n_phases", "0",
+                 "--ssm.n_outer", "0", "--backbone.n", "0",
                  "--backbone.output_csv", str(tmp_path / "bb.csv")]) == 2
-    assert "n_phases must be an integer >= 1" in capsys.readouterr().err
+    assert "n must be an integer >= 1" in capsys.readouterr().err
     # the check works out its rounding floor and takes none
     assert main(["verify"] + chain + ["--verify.floor", "1e-11"]) == 2
     assert "unknown config key 'verify.floor'" in capsys.readouterr().err

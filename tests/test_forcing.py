@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from ssmkit import (FirstOrderSystem, ValidationError, as_first_order,
                     build_first_order, compute_manifold, leading_order,
                     master_spectrum, oscillator_chain)
-from ssmkit.forcing import NonAutonomousLeading
 from test_spectrum import csr_bar, plain_pencil
 
 
@@ -202,32 +201,6 @@ def test_graph_modes_outside_the_master_are_refused(
     with pytest.raises(ValidationError, match="graph mode"):
         compute_manifold(chain10_forced, chain_mode2_master, order=2,
                          style="per-mode", graph_modes=modes)
-
-
-def test_leading_order_roundtrips_through_dict(chain10_forced,
-                                               chain_mode2_master):
-    nonaut = leading_order(chain10_forced, chain_mode2_master, 0.6)
-    back = NonAutonomousLeading.from_dict(nonaut.to_dict())
-    assert np.array_equal(back.Omega, nonaut.Omega)
-    assert back.style == nonaut.style
-    assert back.eps == nonaut.eps
-    for kt in nonaut.harmonics:
-        assert back.x0(kt).tobytes() == nonaut.x0(kt).tobytes()
-        assert back.s0(kt).tobytes() == nonaut.s0(kt).tobytes()
-
-
-def test_leading_order_dict_keeps_signed_zero_and_infinite_parts():
-    # the real and imaginary parts are set apart: re + 1j*im would turn
-    # an infinite imaginary part into a NaN real one and drop the sign
-    # of an imaginary -0.0
-    values = np.array([complex(1.0, -0.0), complex(-0.0, np.inf),
-                       complex(np.nan, -np.inf), complex(-np.inf, 2.0)])
-    nonaut = NonAutonomousLeading([0.6], {(1,): {"x0": values,
-                                                 "s0": values[::-1]}},
-                                  "normal-form")
-    back = NonAutonomousLeading.from_dict(nonaut.to_dict())
-    assert back.x0((1,)).tobytes() == values.tobytes()
-    assert back.s0((1,)).tobytes() == values[::-1].tobytes()
 
 
 @pytest.mark.parametrize("layout", ["L1", "L2"])

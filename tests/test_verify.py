@@ -571,8 +571,10 @@ def test_steady_state_validations(chain10, chain10_forced):
             steady_state_amplitude(chain10_forced, Omega, 4)
     with pytest.raises(ValidationError, match="outside the state"):
         steady_state_amplitude(chain10_forced, 0.6, 25)
-    with pytest.raises(ValidationError, match="integer state index"):
-        steady_state_amplitude(chain10_forced, 0.6, 2.7)
+    # True used to be integrated as state 1
+    for dof in (2.7, True):
+        with pytest.raises(ValidationError, match="integer state index"):
+            steady_state_amplitude(chain10_forced, 0.6, dof)
     for kw, name in ((dict(n_window=0), "n_window"),
                      (dict(n_window=2.5), "n_window"),
                      (dict(n_transient=-1), "n_transient"),
