@@ -22,8 +22,8 @@ from .cohomology import (ResonanceReport, classify_resonances, solve_order,
 from .forcing import NonAutonomousLeading, leading_order
 from .analysis import (PolarROM, extract_polar_rom, BackboneCurve, backbone,
                        FrcResult, frc_sweep, stability_jacobian,
-                       rom_integrate, physical_amplitude, write_frc_csv,
-                       write_frc_json, write_frc_svg, write_backbone_csv)
+                       physical_amplitude, write_frc_csv, write_frc_json,
+                       write_frc_svg, write_backbone_csv)
 from .verify import (ResidualReport, invariance_residual, integrate_full,
                      steady_state_amplitude)
 
@@ -38,9 +38,8 @@ __all__ = [
     "compute_manifold", "ManifoldExpansion",
     "NonAutonomousLeading", "leading_order",
     "PolarROM", "extract_polar_rom", "BackboneCurve", "backbone",
-    "FrcResult", "frc_sweep", "stability_jacobian", "rom_integrate",
-    "physical_amplitude", "write_frc_csv", "write_frc_json",
-    "write_frc_svg", "write_backbone_csv",
+    "FrcResult", "frc_sweep", "stability_jacobian", "physical_amplitude",
+    "write_frc_csv", "write_frc_json", "write_frc_svg", "write_backbone_csv",
     "ResidualReport", "invariance_residual", "integrate_full",
     "steady_state_amplitude",
 ]

@@ -33,7 +33,6 @@ import json
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ValidationError
 from .forcing import leading_order
@@ -41,9 +40,8 @@ from .spectrum import as_index, largest_entry, state_index
 
 __all__ = [
     "PolarROM", "extract_polar_rom", "BackboneCurve", "backbone",
-    "FrcResult", "frc_sweep", "stability_jacobian", "rom_integrate",
-    "physical_amplitude", "write_frc_csv", "write_frc_json",
-    "write_frc_svg", "write_backbone_csv",
+    "FrcResult", "frc_sweep", "stability_jacobian", "physical_amplitude",
+    "write_frc_csv", "write_frc_json", "write_frc_svg", "write_backbone_csv",
 ]
 
 # phases per response cycle at which the amplitude lift samples a state
@@ -93,10 +91,6 @@ class PolarROM:
     @property
     def gammas(self):
         return self.coeffs[1:]
-
-    def with_forcing(self, f, Omega, eta=None):
-        return PolarROM(self.lam, self.gammas, self.row, self.partner,
-                        self.eta if eta is None else eta, f, Omega)
 
     def _b_coeffs(self, Omega):
         """Imaginary parts of the coefficients, eta Omega taken off Im lam;
@@ -411,7 +405,7 @@ def frc_sweep(manifold, omega_values, dofs=(), eta=None):
         attached.
     omega_values : sequence of float
         Forcing frequencies to sweep, each positive and finite.
-    dofs : sequence of int, optional
+    dofs : int or sequence of int, optional
         State indices to lift amplitudes for. Defaults to the state
         with the largest master-mode displacement, the first of equal
         ones (``spectrum.largest_entry``).
@@ -468,6 +462,8 @@ def frc_sweep(manifold, omega_values, dofs=(), eta=None):
     override = {kplus: [rom.row], tuple(-k for k in kplus): [rom.partner]}
     tol = None if manifold.resonances is None else manifold.resonances.params
 
+    if np.ndim(dofs) == 0:
+        dofs = [dofs]
     if not dofs:
         dofs = [largest_entry(master.V[:, rom.row])]
     dofs = [state_index(d, manifold.N) for d in dofs]
@@ -516,43 +512,6 @@ def frc_sweep(manifold, omega_values, dofs=(), eta=None):
             "truncation": "order-eps response; amplitudes include the "
                           "time-periodic correction at that order"}
     return FrcResult(points, rom.eta, eps, dofs, rom, diag)
-
-
-def rom_integrate(rom, q0, t_span, t_eval=None, rtol=1e-9, atol=1e-12):
-    """
-    Integrate the reduced model in Cartesian form.
-
-    The polar equations are singular at rho = 0, so integration uses
-    q' = (lam - i eta Omega) q + sum_l gamma_l |q|^(2l) q + f, which is
-    smooth everywhere. For an unforced model (f = 0, no frame) this is
-    q' = lam q + sum gamma_l |q|^(2l) q.
-
-    Returns
-    -------
-    dict with keys "t", "q", "rho", "psi".
-    """
-    frame = 0.0
-    if rom.f != 0:
-        if rom.Omega is None:
-            raise ValidationError("a forced reduced model needs Omega")
-        frame = 1j * rom.eta * float(rom.Omega)
-
-    def rhs(t, y):
-        q = y[0] + 1j * y[1]
-        dq = (rom.lam - frame) * q + rom.f
-        aq = abs(q)
-        for l, g in enumerate(rom.gammas, start=1):
-            dq = dq + g * aq ** (2 * l) * q
-        return [dq.real, dq.imag]
-
-    q0 = complex(q0)
-    sol = solve_ivp(rhs, t_span, [q0.real, q0.imag], t_eval=t_eval,
-                    rtol=rtol, atol=atol, method="RK45")
-    if not sol.success:
-        raise NumericalError("reduced model integration failed: %s"
-                             % sol.message)
-    q = sol.y[0] + 1j * sol.y[1]
-    return {"t": sol.t, "q": q, "rho": np.abs(q), "psi": np.angle(q)}
 
 
 def _fmt(x):

@@ -253,8 +253,16 @@ def _cmd_ssm(cfg):
 
 def _frc_grid(cfg):
     fcfg = cfg["frc"]
-    if fcfg["omega"]:
-        return [float(w) for w in fcfg["omega"]]
+    omega = fcfg["omega"]
+    if omega is not None and np.ndim(omega) == 0:
+        omega = [omega]  # a bare number, as --frc.omega 0.6158 gives
+    if omega:
+        try:
+            return [float(w) for w in omega]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                "frc.omega must be a number or a list of numbers, got %r"
+                % (fcfg["omega"],)) from exc
     if fcfg["omega_min"] is None or fcfg["omega_max"] is None:
         raise ValidationError(
             "set frc.omega or both frc.omega_min and frc.omega_max")

@@ -13,8 +13,10 @@ whose B is as well conditioned as M. Only this module knows that layout.
 Every shifted pencil ``lambda B - A`` is factored through its
 ``reduced_shifted``: for a lifted model the N/2 matrix
 ``lambda^2 M + lambda C + K`` (Tisseur & Meerbergen, SIAM Rev. 43,
-2001), else ``lambda B - A`` itself. ``left_vectors`` gives the left
-eigenvectors of the pencil from its right ones: in closed form for
+2001), else ``lambda B - A`` itself; ``reduced_force`` gives the
+nonlinearity on that matrix's unknown, so that an implicit step solves
+``(lambda B - A) z - F(z) = c`` at N/2 rows too. ``left_vectors`` gives
+the left eigenvectors of the pencil from its right ones: in closed form for
 symmetric M, C and K, else by one inverse-iteration step on the adjoint
 of that matrix (Ipsen, SIAM Rev. 39, 1997), whatever the size or storage.
 
@@ -37,7 +39,7 @@ __all__ = [
     "MechanicalSystem", "FirstOrderSystem", "build_first_order",
     "as_first_order", "oscillator_chain", "lorenz_extended",
     "cosine_forcing", "factorize", "factorize_near", "shifted_route",
-    "shifted_solver", "reduced_shifted", "left_vectors",
+    "shifted_solver", "reduced_shifted", "reduced_force", "left_vectors",
 ]
 
 
@@ -388,6 +390,7 @@ class _SecondOrder:
 
     def __init__(self, mech):
         n = self.n = mech.n
+        self.f_coeffs = mech.f_coeffs
         self.pattern = None
         self.values = (mech.M, mech.C, mech.K)
         if any(sp.issparse(mat) for mat in self.values):
@@ -431,6 +434,15 @@ class _SecondOrder:
                 return float(alpha), float(beta)
         return None
 
+    @functools.cached_property
+    def force(self):
+        """``x -> -f(x)`` at the n displacements: the pieces with their
+        values negated, summed as ``FirstOrderSystem.F_eval`` sums the
+        lift's last n rows, and so with its bits."""
+        pieces = [fc.relabel(self.n, self.n, value_scale=-1.0)
+                  for fc in self.f_coeffs]
+        return functools.partial(_sum_of, pieces, self.n)
+
     def matrices(self, shift):
         """``Q = shift^2 M + shift C + K`` and ``D = shift M + C``, dense
         or CSC, of the dtype of ``shift``."""
@@ -464,6 +476,23 @@ def reduced_shifted(system, shift):
             lambda x, rhs: np.concatenate([x, shift * x - rhs[:n]]))
 
 
+def reduced_force(system):
+    """
+    The unknown of :func:`reduced_shifted`'s matrix and the nonlinearity
+    on it: ``(part, G)``, with ``part(z)`` the unknown's rows of a state
+    z and ``G(y) = fold(F(unfold(y, rhs)))``, which reads y alone. With
+    ``mech`` the unknown is the displacements ``x = z[:n]`` and ``G(x) =
+    -f(x)`` at n rows, with the bits of F's last n rows (its first n are
+    zero); else it is z itself and G is ``F_eval``. An implicit step's
+    ``(shift B - A) z - F(z) = c`` is then ``Q y - G(y) = fold(c)`` with
+    ``z = unfold(y, c)``.
+    """
+    if system.mech is None:
+        return (lambda z: z), system.F_eval
+    n = system.mech.n
+    return (lambda z: z[:n]), system._second_order.force
+
+
 def shifted_solver(system, shift):
     """
     Factor ``shift B - A`` once, on the route of :func:`shifted_route`,
@@ -471,8 +500,8 @@ def shifted_solver(system, shift):
     ``(shift B - A) X = rhs`` for an (N,) or (N, k) ``rhs``, in real
     arithmetic for a real ``shift`` and ``rhs``. An exactly singular
     matrix raises RuntimeError, dense or sparse, as the shift-invert
-    eigensolve and the trapezoidal rule need; :func:`factorize_near`
-    takes the blocks that may sit on the spectrum.
+    eigensolve needs; :func:`factorize_near` takes the blocks that may
+    sit on the spectrum.
     """
     mat, fold, unfold = reduced_shifted(system, shift)
     solve, rcond = factorize(mat)

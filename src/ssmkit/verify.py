@@ -36,38 +36,48 @@ rule is the natural companion for stiff models and conservative checks,
 because it preserves quadratic invariants exactly and has no artificial
 damping.
 
-The adaptive path factors B once per call and stacks, whatever A's
-storage, one CSR operator
+The adaptive path stacks, once per call and whatever A's storage, one
+CSR operator
 
     H = [A | 0 | F_2 | F_3 ... | eps Re f_kappa | -eps Im f_kappa]
 
 with each F_j over its distinct sorted monomials, so that every
 right-hand side is one product H u,
-u = [z; 1; monomials of z; cos(<kappa, Omega> t); sin(<kappa, Omega> t)],
-and one solve with B; the monomials are gathered from u[:N+1] itself,
-the 1 standing in for the missing factors of shorter ones. On models
-the size of the forced chain a right-hand side costs a few
-microseconds, so the count of small numpy calls, not the arithmetic,
-sets its time. DOP853 is therefore stepped in house over u: the
-algorithm of scipy's ``solve_ivp(method="DOP853")``, whose steps,
-right-hand sides and rounding it repeats bit for bit, without its
-per-call wrappers and copies. The forcing phases of a step attempt's
-16 stages are computed at once; a stage then forms its state
-y + (sum_j a_sj K_j) h in place in u, copies in its cosines and sines,
-gathers the monomials, and makes one ``csr_matvec`` and one solve with
-B's factors. The state keeps scipy's rounding because DOP853's error
-estimate cancels down to about rtol of the stages it combines: the
-one-product form [1, h a_s] . [y; K_0; ...] saves two calls a stage,
-but it moved the step sizes of a cubic test system by up to 4e-8
-relative at rtol 1e-8.
+u = [z; 1; monomials of z; cos(<kappa, Omega> t); sin(<kappa, Omega> t)];
+the monomials are gathered from u[:N+1] itself, the 1 standing in for
+the missing factors of shorter ones. A B with nonzeros only on its
+diagonal, as the lift diag(I, M) of a lumped-mass model, divides H's
+rows once and takes no solve (B = I leaves H's bits); any other B is
+factored once per call. On models the size of the forced chain a
+right-hand side costs a few microseconds, so the count of small numpy
+calls, not the arithmetic, sets its time. DOP853 is therefore stepped
+in house: the algorithm of scipy's ``solve_ivp(method="DOP853")``,
+whose steps, right-hand sides and rounding it repeats bit for bit,
+without its per-call wrappers and copies. Each of a step attempt's 16
+stages has its own u, a row of one buffer, and the cosines and sines of
+all 16 are copied in at once; a stage then forms its state
+y + (sum_j a_sj K_j) h in place, gathers the monomials, and makes one
+``csr_matvec`` straight into K_s. The state keeps scipy's rounding
+because DOP853's error estimate cancels down to about rtol of the
+stages it combines: the one-product form [1, h a_s] . [y; K_0; ...]
+saves two calls a stage, but it moved the step sizes of a cubic test
+system by up to 4e-8 relative at rtol 1e-8.
 The trapezoidal path factors only its Newton matrix
-B - (h/2) A, once per call, and never solves with B. That matrix is
-(h/2) (sigma B - A) at the real shift sigma = 2/h, so it is factored
-by ``model.shifted_solver``: on the real N/2 matrix
-sigma^2 M + sigma C + K for a lifted mechanical model.
+B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h, once per call, and
+never solves with B. Its chord iteration runs on the unknown of
+``model.reduced_shifted``: for a lifted mechanical model the
+displacements x, with the N/2 matrix sigma^2 M + sigma C + K and
+``model.reduced_force``'s -f(x). Each iterate is measured on the whole
+state [x; sigma x - c_x], so the stop decisions are those of the
+iteration on sigma B - A in exact arithmetic. Each step starts from the
+quadratic extrapolation 3 z_k - 3 z_(k-1) + z_(k-2) (Hairer & Wanner,
+Solving ODEs II, section IV.8): over one period of the forced 10-mass
+chain in 64 steps it took 128 chord iterations where the linear one
+took 150.
 """
 
 import bisect
+import math
 import numbers
 
 import numpy as np
@@ -77,7 +87,8 @@ from scipy.integrate import DOP853
 from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NumericalError, ValidationError
-from .model import as_first_order, factorize, shifted_solver
+from .model import (as_first_order, factorize, reduced_force,
+                    reduced_shifted)
 from .spectrum import state_index
 
 __all__ = [
@@ -277,14 +288,19 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0):
 def _adaptive_rhs(system, Om):
     """
     The stacked operator H of the module docstring, built once (no
-    forcing columns when ``Om`` is None), over u = [z; 1; monomials;
-    cos; sin]. Returns ``(z, rates, rhs)``: with a state written into
-    z, a view of ``u[:N]``, ``rhs(trig)`` takes the cosines then sines
-    of ``rates * t`` (one row of :func:`_trig`) and returns
-    ``B^-1 H u = B^-1 (A z + F(z) + eps Fext(Om t))``. Each F_j block
-    is ``PolyCoeffs.monomials``, its entries in storage order and not
-    folded, so each row of H sums A's entries, then each piece's as
-    ``evaluate`` does, then the forcing's.
+    forcing columns when ``Om`` is None), over one buffer u = [z; 1;
+    monomials; cos; sin] per stage of :func:`_dop853`, the extra stages
+    of its dense output included, the rows of one array. Returns
+    ``(states, trig, rates, rhs)``: ``states[s]`` and ``trig[s]`` are
+    views of row s's z and of its cosines then sines of ``rates * t``
+    (a row of :func:`_trig`), and ``rhs(s, out)`` writes ``B^-1 H u_s =
+    B^-1 (A z + F(z) + eps Fext(Om t))`` into ``out``, which must hold
+    zeros: ``csr_matvec`` adds into it. When B has nonzeros only on its
+    diagonal, as every lifted lumped-mass model's, H's rows are divided
+    by that diagonal once and no solve is made; B = I leaves H's bits.
+    Each F_j block is ``PolyCoeffs.monomials``, its entries in storage
+    order and not folded, so each row of H sums A's entries, then each
+    piece's as ``evaluate`` does, then the forcing's.
     """
     N = system.N
     # A, each F_j and the forcing as CSR blocks over their own columns,
@@ -320,20 +336,26 @@ def _adaptive_rhs(system, Om):
     data = np.concatenate([values for _, _, values in blocks])
     indices, data = indices[order], data.astype(float)[order]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=N))])
-    solveB = factorize(system.B)[0]
-    u = np.ones(N + 1 + width + 2 * rates.size)
-    monomials = u[N + 1:N + 1 + width]
-    trig_slot = u[N + 1 + width:]
+    B = system.B
+    diagonal = B.diagonal()
+    nnz = B.count_nonzero() if sp.issparse(B) else np.count_nonzero(B)
+    solveB = None
+    if nnz == np.count_nonzero(diagonal):
+        data /= diagonal[rows[order]]
+    else:
+        solveB = factorize(B)[0]
+    U = np.ones((DOP853.n_stages + 4, N + 1 + width + 2 * rates.size))
+    plans = [(u, u[N + 1:N + 1 + width]) for u in U]
 
-    def rhs(trig):
-        trig_slot[:] = trig
+    def rhs(s, out):
+        u, monomials = plans[s]
         # left to right down each column, as evaluate multiplies
         np.multiply.reduce(u[factors], axis=0, out=monomials)
-        g = np.zeros(N)
-        csr_matvec(N, u.size, indptr, indices, data, u, g)
-        return solveB(g)
+        csr_matvec(N, u.size, indptr, indices, data, u, out)
+        if solveB is not None:
+            out[:] = solveB(out)
 
-    return u[:N], rates, rhs
+    return U[:, :N], U[:, N + 1 + width:], rates, rhs
 
 
 def _trig(rates, t):
@@ -345,6 +367,12 @@ def _trig(rates, t):
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _norm(x):
+    """``np.linalg.norm(x)`` of a real vector, with its bits and without
+    its per-call checks."""
+    return math.sqrt(x.dot(x))
 
 
 def _square_norm(x):
@@ -362,13 +390,12 @@ def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
     output, whose three extra stages run only on steps that hold a time
     of ``t_eval`` (Hairer, Norsett & Wanner, Solving ODEs I, 1993,
     sections II.4 to II.6). The stage arrays are allocated once; each
-    stage's state ``y + (sum_j a_sj K_j) h`` is formed in place in u,
-    rounded as scipy rounds it, and the forcing phases of all 16 stages
-    are computed once per step attempt. Returns ``(t, z, right-hand
-    sides evaluated)``.
+    stage's state ``y + (sum_j a_sj K_j) h`` is formed in place in its
+    own row of the u buffer, rounded as scipy rounds it, and its
+    right-hand side written into K_s; the forcing phases of all 16
+    stages are computed and copied once per step attempt. Returns
+    ``(t, z, right-hand sides evaluated)``.
     """
-    z, rates, rhs = _adaptive_rhs(system, Om)
-    N = z.size
     n = DOP853.n_stages
     # rows of a: 1 to n - 1 the stages, n the solution at t + h, the
     # last three the extra stages of the dense output; c holds their
@@ -379,31 +406,36 @@ def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
     a[n + 1:] = DOP853.A_EXTRA
     c = np.concatenate([DOP853.C, [1.0], DOP853.C_EXTRA])
     exponent = -1.0 / 8.0  # the error estimate's order is 7
-    # Y = [y; K_0; ...; K_(n+3)]; stage s weighs K_0 ... K_(s-1) by
-    # a[s, :s] and writes K_s
-    Y = np.empty((n + 5, N))
-    y, K = Y[0], Y[1:]
-    stages = [(a[s, :s], K[:s], K[s]) for s in range(n + 4)]
-    ynew = np.empty(N)
+    # stage s forms its state in its own row of the u buffer, weighs
+    # K_0 ... K_(s-1) by a[s, :s] and writes K_s
+    states, trigs, rates, rhs = _adaptive_rhs(system, Om)
+    N = z0.size
+    y = np.empty(N)
+    K = np.zeros((n + 4, N))
+    stages = [(a[s, :s], K[:s], states[s]) for s in range(n + 4)]
+    ynew = states[n]
     F = np.empty((7, N))
 
-    def stage(s, h, trig):
-        weights, previous, out = stages[s]
+    def stage(s, h):
+        weights, previous, z = stages[s]
         np.dot(weights, previous, out=z)
         np.multiply(z, h, out=z)
         np.add(z, y, out=z)
-        out[:] = rhs(trig[s])
+        rhs(s, K[s])
 
     y[:] = z0
-    z[:] = z0
-    K[0] = rhs(_trig(rates, t0))
+    states[0] = z0
+    trigs[0] = _trig(rates, t0)
+    rhs(0, K[0])
     # scipy's initial step (Solving ODEs I, section II.4)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(K[0] / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
-    z[:] = y + h0 * K[0]
-    d2 = _rms((rhs(_trig(rates, t0 + h0)) - K[0]) / scale) / h0
+    states[1] = y + h0 * K[0]
+    trigs[1] = _trig(rates, t0 + h0)
+    rhs(1, K[1])
+    d2 = _rms((K[1] - K[0]) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -429,11 +461,11 @@ def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
                     "10 ulps of t" % t)
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            trig = _trig(rates, t + c * h)
+            trigs[:] = _trig(rates, t + c * h)
+            K[1:] = 0.0
             for s in range(1, n + 1):
-                stage(s, h, trig)
+                stage(s, h)
             nfev += n
-            ynew[:] = z
             scale = atol + np.maximum(np.abs(y), np.abs(ynew)) * rtol
             err5 = _square_norm(np.dot(DOP853.E5, K[:n + 1]) / scale)
             err3 = _square_norm(np.dot(DOP853.E3, K[:n + 1]) / scale)
@@ -458,7 +490,7 @@ def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
             upto = bisect.bisect_right(times, t, lo=done)
             if upto > done:
                 for s in range(n + 1, n + 4):
-                    stage(s, h, trig)
+                    stage(s, h)
                 nfev += 3
                 np.subtract(ynew, y, out=F[0])
                 np.subtract(h * K[0], F[0], out=F[1])
@@ -499,17 +531,22 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         "adaptive" is the explicit Runge-Kutta pair of order 8(5,3)
         (DOP853 of Hairer, Norsett & Wanner) with error control, stepped
         in house with the steps, right-hand sides and rounding of
-        scipy's ``solve_ivp(method="DOP853")``. Once per call, B is
-        factored and A, the F pieces and the forcing vectors are stacked
-        side by side into one CSR operator, whatever A's storage; every
-        right-hand side is then one product of that operator with z, its
-        monomials and the cosines and sines of the forcing phases, and
-        one solve with B's factors. It integrates forward only.
+        scipy's ``solve_ivp(method="DOP853")``. Once per call, A, the F
+        pieces and the forcing vectors are stacked side by side into
+        one CSR operator, whatever A's storage, and its rows are divided
+        by B's diagonal when B has no other nonzeros, as the lift of a
+        lumped-mass model; any other B is factored. Every right-hand
+        side is then one product of that operator with z, its monomials
+        and the cosines and sines of the forcing phases, written
+        straight into its stage, and one solve with B's factors only
+        for a non-diagonal B. It integrates forward only.
         "trapezoid" is the fixed-step implicit trapezoidal rule, solved
         by chord Newton iterations with the constant matrix
-        B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h, factored once
-        per call by ``model.shifted_solver``; it never factors or solves
-        with B.
+        B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h, on the unknown of
+        ``model.reduced_shifted``: the displacements, with the N/2
+        matrix sigma^2 M + sigma C + K factored once per call, for a
+        lifted mechanical model, else the whole state. It never
+        factors or solves with B.
     dt : float, optional
         Step size, required for "trapezoid"; the span is split into
         the nearest whole number of equal steps h.
@@ -524,20 +561,24 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         ``t_eval``).
     newton_tol : float, optional
         Relative tolerance of the chord iteration ("trapezoid" only):
-        with Newton step Delta_k, the iteration stops once
-        ``|Delta_k| <= newton_tol * (1 + |z|)``, or once the estimate
-        ``theta_k / (1 - theta_k) * |Delta_k|`` of the remaining error
-        is within that bound, where the contraction rate
+        with Delta_k the change of the state z from one iterate to the
+        next (the first from the extrapolated start), the iteration
+        stops once ``|Delta_k| <= newton_tol * (1 + |z|)``, or once the
+        estimate ``theta_k / (1 - theta_k) * |Delta_k|`` of the
+        remaining error is within that bound, where the contraction rate
         ``theta_k = |Delta_k| / |Delta_(k-1)|`` is below 1 (Hairer &
-        Wanner, Solving ODEs II, 1996, section IV.8).
+        Wanner, Solving ODEs II, 1996, section IV.8). A model without
+        nonlinearity stops after the first iterate, which solves its
+        step.
     max_newton : int, optional
         Chord iterations allowed per step ("trapezoid" only); a step
         that needs more raises NumericalError.
 
     Each trapezoidal step, scaled by ``sigma = 2/h``, solves
     ``(sigma B - A) z - F(z) = (sigma B + A) z_k + F(z_k) + f_k + f_(k+1)``
-    with ``f_k = eps Fext(Omega t_k)``, starting from the linear
-    extrapolation ``2 z_k - z_(k-1)`` (``z_0`` on the first step).
+    with ``f_k = eps Fext(Omega t_k)``, starting from the quadratic
+    extrapolation ``3 z_k - 3 z_(k-1) + z_(k-2)`` (``z_0`` on the first
+    step and ``2 z_1 - z_0`` on the second).
 
     Returns
     -------
@@ -612,26 +653,41 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         return eps * system.forcing_eval(Om * t) if forced else 0.0
 
     sigma = 2.0 / h
-    J = sigma * B - A
     P = sigma * B + A
-    solve = shifted_solver(system, sigma)
+    mat, fold, unfold = reduced_shifted(system, sigma)
+    part, G = reduced_force(system)
+    linear = not system.F_coeffs
+    solve, rcond = factorize(mat)
+    if rcond == 0.0:
+        raise NumericalError("the trapezoidal matrix B - (h/2) A is "
+                             "exactly singular at dt=%g; change dt" % h)
     ts = t0 + h * np.arange(n + 1)
     zs = np.empty((system.N, n + 1))
     zs[:, 0] = z0
-    z, z_prev = z0, z0
+    z = z_prev = z_prev2 = z0
     f = forcing(ts[0])
     iterations = 0
     for k in range(n):
         f_next = forcing(ts[k + 1])
         c = P @ z + system.F_eval(z) + f + f_next
-        znew = 2.0 * z - z_prev
+        rhs = fold(c)
+        # z_0, then linear and from the third step quadratic
+        # extrapolation of the states before
+        if k >= 2:
+            znew = 3.0 * (z - z_prev) + z_prev2
+        else:
+            znew = 2.0 * z - z_prev
+        y = part(znew)
         size_prev = None
         for it in range(max_newton):
-            step = solve(J @ znew - system.F_eval(znew) - c)
-            znew = znew - step
-            size = np.linalg.norm(step)
-            bound = newton_tol * (1.0 + np.linalg.norm(znew))
-            if size <= bound:
+            y = y - solve(mat @ y - G(y) - rhs)
+            # every step measured on the state z = unfold(y, c), the
+            # first from the extrapolated one
+            zold, znew = znew, unfold(y, c)
+            size = _norm(znew - zold)
+            bound = newton_tol * (1.0 + _norm(znew))
+            # without F the first iterate solves the step
+            if size <= bound or linear:
                 break
             if size_prev is not None and size < size_prev:
                 theta = size / size_prev
@@ -643,7 +699,7 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
                 "trapezoidal Newton iteration stalled at t=%.6g; "
                 "reduce dt" % ts[k + 1])
         iterations += it + 1
-        z_prev, z, f = z, znew, f_next
+        z_prev2, z_prev, z, f = z_prev, z, znew, f_next
         zs[:, k + 1] = z
     return {"t": ts, "z": zs, "newton_iterations": iterations}
 

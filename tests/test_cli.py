@@ -107,6 +107,41 @@ def test_identical_configs_give_identical_bytes(capsys, monkeypatch,
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("key,bare", [("frc.omega", "0.6158"),
+                                      ("frc.dofs", "4")])
+def test_frc_reads_a_bare_number_as_a_one_element_list(key, bare, capsys,
+                                                       monkeypatch, tmp_path):
+    # the dotted overrides parse a bare number as JSON; both keys took
+    # lists only and died with a TypeError, exit code 1
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for name, value in (("bare.csv", bare), ("list.csv", "[%s]" % bare)):
+        flags = {"--frc.omega": "[0.58, 0.6158]", "--frc.dofs": "[4, 7]",
+                 "--" + key: value}
+        argv = ["frc", "--system.builtin", "chain",
+                "--system.forcing_amplitude", FORCING,
+                "--system.eps", "0.05",
+                "--ssm.select.pair", "2", "--ssm.order", "3",
+                "--ssm.n_outer", "8",
+                "--frc.output_csv", str(tmp_path / name)]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        assert main(argv) == 0
+        capsys.readouterr()
+        outs.append((tmp_path / name).read_bytes())
+    assert outs[0] == outs[1]
+    # one frequency, or one amplitude column
+    header, *rows = outs[0].decode().splitlines()
+    if key == "frc.omega":
+        assert {row.split(",")[0] for row in rows} == {"0.61580000000000001"}
+    else:
+        assert header.endswith(",stable,amp_dof_4")
+    # what is neither a number nor a list of them exits 2
+    argv[argv.index("--" + key) + 1] = "[[%s]]" % bare
+    assert main(argv) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_sparse_manifest_gives_identical_bytes(capsys, monkeypatch,
                                                tmp_path):
     monkeypatch.chdir(tmp_path)

@@ -118,6 +118,38 @@ def test_lift_rhs_consistency():
         assert np.allclose(zdot[4:], acc)
 
 
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_reduced_force_folds_the_lifted_nonlinearity(storage):
+    # the implicit step (sigma B - A) z - F(z) = c at N/2 rows: G has the
+    # bits of F's last n rows (its first n are zero), and at z =
+    # unfold(x, c) the first n rows of the 2N residual vanish and the
+    # last n are Q x - G(x) - fold(c)
+    mech = oscillator_chain(5, c=0.3, kappa=0.5)
+    if storage == "csr":
+        mech = MechanicalSystem(*(sp.csr_matrix(mat) for mat in
+                                  (mech.M, mech.C, mech.K)), mech.f_coeffs)
+    system = build_first_order(mech)
+    part, G = model.reduced_force(system)
+    rng = np.random.default_rng(9)
+    z, c = rng.standard_normal(10), rng.standard_normal(10)
+    F = system.F_eval(z)
+    assert np.array_equal(part(z), z[:5])
+    assert not F[:5].any() and np.array_equal(G(part(z)), F[5:])
+    sigma = 1.7
+    mat, fold, unfold = model.reduced_shifted(system, sigma)
+    x = part(z)
+    zx = unfold(x, c)
+    A, B = system.dense_pencil()
+    residual = (sigma * B - A) @ zx - system.F_eval(zx) - c
+    assert np.abs(residual[:5]).max() <= 1e-14 * np.abs(c).max()
+    assert np.allclose(residual[5:], mat @ x - G(x) - fold(c),
+                       rtol=0, atol=1e-13)
+    # a pencil without its mechanical model iterates on the whole state
+    plain = plain_pencil(mech)
+    part, G = model.reduced_force(plain)
+    assert part(z) is z and np.array_equal(G(z), plain.F_eval(z))
+
+
 def test_l1_l2_same_eigenvalues():
     mech = oscillator_chain(5, c=0.2)
     w1 = la.eigvals(*build_first_order(mech).dense_pencil())

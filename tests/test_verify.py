@@ -286,12 +286,16 @@ def _quadratic_cubic_system(forced, storage):
     A seeded 8-state pencil with a non-diagonal B, a degree-2 and a
     degree-3 piece and, when forced, a two-frequency forcing table with
     a real zero harmonic and the harmonics (1, 0), (0, 1), (1, -2) and
-    their conjugates.
+    their conjugates. A "lumped-" storage has B = diag(I, h I) at
+    h = 0.1 instead, the B of a lifted lumped-mass model.
     """
     rng = np.random.default_rng(11)
     N = 8
     A = rng.normal(size=(N, N))
     B = np.eye(N) + 0.2 * rng.normal(size=(N, N))
+    if storage.startswith("lumped-"):
+        B = np.diag(np.repeat([1.0, 0.1], N // 2))
+        storage = storage[len("lumped-"):]
     pieces = []
     for degree, nnz in ((2, 30), (3, 40)):
         pieces.append(PolyCoeffs.from_factors(
@@ -308,15 +312,17 @@ def _quadratic_cubic_system(forced, storage):
     return FirstOrderSystem(A, B, pieces, forcing, eps=0.3 if forced else 0.0)
 
 
-@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("storage",
+                         ["dense", "csr", "lumped-dense", "lumped-csr"])
 @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
 def test_adaptive_rhs_matches_the_model_equation(forced, storage):
     # the stacked operator against B^-1 (A z + F(z) + eps Fext(Omega t))
     # from the model's own evaluators and a dense solve, each state and
-    # time set up as the DOP853 stepper sets up a stage
+    # time set up as the DOP853 stepper sets up a stage; a diagonal B
+    # divides H's rows instead of solving
     system = _quadratic_cubic_system(forced, storage)
     Omega = np.array([0.7, 1.3]) if forced else None
-    state, rates, rhs = verify._adaptive_rhs(system, Omega)
+    states, trigs, rates, rhs = verify._adaptive_rhs(system, Omega)
     A, B = system.dense_pencil()
     rng = np.random.default_rng(12)
     for t in (0.0, 0.37, 41.5):
@@ -332,25 +338,31 @@ def test_adaptive_rhs_matches_the_model_equation(forced, storage):
         # other LU factors: a few ulps of each term's size, through B^-1
         bound = 8 * np.finfo(float).eps * la.norm(la.inv(B), np.inf) \
             * size.max()
-        state[:] = z
-        got = rhs(verify._trig(rates, t))
+        states[0] = z
+        trigs[0] = verify._trig(rates, t)
+        got = np.zeros(system.N)
+        rhs(0, got)
         assert np.abs(got - la.solve(B, g)).max() <= bound
 
 
 def _scipy_dop853(system, Omega, z0, t_span, t_eval):
     """scipy's ``solve_ivp(method="DOP853")`` on the stage evaluation
     of the in-house stepper, at integrate_full's default tolerances."""
-    state, rates, rhs = verify._adaptive_rhs(system, Omega)
+    states, trigs, rates, rhs = verify._adaptive_rhs(system, Omega)
 
     def fun(t, z):
-        state[:] = z
-        return rhs(verify._trig(rates, t))
+        states[0] = z
+        trigs[0] = verify._trig(rates, t)
+        out = np.zeros(z.size)
+        rhs(0, out)
+        return out
 
     return solve_ivp(fun, t_span, z0, method="DOP853", rtol=1e-8,
                      atol=1e-10, t_eval=t_eval)
 
 
-@pytest.mark.parametrize("case", ["chain-t_eval", "quadratic-cubic-steps"])
+@pytest.mark.parametrize("case", ["chain-t_eval", "quadratic-cubic-steps",
+                                  "lumped-quadratic-cubic-steps"])
 def test_adaptive_takes_scipys_steps(case, chain10_forced):
     # scipy's DOP853 on the same right-hand side is the oracle: the same
     # step sizes, accepted and rejected alike, give the same count of
@@ -363,11 +375,16 @@ def test_adaptive_takes_scipys_steps(case, chain10_forced):
         t_eval = np.linspace(*t_span, 641)
         z0 = np.random.default_rng(6).normal(size=20) * 0.1
     else:
-        # a non-diagonal B and two frequencies, every accepted step
-        # returned; the system blows up soon after t = 0.4
-        system = _quadratic_cubic_system(True, "dense")
+        # a non-diagonal B, or a diagonal B = diag(I, 0.1 I) that
+        # divides H's rows, and two frequencies, every accepted step
+        # returned; the general system blows up soon after t = 0.4, the
+        # lumped one after t = 0.1 (12 steps to 0.07, rejections among
+        # them)
+        lumped = case.startswith("lumped")
+        system = _quadratic_cubic_system(
+            True, "lumped-dense" if lumped else "dense")
         Omega = np.array([0.7, 1.3])
-        t_span, t_eval = (0.0, 0.25), None
+        t_span, t_eval = (0.0, 0.07 if lumped else 0.25), None
         z0 = np.random.default_rng(13).normal(size=8) * 0.01
     ref = _scipy_dop853(system, Omega, z0, t_span, t_eval)
     assert ref.success
@@ -478,23 +495,30 @@ def test_trapezoid_does_not_depend_on_matrix_storage(chain10_forced):
             <= 1e-12 * np.abs(one["z"]).max())
 
 
-@pytest.mark.parametrize("model,Omega", [
+@pytest.mark.parametrize("model,Omega,most", [
     (lambda: oscillator_chain(10, c=0.1, kappa=0.3,
                               forcing_amplitude=np.linspace(0.1, 1.0, 10),
-                              eps=0.1), 0.6),
-    (lambda: csr_bar(1500, 4), 5.4),
+                              eps=0.1), 0.6, 2 * 64),
+    (lambda: csr_bar(1500, 4), 5.4, 64),
 ], ids=["chain", "csr-bar-1500"])
-def test_trapezoid_on_the_n2_matrix_matches_the_2n_pencil(model, Omega):
-    # the lift factors sigma^2 M + sigma C + K, the same pencil without
-    # its mechanical model the 2N matrix sigma B - A
+def test_trapezoid_on_the_n2_matrix_matches_the_2n_pencil(model, Omega,
+                                                          most):
+    # the lift iterates on the displacements with sigma^2 M + sigma C + K,
+    # the same pencil without its mechanical model on the whole state
+    # with the 2N matrix sigma B - A
     mech = model()
     period = 2.0 * np.pi / Omega
     z0 = np.random.default_rng(6).normal(size=2 * mech.n) * 0.01
     one, two = (integrate_full(system, z0, (0.0, period), Omega=Omega,
                                method="trapezoid", dt=period / 64,
-                               newton_tol=1e-9)["z"]
+                               newton_tol=1e-9)
                 for system in (build_first_order(mech), plain_pencil(mech)))
-    assert np.abs(one - two).max() <= 1e-12 * np.abs(two).max()
+    assert (np.abs(one["z"] - two["z"]).max()
+            <= 1e-12 * np.abs(two["z"]).max())
+    # from the quadratic extrapolation the cubic chain takes at most two
+    # chord iterations a step (150 in all from the linear one), and the
+    # linear bar one, which solves its step (two before)
+    assert one["newton_iterations"] == two["newton_iterations"] <= most
 
 
 def test_trapezoid_newton_work_and_accuracy(chain10_forced):
