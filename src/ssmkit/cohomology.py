@@ -184,14 +184,15 @@ def solve_shifted(system, master, shift, rhs, what, rhs_scale=1.0):
     ``shift^2 M + shift C + K`` for a system that carries its mechanical
     model, else ``shift B - A``. Dense or sparse, the path is one.
 
-    ``Q`` is factored by ``model.factorize_near``, one ulp off ``shift``
-    when a pivot is exactly zero. The solution must satisfy ``Q x = b``
-    at ``shift`` itself to 1e-6 relative to ``max(|b|, rhs_scale, 1)``
-    (``b`` is ``rhs`` on ``Q``'s rows), else NumericalError names the
-    block by ``what``: a singular block is consistent or refused. Then
-    each master direction whose eigenvalue lies within
-    ``1e-8 max(|lambda_master|, 1)`` of ``shift`` is removed,
-    ``X -= v_k (u_k^H B X)``, for autonomous and forced blocks alike.
+    ``Q`` is factored by ``model.factorize_near``, whose factor one ulp
+    off ``shift``, when a pivot is exactly zero, is accepted. The
+    solution must satisfy ``Q x = b`` at ``shift`` itself to 1e-6
+    relative to ``max(|b|, rhs_scale, 1)`` (``b`` is ``rhs`` on ``Q``'s
+    rows), else NumericalError names the block by ``what``: a singular
+    block is consistent or refused. Then each master direction whose
+    eigenvalue lies within ``1e-8 max(|lambda_master|, 1)`` of ``shift``
+    is removed, ``X -= v_k (u_k^H B X)``, for autonomous and forced
+    blocks alike.
     The component along the null vector of a block singular at an outer
     eigenvalue is left as the factor gives it: the equation does not
     determine it.
@@ -201,7 +202,7 @@ def solve_shifted(system, master, shift, rhs, what, rhs_scale=1.0):
     of master directions projected out.
     """
     shift = complex(shift)
-    solve, rcond, (mat, fold, unfold) = factorize_near(system, shift)
+    solve, rcond, _, (mat, fold, unfold) = factorize_near(system, shift)
     b = fold(rhs)
     x = solve(b)
     rnorm = float(np.abs(mat @ x - b).max())

@@ -10,10 +10,12 @@ harmonics. They are rewritten as the first-order pencil
     A = [[0, I], [-K, -C]]      B = [[I, 0], [0, M]]      F = [0; -f]
 
 whose B is as well conditioned as M. Only this module knows that layout.
-Every shifted pencil ``lambda B - A`` is factored through its
-``reduced_shifted``: for a lifted model the N/2 matrix
+Every shifted pencil ``lambda B - A`` is factored by ``factorize_near``
+on its ``reduced_shifted`` matrix: for a lifted model the N/2 matrix
 ``lambda^2 M + lambda C + K`` (Tisseur & Meerbergen, SIAM Rev. 43,
-2001), else ``lambda B - A`` itself; ``reduced_force`` gives the
+2001), else ``lambda B - A`` itself. It returns the shift it factored,
+one ulp off the one asked for when a pivot is exactly zero, and each
+caller accepts or refuses that shift. ``reduced_force`` gives the
 nonlinearity on that matrix's unknown, so that an implicit step solves
 ``(lambda B - A) z - F(z) = c`` at N/2 rows too. ``left_vectors`` gives
 the left eigenvectors of the pencil from its right ones: in closed form for
@@ -39,7 +41,7 @@ __all__ = [
     "MechanicalSystem", "FirstOrderSystem", "build_first_order",
     "as_first_order", "oscillator_chain", "lorenz_extended",
     "cosine_forcing", "factorize", "factorize_near", "shifted_route",
-    "shifted_solver", "reduced_shifted", "reduced_force", "left_vectors",
+    "reduced_shifted", "reduced_force", "left_vectors",
 ]
 
 
@@ -390,7 +392,6 @@ class _SecondOrder:
 
     def __init__(self, mech):
         n = self.n = mech.n
-        self.f_coeffs = mech.f_coeffs
         self.pattern = None
         self.values = (mech.M, mech.C, mech.K)
         if any(sp.issparse(mat) for mat in self.values):
@@ -434,15 +435,6 @@ class _SecondOrder:
                 return float(alpha), float(beta)
         return None
 
-    @functools.cached_property
-    def force(self):
-        """``x -> -f(x)`` at the n displacements: the pieces with their
-        values negated, summed as ``FirstOrderSystem.F_eval`` sums the
-        lift's last n rows, and so with its bits."""
-        pieces = [fc.relabel(self.n, self.n, value_scale=-1.0)
-                  for fc in self.f_coeffs]
-        return functools.partial(_sum_of, pieces, self.n)
-
     def matrices(self, shift):
         """``Q = shift^2 M + shift C + K`` and ``D = shift M + C``, dense
         or CSC, of the dtype of ``shift``."""
@@ -482,55 +474,41 @@ def reduced_force(system):
     on it: ``(part, G)``, with ``part(z)`` the unknown's rows of a state
     z and ``G(y) = fold(F(unfold(y, rhs)))``, which reads y alone. With
     ``mech`` the unknown is the displacements ``x = z[:n]`` and ``G(x) =
-    -f(x)`` at n rows, with the bits of F's last n rows (its first n are
-    zero); else it is z itself and G is ``F_eval``. An implicit step's
-    ``(shift B - A) z - F(z) = c`` is then ``Q y - G(y) = fold(c)`` with
-    ``z = unfold(y, c)``.
+    -f(x)``, the last n rows of ``F_eval(x)``: the lift's pieces read
+    only x, and its first n rows are zero. Else it is z itself and G is
+    ``F_eval``. An implicit step's ``(shift B - A) z - F(z) = c`` is then
+    ``Q y - G(y) = fold(c)`` with ``z = unfold(y, c)``.
     """
     if system.mech is None:
         return (lambda z: z), system.F_eval
     n = system.mech.n
-    return (lambda z: z[:n]), system._second_order.force
-
-
-def shifted_solver(system, shift):
-    """
-    Factor ``shift B - A`` once, on the route of :func:`shifted_route`,
-    and return ``solve``: ``solve(rhs)`` gives X with
-    ``(shift B - A) X = rhs`` for an (N,) or (N, k) ``rhs``, in real
-    arithmetic for a real ``shift`` and ``rhs``. An exactly singular
-    matrix raises RuntimeError, dense or sparse, as the shift-invert
-    eigensolve needs; :func:`factorize_near` takes the blocks that may
-    sit on the spectrum.
-    """
-    mat, fold, unfold = reduced_shifted(system, shift)
-    solve, rcond = factorize(mat)
-    if rcond == 0.0:
-        raise RuntimeError("a pivot of the dense LU is exactly zero")
-    return lambda rhs: unfold(solve(fold(rhs)), rhs)
+    return (lambda z: z[:n]), (lambda x: system.F_eval(x)[n:])
 
 
 def factorize_near(system, shift, adjoint=False):
     """
-    :func:`factorize` of :func:`reduced_shifted`'s matrix at ``shift``
-    (its conjugate transpose with ``adjoint``) or, when a pivot is
-    exactly zero, of the one at ``shift + eps max(|shift|, 1)``, as
-    LAPACK's ``xLAEIN`` does: a solve then errs only along the null
-    vector (Peters & Wilkinson, SIAM Rev. 21, 1979). Returns ``(solve,
-    rcond, reduced)``, ``reduced`` being :func:`reduced_shifted` at
-    ``shift`` itself; NumericalError when both are exactly singular.
+    The one factor of a shifted pencil: :func:`factorize` of
+    :func:`reduced_shifted`'s matrix at ``shift`` (its conjugate
+    transpose with ``adjoint``) or, when a pivot is exactly zero, of the
+    one at ``shift + eps max(|shift|, 1)``, as LAPACK's ``xLAEIN`` does:
+    a solve then errs only along the null vector (Peters & Wilkinson,
+    SIAM Rev. 21, 1979). Returns ``(solve, rcond, used, reduced)``:
+    ``used`` is the shift factored, which a caller that needs the matrix
+    at ``shift`` itself refuses when it differs, and ``reduced`` is
+    :func:`reduced_shifted` at ``shift`` itself.
+    NumericalError when both shifts are exactly singular.
     """
     reduced = reduced_shifted(system, shift)
-    mat = reduced[0]
+    mat, used = reduced[0], shift
     for _ in range(2):
         try:
             solve, rcond = factorize(mat.conj().T if adjoint else mat)
         except RuntimeError:  # SuperLU on an exactly zero pivot
             rcond = 0.0
         if rcond != 0.0:
-            return solve, rcond, reduced
-        near = shift + np.finfo(float).eps * max(abs(shift), 1.0)
-        mat = reduced_shifted(system, near)[0]
+            return solve, rcond, used, reduced
+        used = shift + np.finfo(float).eps * max(abs(shift), 1.0)
+        mat = reduced_shifted(system, used)[0]
     raise NumericalError("the shifted pencil is exactly singular at %s and "
                          "next to it" % shift)
 
@@ -550,10 +528,11 @@ def left_vectors(system, V, lambdas):
     ``B = [[C, M], [M, 0]]``. A column with negative imaginary part
     whose eigenvalue and vector are the exact conjugates of another
     column's takes the conjugate of that column's left vector, without a
-    solve of its own. Each step factors through :func:`factorize_near`,
-    so an exactly zero pivot, as at Lorenz's ``lambda = 0``, moves the
-    shift by one ulp, and NumericalError is raised only when the shift
-    next to ``lambda_k`` is exactly singular too.
+    solve of its own. Each step factors through :func:`factorize_near`
+    and accepts the shift it used: an exactly zero pivot, as at Lorenz's
+    ``lambda = 0``, moves the shift by one ulp, and NumericalError is
+    raised only when the shift next to ``lambda_k`` is exactly singular
+    too.
     """
     mech = system.mech
     if mech is not None and mech.symmetric:

@@ -28,10 +28,12 @@ the "modal" route: one real symmetric shift-invert Lanczos run on
 vectors ``[phi; lambda phi]`` (Tisseur & Meerbergen, SIAM Rev. 43, 2001),
 when a bound on the uncomputed modes shows that the computed roots are
 the ones nearest 0. Every other pencil takes complex ARPACK on
-``(sigma B - A)^-1 B``, factored by ``model.shifted_solver``: the N/2
+``(sigma B - A)^-1 B``, factored by ``model.factorize_near``: the N/2
 matrix ``sigma^2 M + sigma C + K`` for a lifted model ("second-order"),
-else ``sigma B - A`` ("first-order"). ``diagnostics["modal"]`` says why
-the modal route was not taken ("taken" when it was), and
+else ``sigma B - A`` ("first-order"). A sigma at which that matrix
+has an exactly zero pivot, dense or sparse, is refused, since the run
+needs its inverse. ``diagnostics["modal"]`` says why the modal route
+was not taken ("taken" when it was), and
 ``diagnostics["rayleigh"]`` holds the fitted ``(alpha, beta)``.
 
 Each right eigenvector is scaled to unit norm with its largest entry
@@ -49,8 +51,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
-from .model import (as_first_order, left_vectors, shifted_route,
-                    shifted_solver)
+from .model import (as_first_order, factorize_near, left_vectors,
+                    shifted_route)
 
 __all__ = ["MasterSubspace", "master_spectrum", "check_normalization",
            "largest_entry", "as_index", "state_index"]
@@ -281,17 +283,23 @@ def _shift_invert_eigen(system, k, shift):
     N = system.N
     sigma = complex(shift)
     try:
-        solve = shifted_solver(system, sigma)
-    except RuntimeError as exc:
+        solve, _, used, (_, fold, unfold) = factorize_near(system, sigma)
+    except NumericalError:  # exactly singular next to sigma too
+        used = None
+    if used != sigma:
         raise NumericalError(
-            "factorization of (A - sigma B) failed at sigma=%s: %s; "
-            "pick a shift away from the spectrum" % (sigma, exc)) from exc
+            "(sigma B - A) has an exactly zero pivot at sigma=%s; pick a "
+            "shift away from the spectrum" % sigma)
     # a fixed start makes sparse results repeatable; a random one, unlike
     # a constant, is not orthogonal to the antisymmetric modes
     v0 = np.random.default_rng(0).standard_normal(N) + 0j
-    # nu = 1 / (lambda - sigma) of x -> -(sigma B - A)^-1 B x
-    op = spla.LinearOperator((N, N), matvec=lambda x: -solve(system.B @ x),
-                             dtype=complex)
+
+    def matvec(x):
+        # nu = 1 / (lambda - sigma) of x -> -(sigma B - A)^-1 B x
+        rhs = system.B @ x
+        return -unfold(solve(fold(rhs)), rhs)
+
+    op = spla.LinearOperator((N, N), matvec=matvec, dtype=complex)
     nu, VR = spla.eigs(op, k=k, v0=v0)
     return sigma + 1.0 / nu, VR
 

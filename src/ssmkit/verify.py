@@ -63,11 +63,12 @@ stages it combines: the one-product form [1, h a_s] . [y; K_0; ...]
 saves two calls a stage, but it moved the step sizes of a cubic test
 system by up to 4e-8 relative at rtol 1e-8.
 The trapezoidal path factors only its Newton matrix
-B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h, once per call, and
-never solves with B. Its chord iteration runs on the unknown of
-``model.reduced_shifted``: for a lifted mechanical model the
-displacements x, with the N/2 matrix sigma^2 M + sigma C + K and
-``model.reduced_force``'s -f(x). Each iterate is measured on the whole
+B - (h/2) A = (h/2) (sigma B - A), sigma = 2/h, once per call through
+``model.factorize_near``, refusing a dt at which it is exactly singular
+whatever the storage, and never solves with B. Its chord iteration runs
+on the unknown of ``model.reduced_shifted``: for a lifted mechanical
+model the displacements x, with the N/2 matrix sigma^2 M + sigma C + K
+and ``model.reduced_force``'s -f(x). Each iterate is measured on the whole
 state [x; sigma x - c_x], so the stop decisions are those of the
 iteration on sigma B - A in exact arithmetic. Each step starts from the
 quadratic extrapolation 3 z_k - 3 z_(k-1) + z_(k-2) (Hairer & Wanner,
@@ -87,8 +88,7 @@ from scipy.integrate import DOP853
 from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NumericalError, ValidationError
-from .model import (as_first_order, factorize, reduced_force,
-                    reduced_shifted)
+from .model import as_first_order, factorize, factorize_near, reduced_force
 from .spectrum import state_index
 
 __all__ = [
@@ -654,13 +654,15 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
 
     sigma = 2.0 / h
     P = sigma * B + A
-    mat, fold, unfold = reduced_shifted(system, sigma)
-    part, G = reduced_force(system)
-    linear = not system.F_coeffs
-    solve, rcond = factorize(mat)
-    if rcond == 0.0:
+    try:
+        solve, _, used, (mat, fold, unfold) = factorize_near(system, sigma)
+    except NumericalError:  # exactly singular next to sigma too
+        used = None
+    if used != sigma:
         raise NumericalError("the trapezoidal matrix B - (h/2) A is "
                              "exactly singular at dt=%g; change dt" % h)
+    part, G = reduced_force(system)
+    linear = not system.F_coeffs
     ts = t0 + h * np.arange(n + 1)
     zs = np.empty((system.N, n + 1))
     zs[:, 0] = z0

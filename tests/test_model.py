@@ -342,6 +342,31 @@ def test_left_vectors_step_next_to_an_exactly_singular_factor(conv):
     assert abs(u.conj() @ B @ V[:, 0]) >= 0.5 * np.abs(u).max()
 
 
+@pytest.mark.parametrize("lifted", [True, False], ids=["mech", "plain"])
+@pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
+                         ids=["dense", "csr"])
+def test_factorize_near_returns_the_shift_it_factored(conv, lifted):
+    # lambda = 2 is an eigenvalue of both: Q(2) = 4 M + K = diag(0, 5),
+    # 2 B - A = diag(0, 3)
+    if lifted:
+        sys = build_first_order(MechanicalSystem(
+            conv(np.eye(2)), conv(np.zeros((2, 2))),
+            conv(np.diag([-4.0, 1.0]))))
+    else:
+        sys = FirstOrderSystem(conv(np.diag([2.0, -1.0])), conv(np.eye(2)))
+    eps = np.finfo(float).eps
+    for shift, want in ((0.5, 0.5), (2.0, 2.0 + 2.0 * eps),
+                        (2.0 + 0j, 2.0 + 2.0 * eps)):
+        solve, _, used, (_, fold, unfold) = model.factorize_near(sys, shift)
+        assert used == want
+        # the solve is the one at the shift it reports
+        rhs = np.ones(sys.N)
+        x = unfold(solve(fold(rhs)), rhs)
+        A, B = sys.dense_pencil()
+        resid = (used * B - A) @ x - rhs
+        assert np.abs(resid).max() <= 1e-12 * np.abs(x).max()
+
+
 @pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
                          ids=["dense", "csr"])
 def test_left_vectors_refuse_when_the_next_shift_is_singular_too(conv):

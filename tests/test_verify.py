@@ -531,6 +531,22 @@ def test_trapezoid_newton_work_and_accuracy(chain10_forced):
             <= 1e-8 * np.abs(ref["z"]).max())
 
 
+@pytest.mark.parametrize("lifted", [True, False], ids=["mech", "plain"])
+@pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
+                         ids=["dense", "csr"])
+def test_trapezoid_refuses_a_step_on_the_spectrum(conv, lifted):
+    # dt = 2 puts sigma = 2/h = 1 on the eigenvalue 1 of both models,
+    # whatever the storage
+    if lifted:
+        sys = MechanicalSystem(conv(np.eye(1)), conv(np.zeros((1, 1))),
+                               conv(-np.eye(1)))
+    else:
+        sys = FirstOrderSystem(conv(np.diag([1.0, -1.0])), conv(np.eye(2)))
+    z0 = np.zeros(as_first_order(sys).N)
+    with pytest.raises(NumericalError, match="exactly singular at dt=2"):
+        integrate_full(sys, z0, (0.0, 2.0), method="trapezoid", dt=2.0)
+
+
 def test_integrate_full_validations(chain10_forced, chain10):
     with pytest.raises(ValidationError, match="pass Omega"):
         integrate_full(chain10_forced, np.zeros(20), (0.0, 1.0))
