@@ -34,9 +34,9 @@ import json
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, as_index
 from .forcing import leading_order
-from .spectrum import as_index, largest_entry, state_index
+from .spectrum import largest_entry, state_index
 
 __all__ = [
     "PolarROM", "extract_polar_rom", "BackboneCurve", "backbone",

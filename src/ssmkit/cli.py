@@ -16,8 +16,8 @@ Precedence is flag over file over default. Outputs are plain text with
 full float precision and are byte-identical for identical configs and
 seeds.
 
-Exit codes: 0 success, 2 invalid input or config, 3 numerical failure,
-4 outer resonance obstruction.
+Exit codes: 0 success, 2 invalid input, config or model manifest, 3
+numerical failure, 4 outer resonance obstruction.
 """
 
 import argparse
@@ -31,10 +31,11 @@ from . import __version__
 from .analysis import (_fmt, backbone, frc_sweep, write_backbone_csv,
                        write_frc_csv, write_frc_json, write_frc_svg)
 from .cohomology import compute_manifold
-from .errors import NumericalError, OuterResonanceError, ValidationError
+from .errors import (NumericalError, OuterResonanceError, ValidationError,
+                     as_index)
 from .fileio import load_system, save_system
 from .model import as_first_order, lorenz_extended, oscillator_chain
-from .spectrum import as_index, check_normalization, master_spectrum
+from .spectrum import check_normalization, master_spectrum
 from .verify import invariance_residual
 
 DEFAULTS = {

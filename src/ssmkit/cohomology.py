@@ -51,12 +51,13 @@ import warnings
 
 import numpy as np
 
-from .errors import NumericalError, OuterResonanceError, ValidationError
+from .errors import (NumericalError, OuterResonanceError, ValidationError,
+                     as_index)
 from .model import as_first_order, factorize_near, shifted_route
 from .multiindex import (MultiIndexSet, conjugate_permutation,
                          kron_sum_lambdas)
 from .polytensor import apply_kron_sum, compose
-from .spectrum import MasterSubspace, as_index
+from .spectrum import MasterSubspace
 
 __all__ = [
     "ResonanceReport", "classify_resonances", "resonance_tolerance",

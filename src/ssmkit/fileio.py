@@ -196,24 +196,42 @@ def _write_matrix(path, mat):
         scipy.io.mmwrite(path, np.asarray(mat))
 
 
+def _field(manifest, key, kind, default):
+    """``manifest[key]`` (``default`` when absent) if it is of ``kind``:
+    dict, list or (int, float), a bool being no number."""
+    value = manifest.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = {dict: "a JSON object", list: "a JSON list"}.get(kind,
+                                                               "a number")
+        raise ValidationError("manifest field %r must be %s, not %r"
+                              % (key, what, value))
+    return value
+
+
 def _load_forcing(spec_list):
     if not spec_list:
         return None
     forcing = []
     for item in spec_list:
-        if "kappa" not in item:
-            raise ValidationError("forcing entry missing 'kappa'")
+        if not isinstance(item, dict) or "kappa" not in item:
+            raise ValidationError("forcing entry %r is not an object with "
+                                  "a 'kappa'" % (item,))
         kappa = item["kappa"]
-        real = np.asarray(item.get("real", []), dtype=float)
-        imag = np.asarray(item.get("imag", np.zeros_like(real)), dtype=float)
+        try:
+            real = np.asarray(item.get("real", []), dtype=float)
+            imag = np.asarray(item.get("imag", np.zeros_like(real)),
+                              dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                "forcing harmonic %r: 'real' and 'imag' must be lists of "
+                "numbers (%s)" % (kappa, exc)) from exc
         if imag.shape != real.shape:
             raise ValidationError(
                 "forcing harmonic %r: real and imag parts differ in length"
                 % (kappa,))
         vec = real.astype(complex)
         vec.imag = imag  # set apart, so that an imaginary -0.0 keeps its sign
-        forcing.append((tuple(kappa) if isinstance(kappa, list) else kappa,
-                        vec))
+        forcing.append((kappa, vec))
     return forcing
 
 
@@ -224,19 +242,28 @@ def load_system(path):
     Returns
     -------
     MechanicalSystem or FirstOrderSystem
-        According to the manifest's "format".
+        According to the manifest's "format". A manifest that is not
+        valid JSON, not an object or holds a field of the wrong type
+        raises ValidationError naming it.
     """
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError("manifest %s is not valid JSON: %s"
+                                  % (path, exc)) from exc
+    if not isinstance(manifest, dict):
+        raise ValidationError("manifest %s: the root must be a JSON object"
+                              % path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(name):
         return os.path.join(base, name)
 
     fmt = manifest.get("format", "mech")
-    matrices = manifest.get("matrices", {})
-    eps = float(manifest.get("epsilon", 0.0))
-    forcing = _load_forcing(manifest.get("forcing"))
+    matrices = _field(manifest, "matrices", dict, {})
+    eps = float(_field(manifest, "epsilon", (int, float), 0.0))
+    forcing = _load_forcing(_field(manifest, "forcing", list, []))
 
     if fmt == "mech":
         if "K" not in matrices:
@@ -268,14 +295,20 @@ def load_system(path):
 
 
 def _load_tensors(manifest, resolve, nrows, nvars):
+    files = []
+    for key, name in _field(manifest, "tensors", dict, {}).items():
+        try:
+            files.append((int(key), name))
+        except ValueError:
+            raise ValidationError("manifest field 'tensors' has key %r, "
+                                  "which is not a degree" % key) from None
     blocks = []
-    for key, name in sorted(manifest.get("tensors", {}).items(),
-                            key=lambda kv: int(kv[0])):
+    for degree, name in sorted(files, key=lambda item: item[0]):
         block = read_tensor_text(resolve(name), nrows, nvars)
-        if block.degree != int(key):
+        if block.degree != degree:
             raise ValidationError(
-                "tensor file %s has degree %d but manifest says %s"
-                % (name, block.degree, key))
+                "tensor file %s has degree %d but manifest says %d"
+                % (name, block.degree, degree))
         blocks.append(block)
     return blocks
 

@@ -43,14 +43,13 @@ stored as exact conjugates with the positive-frequency member first.
 
 import functools
 import numbers
-import operator
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, as_index
 from .model import (as_first_order, factorize_near, left_vectors,
                     shifted_route)
 
@@ -115,20 +114,6 @@ class MasterSubspace:
     def __repr__(self):
         return "MasterSubspace(dim=%d, lambdas=%s)" % (
             self.dim, np.array2string(self.lambdas, precision=4))
-
-
-def as_index(value, what):
-    """
-    ``value`` as an int, by ``operator.index``; ValidationError for a
-    bool or a value that is not an integer (2.5, and 2.0 as well), so
-    that no count or position is truncated.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError("%s must be an integer, not %r" % (what, value))
 
 
 def state_index(value, n=None):

@@ -87,7 +87,7 @@ import scipy.sparse as sp
 from scipy.integrate import DOP853
 from scipy.sparse._sparsetools import csr_matvec
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, as_index
 from .model import as_first_order, factorize, factorize_near, reduced_force
 from .spectrum import state_index
 
@@ -188,6 +188,15 @@ class ResidualReport:
         }
 
 
+def _count(value, name, least):
+    """``value`` as an int of at least ``least`` (:func:`as_index`)."""
+    count = as_index(value, name)
+    if count < least:
+        raise ValidationError("%s must be an integer >= %d, got %r"
+                              % (name, least, value))
+    return count
+
+
 def _symmetric_directions(master, n_dirs, seed):
     """Conjugation-invariant random unit directions, columns of (M, n)."""
     rng = np.random.default_rng(seed)
@@ -236,8 +245,8 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0):
     n_dirs : int, optional
         Conjugate-symmetric random directions per radius (>= 1).
     seed : int, optional
-        Seed for the direction sample (fixed default for repeatable
-        reports).
+        Seed for the direction sample, an integer >= 0 (fixed default
+        for repeatable reports).
 
     The slope is fitted to the residuals above the rounding floor that
     the module docstring derives, one per radius.
@@ -257,9 +266,8 @@ def invariance_residual(manifold, radii, n_dirs=16, seed=0):
         raise ValidationError(
             "radii must lie in (0, 0.1]; the expansion is local and a "
             "slope fit outside that range does not measure the order")
-    if not isinstance(n_dirs, numbers.Integral) or n_dirs < 1:
-        raise ValidationError("n_dirs must be an integer >= 1, got %r"
-                              % (n_dirs,))
+    n_dirs = _count(n_dirs, "n_dirs", 1)
+    seed = _count(seed, "seed", 0)
     A, B = system.A, system.B
     dirs = _symmetric_directions(manifold.master, n_dirs, seed)
     res = np.zeros(radii.size)
@@ -571,8 +579,8 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         nonlinearity stops after the first iterate, which solves its
         step.
     max_newton : int, optional
-        Chord iterations allowed per step ("trapezoid" only); a step
-        that needs more raises NumericalError.
+        Chord iterations allowed per step, an integer >= 1 ("trapezoid"
+        only); a step that needs more raises NumericalError.
 
     Each trapezoidal step, scaled by ``sigma = 2/h``, solves
     ``(sigma B - A) z - F(z) = (sigma B + A) z_k + F(z_k) + f_k + f_(k+1)``
@@ -644,6 +652,7 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
             "choose dt so the steps land on the wanted times")
     if dt is None or not dt > 0:
         raise ValidationError("the trapezoidal rule needs a positive dt")
+    max_newton = _count(max_newton, "max_newton", 1)
     n = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n
     A, B = system.A, system.B
@@ -750,11 +759,8 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
         # a NaN period would send the integrator into an endless loop
         raise ValidationError("Omega must be positive and finite")
     dof = state_index(dof, system.N)
-    for name, count, least in (("n_transient", n_transient, 0),
-                               ("n_window", n_window, 1)):
-        if not isinstance(count, numbers.Integral) or count < least:
-            raise ValidationError("%s must be an integer >= %d, got %r"
-                                  % (name, least, count))
+    n_transient = _count(n_transient, "n_transient", 0)
+    n_window = _count(n_window, "n_window", 1)
     if not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValidationError("tol must be positive, got %r" % (tol,))
     T = 2.0 * np.pi / Omega

@@ -337,6 +337,45 @@ def test_frc_amplitude_has_one_key(capsys):
     assert "unknown config key 'frc.eps'" in capsys.readouterr().err
 
 
+def _set(key, value):
+    """An edit of a manifest that sets ``key`` to ``value``."""
+    return lambda manifest: json.dumps(dict(manifest, **{key: value}))
+
+
+def _first_forcing(**fields):
+    """An edit of a manifest's first forcing entry."""
+    def edit(manifest):
+        forcing = [dict(manifest["forcing"][0], **fields)]
+        return json.dumps(dict(manifest, forcing=forcing))
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda manifest: json.dumps(manifest)[:-1], "is not valid JSON"),
+    (lambda manifest: json.dumps([manifest]), "root must be a JSON object"),
+    (_set("epsilon", "abc"), "field 'epsilon' must be a number, not 'abc'"),
+    (_set("epsilon", None), "field 'epsilon' must be a number, not None"),
+    (_set("tensors", {"x": "system_f3.txt"}), "has key 'x'"),
+    (_first_forcing(real=["a", 0, 0]), "must be lists of numbers"),
+    # a conjugate pair at 1.5 used to be stored as the pair at 1
+    (lambda manifest: json.dumps(dict(manifest, forcing=[
+        dict(entry, kappa=[1.5 * entry["kappa"][0]])
+        for entry in manifest["forcing"]])), "label entry must be an integer"),
+], ids=["json", "list-root", "epsilon-abc", "epsilon-null", "tensor-key",
+        "forcing-real", "kappa-1.5"])
+def test_malformed_manifests_exit_with_code_2(edit, message, capsys,
+                                              tmp_path):
+    assert main(["model", "--system.builtin", "chain", "--system.n", "3",
+                 "--system.forcing_amplitude", "[1,0,0]", "--system.eps",
+                 "0.1", "--model.output_dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "system.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(manifest))
+    capsys.readouterr()
+    assert main(["model", "--system.manifest", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_empty_samples_exit_with_code_2(capsys, tmp_path):
     # each count sizes a sample whose largest value the command reports
     chain = ["--system.builtin", "chain", "--ssm.select.pair", "2",

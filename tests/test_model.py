@@ -262,10 +262,35 @@ def test_singular_b_rejected():
 
 
 def test_ill_conditioned_sparse_b_reports_its_pivot_ratio():
-    B = sp.diags([1.0, 1e-15], format="csr")
-    with pytest.raises(ValidationError, match=r"matrix B is singular or "
-                       r"ill-conditioned \(LU pivot ratio 1\.0e-15\)"):
-        FirstOrderSystem(-sp.identity(2, format="csr"), B)
+    # dense and CSR are judged by one number, the condition estimate
+    for conv in (np.asarray, sp.csr_matrix):
+        B = conv(np.diag([1.0, 1e-15]))
+        with pytest.raises(ValidationError, match=r"matrix B is singular or "
+                           r"ill-conditioned \(reciprocal condition "
+                           r"estimate 1\.0e-15\)"):
+            FirstOrderSystem(-conv(np.eye(2)), B)
+
+
+@pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
+                         ids=["dense", "csr"])
+def test_one_nonsingularity_verdict_for_both_storages(conv):
+    # a lumped mass of 1e-15 kg is as well conditioned as one of 1 kg;
+    # a pivot ratio floored at 1 refused the CSR copy
+    eye = np.eye(4)
+    before = np.random.get_state()
+    MechanicalSystem(conv(1e-15 * eye), conv(eye), conv(eye))
+    MechanicalSystem(conv(np.diag([1.0, 2.0, 3.0, 4.0])), conv(eye),
+                     conv(eye))
+    # the estimate starts from a fixed vector, not numpy's global draws
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
+    for bad in (np.nan, np.inf):
+        M = eye.copy()
+        M[0, 1] = bad
+        with pytest.raises(ValidationError, match="mass matrix M is singular "
+                           "or ill-conditioned"):
+            MechanicalSystem(conv(M), conv(eye), conv(eye))
 
 
 def test_nonlinearity_shape_rejected():

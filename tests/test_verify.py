@@ -256,6 +256,47 @@ def test_direction_count_is_validated(n_dirs, chain_mode2_man5):
         invariance_residual(chain_mode2_man5, SPEC_RADII, n_dirs=n_dirs)
 
 
+def _with_label(kappa):
+    """A one-mass model forced at the harmonic label ``kappa``."""
+    vec = np.ones(1, dtype=complex)
+    neg = [-k for k in kappa]
+    return MechanicalSystem(np.eye(1), np.eye(1), np.eye(1),
+                            forcing=[(kappa, vec), (neg, vec)])
+
+
+def _trapezoid(max_newton):
+    """Ten trapezoidal steps of a cubic mass with ``max_newton``."""
+    sys = oscillator_chain(1, kappa=1.0)
+    integrate_full(sys, [0.1, 0.0], (0.0, 1.0), method="trapezoid", dt=0.1,
+                   max_newton=max_newton)
+
+
+# each input used to be truncated, taken as an int or left to raise
+# TypeError or a stalled iteration
+@pytest.mark.parametrize("name, call", [
+    ("a harmonic label entry", lambda man, forced: _with_label([1.5])),
+    ("a harmonic label entry", lambda man, forced: _with_label([True])),
+    ("seed", lambda man, forced: invariance_residual(man, SPEC_RADII,
+                                                     n_dirs=2, seed=True)),
+    ("seed", lambda man, forced: invariance_residual(man, SPEC_RADII,
+                                                     n_dirs=2, seed=2.5)),
+    ("n_dirs", lambda man, forced: invariance_residual(man, SPEC_RADII,
+                                                       n_dirs=True)),
+    ("n_transient", lambda man, forced: steady_state_amplitude(
+        forced, 0.6, 4, n_transient=False)),
+    ("n_window", lambda man, forced: steady_state_amplitude(
+        forced, 0.6, 4, n_window=True)),
+    ("max_newton", lambda man, forced: _trapezoid(2.5)),
+    ("max_newton", lambda man, forced: _trapezoid(0)),
+], ids=["label-1.5", "label-True", "seed-True", "seed-2.5", "n_dirs-True",
+        "n_transient-False", "n_window-True", "max_newton-2.5",
+        "max_newton-0"])
+def test_counts_and_labels_take_integers_only(name, call, chain_mode2_man5,
+                                              chain10_forced):
+    with pytest.raises(ValidationError, match="%s must be an integer" % name):
+        call(chain_mode2_man5, chain10_forced)
+
+
 def test_adaptive_integration_matches_matrix_exponential(chain10):
     fo = as_first_order(chain10)
     sys = FirstOrderSystem(fo.A, fo.B)
