@@ -307,9 +307,6 @@ class FrcResult:
         self.rom = rom
         self.diagnostics = dict(diagnostics or {})
 
-    def omegas(self):
-        return sorted({pt["Omega"] for pt in self.points})
-
     def at(self, Omega):
         return [pt for pt in self.points if pt["Omega"] == Omega]
 
@@ -393,10 +390,7 @@ def frc_sweep(manifold, omega_values, dofs=(), eta=None):
     bisection, and each fixed point is classified by the polar
     Jacobian and lifted to physical amplitudes. The polynomial, the
     fixed points and the Jacobian all come from one polar model at the
-    sweep's eta. The forcing amplitude is the system's ``eps``; the
-    forcing screen takes the resonance tolerance the manifold was
-    classified with (the defaults for a loaded manifold, which holds
-    none).
+    sweep's eta. The forcing amplitude is the system's ``eps``.
 
     Parameters
     ----------
@@ -460,7 +454,6 @@ def frc_sweep(manifold, omega_values, dofs=(), eta=None):
             "harmonics present: %s" % (rom.eta, sorted(table)))
     master = manifold.master
     override = {kplus: [rom.row], tuple(-k for k in kplus): [rom.partner]}
-    tol = None if manifold.resonances is None else manifold.resonances.params
 
     if np.ndim(dofs) == 0:
         dofs = [dofs]
@@ -471,8 +464,7 @@ def frc_sweep(manifold, omega_values, dofs=(), eta=None):
     points = []
     consistency_worst = 0.0
     for Omega in omega_values:
-        nonaut = leading_order(system, master, [Omega],
-                               style=manifold.style, tol=tol,
+        nonaut = leading_order(system, master, [Omega], style=manifold.style,
                                resonant_modes=override)
         f = eps * complex(nonaut.s0(kplus)[rom.row])
         if f == 0:

@@ -34,7 +34,8 @@ from .cohomology import compute_manifold
 from .errors import (NumericalError, OuterResonanceError, ValidationError,
                      as_index)
 from .fileio import load_system, save_system
-from .model import as_first_order, lorenz_extended, oscillator_chain
+from .model import (as_first_order, finite_eps, lorenz_extended,
+                    oscillator_chain)
 from .spectrum import check_normalization, master_spectrum
 from .verify import invariance_residual
 
@@ -57,8 +58,6 @@ DEFAULTS = {
         "n_outer": 10,
         "method": "auto",
         "shift": 0.0,
-        "tol": {"rel": 1e-3, "slack": 1.0, "abs": None},
-        "on_outer": None,
         "output": "manifold.bin",
     },
     "frc": {
@@ -171,8 +170,7 @@ def _build_system(cfg):
         system = as_first_order(oscillator_chain(
             _integer(cfg, "system.n"), m=float(scfg["m"]), k=float(scfg["k"]),
             c=float(scfg["c"]), kappa=float(scfg["kappa"]),
-            forcing_amplitude=scfg["forcing_amplitude"],
-            eps=float(scfg["eps"] or 0.0)))
+            forcing_amplitude=scfg["forcing_amplitude"]))
     elif scfg["builtin"] == "lorenz":
         system = lorenz_extended(sigma=float(scfg["sigma"]),
                                  beta=float(scfg["beta"]))
@@ -183,7 +181,10 @@ def _build_system(cfg):
         raise ValidationError(
             "no system given; set system.manifest or system.builtin")
     if scfg["eps"] is not None:
-        system.eps = float(scfg["eps"])
+        # the lifted model is what `ssmkit model` saves, so it takes eps too
+        system.eps = finite_eps(scfg["eps"])
+        if system.mech is not None:
+            system.mech.eps = system.eps
     return system
 
 
@@ -204,8 +205,7 @@ def _build_manifold(cfg, system):
                              shift=complex(ssm["shift"]))
     manifold = compute_manifold(system, master, _integer(cfg, "ssm.order"),
                                 style=ssm["style"],
-                                graph_modes=ssm["graph_modes"],
-                                tol=ssm["tol"], on_outer=ssm["on_outer"])
+                                graph_modes=ssm["graph_modes"])
     return master, manifold
 
 

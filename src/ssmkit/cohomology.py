@@ -68,6 +68,12 @@ __all__ = [
 STYLES = ("normal-form", "graph", "per-mode")
 LAMBDA_MERGE_RTOL = 1e-14
 FORMAT = 3  # the manifold file layout ManifoldExpansion.save writes
+# the near-resonance screen of is_resonant: the relative and real-part
+# slack factors, and the absolute floor per unit of the largest screened
+# eigenvalue magnitude
+RESONANCE_REL = 1e-3
+RESONANCE_SLACK = 1.0
+RESONANCE_ABS = 1e-8
 
 
 class ResonanceReport:
@@ -80,14 +86,11 @@ class ResonanceReport:
         order -> list of (position, sorted exponent tuple, mode index).
     outer : dict
         order -> list of (position, sorted exponent tuple, outer lambda).
-    params : dict
-        The tolerance parameters that produced the report.
     """
 
-    def __init__(self, inner, outer, params):
+    def __init__(self, inner, outer):
         self.inner = inner
         self.outer = outer
-        self.params = params
 
     def inner_at(self, order):
         """Set of (position, mode) pairs flagged at one order."""
@@ -111,22 +114,16 @@ class ResonanceReport:
         return lines
 
 
-def resonance_tolerance(master, tol=None):
+def resonance_tolerance(master):
     """
-    Fill in the resonance tolerance: "rel" (default 1e-3), "slack"
-    (default 1.0) and "abs" (default 1e-8 times "scale", the largest
-    screened eigenvalue magnitude), plus "re_span", the largest
-    ``|Re lambda|`` over the master set.
+    The screen's terms that depend on the master subspace: "abs",
+    ``RESONANCE_ABS`` times the largest screened eigenvalue magnitude,
+    and "re_span", the largest ``|Re lambda|`` over the master set.
     """
-    tol = dict(tol or {})
     lam = master.lambdas
     mags = np.abs(np.concatenate([lam, master.outer_lambdas]))
     scale = float(mags.max()) if mags.size else 1.0
-    tol_abs = (float(tol["abs"]) if tol.get("abs") is not None
-               else 1e-8 * max(scale, 1e-300))
-    return {"rel": float(tol.get("rel", 1e-3)),
-            "slack": float(tol.get("slack", 1.0)),
-            "abs": tol_abs, "scale": scale,
+    return {"abs": RESONANCE_ABS * max(scale, 1e-300),
             "re_span": float(np.abs(lam.real).max()) if lam.size else 0.0}
 
 
@@ -137,28 +134,27 @@ def is_resonant(lam_l, mu, order, tol):
         |Im lam_l - Im mu| <= abs + rel * |mu|
         |Re lam_l - Re mu| <= abs + rel * |mu| + slack * (order+1) * re_span
 
-    with ``tol`` from :func:`resonance_tolerance`. The real-part slack
-    accounts for damping: sums of lightly damped eigenvalues drift off
-    the imaginary axis linearly in the order, and resonance is a
-    statement about frequencies. A forcing frequency nu enters as the
-    order-1 sum ``1j * nu``. Broadcasts over arrays.
+    with rel and slack the constants ``RESONANCE_REL`` (1e-3) and
+    ``RESONANCE_SLACK`` (1.0), and ``tol`` from
+    :func:`resonance_tolerance`. The real-part slack accounts for
+    damping: sums of lightly damped eigenvalues drift off the imaginary
+    axis linearly in the order, and resonance is a statement about
+    frequencies. A forcing frequency nu enters as the order-1 sum
+    ``1j * nu``. Broadcasts over arrays.
     """
-    bound = tol["abs"] + tol["rel"] * np.abs(mu)
-    re_slack = tol["slack"] * (order + 1) * tol["re_span"]
+    bound = tol["abs"] + RESONANCE_REL * np.abs(mu)
+    re_slack = RESONANCE_SLACK * (order + 1) * tol["re_span"]
     return ((np.abs(np.imag(lam_l) - np.imag(mu)) <= bound)
             & (np.abs(np.real(lam_l) - np.real(mu)) <= bound + re_slack))
 
 
-def classify_resonances(master, order, tol=None):
+def classify_resonances(master, order):
     """
     Flag the eigenvalue sums of orders 2..``order`` that are near-resonant
     (:func:`is_resonant`) with a master or an outer eigenvalue, one sum
-    per monomial.
-
-    ``tol`` is described in :func:`resonance_tolerance`. Returns a
-    :class:`ResonanceReport`.
+    per monomial. Returns a :class:`ResonanceReport`.
     """
-    tol = resonance_tolerance(master, tol)
+    tol = resonance_tolerance(master)
     lam, outer = master.lambdas, master.outer_lambdas
     inner_flags, outer_flags = {}, {}
     for i in range(2, order + 1):
@@ -174,8 +170,7 @@ def classify_resonances(master, order, tol=None):
             inner_flags[i] = flags_i
         if flags_o:
             outer_flags[i] = flags_o
-    return ResonanceReport(inner_flags, outer_flags,
-                           {key: tol[key] for key in ("rel", "slack", "abs")})
+    return ResonanceReport(inner_flags, outer_flags)
 
 
 def solve_shifted(system, master, shift, rhs, what, rhs_scale=1.0):
@@ -352,7 +347,7 @@ def check_style(style, graph_modes, dim):
 
 
 def compute_manifold(system, master, order, style="normal-form",
-                     graph_modes=(), tol=None, on_outer=None):
+                     graph_modes=()):
     """
     Expand the invariant manifold over a master subspace.
 
@@ -367,12 +362,6 @@ def compute_manifold(system, master, order, style="normal-form",
     graph_modes : sequence of int, optional
         Only for "per-mode": master modes whose reduced-dynamics rows
         are kept full.
-    tol : dict, optional
-        Resonance tolerance, see classify_resonances.
-    on_outer : {"error", "warn"}, optional
-        What to do when an outer resonance is flagged. Defaults to
-        "error" under "normal-form" (the expansion is invalid there)
-        and "warn" otherwise.
 
     Returns
     -------
@@ -381,22 +370,19 @@ def compute_manifold(system, master, order, style="normal-form",
     Raises
     ------
     OuterResonanceError
-        Under on_outer="error" when an eigenvalue sum collides with an
-        eigenvalue outside the master set.
+        Under "normal-form", when an eigenvalue sum collides with an
+        eigenvalue outside the master set: the expansion is invalid
+        there. The other styles warn and continue.
     """
     system = as_first_order(system)
     check_style(style, graph_modes, master.dim)
     order = as_index(order, "order")
     if order < 1:
         raise ValidationError("order must be >= 1")
-    report = classify_resonances(master, order, tol)
-    if on_outer is None:
-        on_outer = "error" if style == "normal-form" else "warn"
-    if on_outer not in ("error", "warn"):
-        raise ValidationError("on_outer must be 'error' or 'warn'")
+    report = classify_resonances(master, order)
     if report.has_outer():
         lines = [ln for ln in report.describe() if "outer" in ln]
-        if on_outer == "error":
+        if style == "normal-form":
             pairs = [(pos, lam) for o in sorted(report.outer)
                      for pos, _, lam in report.outer[o]]
             raise OuterResonanceError(

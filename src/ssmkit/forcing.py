@@ -19,10 +19,12 @@ eigenvalue is near-resonant with ``i <kappa, Omega>`` receive the
 projection ``u_j^H f_kappa``; under "graph" all master modes do.
 
 Near-resonance is decided by the classifier's predicate
-(``cohomology.is_resonant``) with the harmonic as the order-1 sum
-``i <kappa, Omega>``. Harmonics resonant with eigenvalues outside the
-master set cannot be absorbed either way; they are reported as a
-warning because they shrink the validity region in eps.
+(``cohomology.is_resonant``), at its fixed tolerances, with the harmonic
+as the order-1 sum ``i <kappa, Omega>``: the screen agrees with the
+reduced dynamics of any manifold over the same master set, a loaded one
+too. Harmonics resonant with eigenvalues outside the master set cannot
+be absorbed either way; they are reported as a warning because they
+shrink the validity region in eps.
 
 Each block goes through ``cohomology.solve_shifted`` at the shift
 ``i <kappa, Omega>``, on the same route as an autonomous block of the
@@ -83,24 +85,17 @@ class NonAutonomousLeading:
     def s0(self, kappa):
         return self.harmonics[tuple(kappa)]["s0"]
 
-    def _harmonic_sum(self, key, phase, rows=None):
-        phase = np.atleast_1d(np.asarray(phase, dtype=float))
-        out = 0.0
-        for kt in sorted(self.harmonics):
-            vec = self.harmonics[kt][key]
-            vec = vec if rows is None else vec[rows]
-            vec = vec if phase.ndim == 1 else vec[:, None]
-            out = out + vec * np.exp(1j * np.dot(kt, phase))
-        return out
-
     def correction(self, phase, rows=None):
         """Physical deformation shape (real) at a phase vector (K,), or
         (N, n) at the columns of a (K, n) batch; ``rows`` picks states."""
-        return np.real(self._harmonic_sum("x0", phase, rows))
-
-    def reduced(self, phase):
-        """Reduced forcing term at a phase vector (complex M-vector)."""
-        return np.asarray(self._harmonic_sum("s0", phase), dtype=complex)
+        phase = np.atleast_1d(np.asarray(phase, dtype=float))
+        out = 0.0
+        for kt in sorted(self.harmonics):
+            vec = self.harmonics[kt]["x0"]
+            vec = vec if rows is None else vec[rows]
+            vec = vec if phase.ndim == 1 else vec[:, None]
+            out = out + vec * np.exp(1j * np.dot(kt, phase))
+        return np.real(out)
 
     def __repr__(self):
         return ("NonAutonomousLeading(Omega=%s, harmonics=%d, style=%r)"
@@ -118,7 +113,7 @@ def _canonical_kappa(kt):
 
 
 def leading_order(system, master, Omega, style="normal-form",
-                  graph_modes=(), tol=None, resonant_modes=None):
+                  graph_modes=(), resonant_modes=None):
     """
     Solve the order-eps response for every forcing harmonic.
 
@@ -133,10 +128,6 @@ def leading_order(system, master, Omega, style="normal-form",
     graph_modes : sequence of int, optional
         Per-mode style: master modes always projected, each in
         0 .. M - 1.
-    tol : dict, optional
-        Same keys as the resonance classifier ("rel", "slack", "abs").
-        ``analysis.frc_sweep`` passes the tolerance its manifold was
-        classified with (``ResonanceReport.params``).
     resonant_modes : dict, optional
         kappa tuple -> list of master mode indices, replacing the
         classifier decision for those harmonics. Useful to keep a
@@ -157,7 +148,7 @@ def leading_order(system, master, Omega, style="normal-form",
     outer = master.outer_lambdas
     A, B = system.A, system.B
     norm_A, norm_B = system.inf_norms
-    tol = resonance_tolerance(master, tol)
+    tol = resonance_tolerance(master)
 
     overrides = {tuple(k): [int(j) for j in v]
                  for k, v in (resonant_modes or {}).items()}
@@ -230,7 +221,6 @@ def leading_order(system, master, Omega, style="normal-form",
                              for kt, mu in outer_hits],
         "truncation": "response truncated at order eps; terms of order "
                       "eps times reduced amplitude are not included",
-        "params": {key: tol[key] for key in ("rel", "slack", "abs")},
     }
     return NonAutonomousLeading(Omega, harmonics, style, eps=system.eps,
                                 diagnostics=diag)

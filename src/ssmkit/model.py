@@ -88,6 +88,18 @@ def _check_nonsingular(mat, name):
                               "condition estimate %.1e)" % (name, rcond))
 
 
+def finite_eps(eps):
+    """``eps`` as a float, else ValidationError: the forcing amplitude is
+    a finite number, and not a bool read as 0 or 1."""
+    try:
+        value = float(eps)
+    except (TypeError, ValueError):
+        value = np.nan
+    if isinstance(eps, bool) or not np.isfinite(value):
+        raise ValidationError("eps must be a finite number, not %r" % (eps,))
+    return value
+
+
 def _checked_nonlinearity(blocks, name, n):
     """
     The homogeneous pieces of a nonlinearity over ``n`` variables as a
@@ -212,7 +224,8 @@ class MechanicalSystem:
         External forcing harmonics: fext(t) = sum f_kappa exp(i<kappa,
         Omega> t). Must be closed under conjugation.
     eps : float, optional
-        Forcing amplitude parameter, stored separately from the shapes.
+        Forcing amplitude parameter, stored separately from the shapes;
+        finite.
     """
 
     def __init__(self, M, C, K, f_coeffs=None, forcing=None, eps=0.0):
@@ -225,7 +238,7 @@ class MechanicalSystem:
         self.n = n
         self.f_coeffs = _checked_nonlinearity(f_coeffs, "n", n)
         self.forcing = _validate_forcing(forcing, n)
-        self.eps = float(eps)
+        self.eps = finite_eps(eps)
         _check_nonsingular(self.M, "mass matrix M")
 
     @property
@@ -250,7 +263,8 @@ class FirstOrderSystem:
     Attributes
     ----------
     A, B : (N, N) ndarray or sparse
-        Pencil matrices; B must be nonsingular.
+        Pencil matrices; B must be nonsingular. It is judged here unless
+        the pencil is lifted from ``mech``, whose M has been.
     F_coeffs : list of PolyCoeffs
         Homogeneous nonlinearity pieces over the N state variables.
     forcing : list of (kappa tuple, complex vector)
@@ -282,9 +296,11 @@ class FirstOrderSystem:
             self._forcing_vectors[:, col] = vec
         self._harmonics = np.array([kt for kt, _ in self.forcing],
                                    dtype=float).reshape(nharm, self.nfreq)
-        self.eps = float(eps)
+        self.eps = finite_eps(eps)
         self.mech = mech
-        _check_nonsingular(self.B, "pencil matrix B")
+        # B = diag(I, M) is singular exactly when M is, which mech has judged
+        if mech is None:
+            _check_nonsingular(self.B, "pencil matrix B")
 
     @functools.cached_property
     def _second_order(self):

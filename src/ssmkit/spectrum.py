@@ -94,11 +94,6 @@ class MasterSubspace:
     def dim(self):
         return self.lambdas.size
 
-    def pair_representatives(self):
-        """Indices of one member per pair (Im >= 0), plus real modes."""
-        return [i for i in range(self.dim)
-                if self.pairing[i] == i or self.lambdas[i].imag > 0]
-
     def to_dict(self):
         """The subspace's arrays by name: lambdas, outer_lambdas,
         pairing, V and U, themselves, not copies."""

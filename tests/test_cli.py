@@ -243,10 +243,20 @@ def test_bad_inputs_exit_with_code_2(capsys, tmp_path):
                  "--ssm.oder", "3"]) == 2
     assert "unknown config key" in capsys.readouterr().err
 
-    # the lift has no layout to choose
-    assert main(["ssm", "--system.builtin", "chain",
-                 "--first_order.variant", "L1"]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    # the lift has no layout to choose, and the resonance screen no
+    # tolerance or outer-resonance policy: normal form refuses an outer
+    # resonance (exit 4), the other styles warn
+    for flag, value in (("first_order.variant", "L1"),
+                        ("ssm.tol.rel", "0.05"), ("ssm.on_outer", "warn")):
+        assert main(["ssm", "--system.builtin", "chain", "--ssm.output", "",
+                     "--" + flag, value]) == 2
+        assert ("unknown config key %r" % flag) in capsys.readouterr().err
+
+    # eps is set after the model is built, past its constructor
+    for eps in ("NaN", "Infinity", "-Infinity", "abc", "true"):
+        assert main(["model", "--system.builtin", "chain", "--system.n", "3",
+                     "--system.eps", eps]) == 2
+        assert "eps must be a finite number" in capsys.readouterr().err
 
     assert main(["ssm", "--system.builtin", "mars"]) == 2
     assert "unknown builtin" in capsys.readouterr().err
@@ -355,14 +365,15 @@ def _first_forcing(**fields):
     (lambda manifest: json.dumps([manifest]), "root must be a JSON object"),
     (_set("epsilon", "abc"), "field 'epsilon' must be a number, not 'abc'"),
     (_set("epsilon", None), "field 'epsilon' must be a number, not None"),
+    (_set("epsilon", float("nan")), "eps must be a finite number, not nan"),
     (_set("tensors", {"x": "system_f3.txt"}), "has key 'x'"),
     (_first_forcing(real=["a", 0, 0]), "must be lists of numbers"),
     # a conjugate pair at 1.5 used to be stored as the pair at 1
     (lambda manifest: json.dumps(dict(manifest, forcing=[
         dict(entry, kappa=[1.5 * entry["kappa"][0]])
         for entry in manifest["forcing"]])), "label entry must be an integer"),
-], ids=["json", "list-root", "epsilon-abc", "epsilon-null", "tensor-key",
-        "forcing-real", "kappa-1.5"])
+], ids=["json", "list-root", "epsilon-abc", "epsilon-null", "epsilon-nan",
+        "tensor-key", "forcing-real", "kappa-1.5"])
 def test_malformed_manifests_exit_with_code_2(edit, message, capsys,
                                               tmp_path):
     assert main(["model", "--system.builtin", "chain", "--system.n", "3",
@@ -374,6 +385,17 @@ def test_malformed_manifests_exit_with_code_2(edit, message, capsys,
     capsys.readouterr()
     assert main(["model", "--system.manifest", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_an_eps_flag_reaches_the_saved_model(tmp_path):
+    assert main(["model", "--system.builtin", "chain", "--system.n", "3",
+                 "--system.forcing_amplitude", "[1,0,0]", "--system.eps",
+                 "0.1", "--model.output_dir", str(tmp_path / "a")]) == 0
+    assert main(["model", "--system.manifest",
+                 str(tmp_path / "a" / "system.json"), "--system.eps", "0.3",
+                 "--model.output_dir", str(tmp_path / "b")]) == 0
+    manifest = json.loads((tmp_path / "b" / "system.json").read_text())
+    assert manifest["epsilon"] == 0.3
 
 
 def test_empty_samples_exit_with_code_2(capsys, tmp_path):

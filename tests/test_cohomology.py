@@ -166,38 +166,34 @@ def test_classifier_center_pair_flags_all(lorenz_master):
     assert report.inner_at(3) == {(p, j) for p in range(4) for j in range(2)}
 
 
-def test_classifier_tight_tolerance_empty(chain_mode2_master):
-    report = classify_resonances(chain_mode2_master, 5,
-                                 tol={"rel": 1e-12, "slack": 0.0,
-                                      "abs": 1e-14})
-    assert report.inner == {}
-    assert not report.has_outer()
-
-
 def test_classifier_third_harmonic_needs_loose_tolerance():
     chain = oscillator_chain(10, m=1.0, k=1.0, c=0.0, kappa=0.3)
     ms = master_spectrum(chain, select={"mode": "pair", "pair": 1},
                          n_outer=6)
     report = classify_resonances(ms, 3)
     # 3 * omega_1 misses omega_3 by about 2.7 percent, well past the
-    # default relative tolerance
+    # screen's relative tolerance of 1e-3: only a loose tolerance would
+    # flag it, and the screen has none
+    assert cohomology.RESONANCE_REL == 1e-3
     assert not report.has_outer()
     assert len(report.inner_at(3)) == 2
-    loose = classify_resonances(ms, 3, tol={"rel": 0.05})
-    assert loose.has_outer()
 
 
-@pytest.mark.parametrize("tol", [None, {"rel": 0.05},
-                                 {"rel": 1e-6, "slack": 0.0, "abs": 1e-3}])
-def test_classifier_matches_the_scalar_loop(chain10, tol):
-    # reference: the per-monomial loop over Python scalars
-    ms = master_spectrum(chain10, select={"mode": "smallest", "count": 4},
-                         n_outer=6)
-    tol_ = dict(tol or {})
-    rel, slack = tol_.get("rel", 1e-3), tol_.get("slack", 1.0)
+@pytest.mark.parametrize("system, select, n_outer, has_outer", [
+    (oscillator_chain(10, m=1.0, k=1.0, c=0.1, kappa=0.3),
+     {"mode": "smallest", "count": 4}, 6, False),
+    # the order-3 sum 3j sits on the fast pair
+    (twin_rotor(0), [0, 1], 2, True),
+], ids=["chain10", "twin-rotor"])
+def test_classifier_matches_the_scalar_loop(system, select, n_outer,
+                                            has_outer):
+    # reference: the per-monomial loop over Python scalars, at the
+    # screen's documented tolerances
+    ms = master_spectrum(system, select=select, n_outer=n_outer)
+    rel, slack = 1e-3, 1.0
     lam, outer = ms.lambdas, ms.outer_lambdas
     scale = np.abs(np.concatenate([lam, outer])).max()
-    tol_abs = tol_.get("abs", 1e-8 * scale)
+    tol_abs = 1e-8 * scale
     re_span = np.abs(lam.real).max()
 
     def near(lam_l, mu, i):
@@ -206,9 +202,9 @@ def test_classifier_matches_the_scalar_loop(chain10, tol):
                 and abs(lam_l.real - mu.real)
                 <= bound + slack * (i + 1) * re_span)
 
-    report = classify_resonances(ms, 5, tol)
+    report = classify_resonances(ms, 5)
     for i in range(2, 6):
-        tuples = MultiIndexSet(i, 4).tuples()
+        tuples = MultiIndexSet(i, ms.dim).tuples()
         sums = [complex(sum(lam[k] for k in t)) for t in tuples]
         assert report.inner.get(i, []) == [
             (pos, tuples[pos], j) for pos, s in enumerate(sums)
@@ -216,7 +212,7 @@ def test_classifier_matches_the_scalar_loop(chain10, tol):
         assert report.outer.get(i, []) == [
             (pos, tuples[pos], complex(mu)) for pos, s in enumerate(sums)
             for mu in outer if near(s, mu, i)]
-    assert report.has_outer() == (tol == {"rel": 0.05})
+    assert report.has_outer() == has_outer
 
 
 def test_describe_names_modes_one_based(chain_mode2_master):
@@ -283,11 +279,12 @@ STORAGES = pytest.mark.parametrize("conv", [np.asarray, sp.csr_matrix],
 
 @STORAGES
 def test_outer_resonance_warn_continues_when_consistent(conv):
-    # the order-3 block at 3j is exactly singular, dense or sparse
+    # the order-3 block at 3j is exactly singular, dense or sparse; the
+    # graph style warns of the outer resonance and goes on
     ms = master_spectrum(twin_rotor(0), select=[0, 1], n_outer=2)
     with pytest.warns(UserWarning, match="domain of validity"):
         man = compute_manifold(twin_rotor(0, conv), ms, order=3,
-                               on_outer="warn")
+                               style="graph")
     assert man.order == 3
     assert man.W[3].shape == (4, 4)
     rng = np.random.default_rng(1)
@@ -299,10 +296,10 @@ def test_outer_resonance_warn_continues_when_consistent(conv):
 @STORAGES
 def test_inconsistent_singular_block_raises(conv):
     ms = master_spectrum(twin_rotor(2), select=[0, 1], n_outer=2)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="domain of validity"):
         with pytest.raises(NumericalError, match="singular and inconsistent"):
             compute_manifold(twin_rotor(2, conv), ms, order=3,
-                             on_outer="warn")
+                             style="graph")
 
 
 def test_singular_blocks_of_an_embedded_lorenz_stay_sparse(lorenz_master,
@@ -905,8 +902,6 @@ def test_compute_manifold_validates_arguments(lorenz_master):
     with pytest.raises(ValidationError, match="graph mode"):
         compute_manifold(sys, ms, order=2, style="per-mode",
                          graph_modes=(5,))
-    with pytest.raises(ValidationError, match="on_outer"):
-        compute_manifold(sys, ms, order=2, on_outer="maybe")
     # an order or graph mode is an integer, not a float or a bool that
     # would be truncated or read as 1
     for order in (3.0, 2.5, True):

@@ -139,7 +139,7 @@ def test_correction_is_a_real_shape(chain10_forced, chain_mode2_master):
     x0 = nonaut.x0((1,))
     want = 2 * np.real(x0 * np.exp(0.3j))
     assert np.abs(shape - want).max() < 1e-14
-    red = nonaut.reduced([0.3])
+    red = sum(nonaut.s0(kt) * np.exp(0.3j * kt[0]) for kt in nonaut.harmonics)
     assert red.shape == (2,)
 
 

@@ -278,7 +278,13 @@ def test_one_nonsingularity_verdict_for_both_storages(conv):
     # a pivot ratio floored at 1 refused the CSR copy
     eye = np.eye(4)
     before = np.random.get_state()
-    MechanicalSystem(conv(1e-15 * eye), conv(eye), conv(eye))
+    mech = MechanicalSystem(conv(1e-15 * eye), conv(1e-15 * eye), conv(eye))
+    # B = diag(I, M) is singular exactly when M is, so the lift takes
+    # M's verdict; a pencil given without its mechanical model is judged
+    lifted = build_first_order(mech)
+    with pytest.raises(ValidationError, match="pencil matrix B is singular "
+                       "or ill-conditioned"):
+        FirstOrderSystem(lifted.A, lifted.B)
     MechanicalSystem(conv(np.diag([1.0, 2.0, 3.0, 4.0])), conv(eye),
                      conv(eye))
     # the estimate starts from a fixed vector, not numpy's global draws
@@ -291,6 +297,15 @@ def test_one_nonsingularity_verdict_for_both_storages(conv):
         with pytest.raises(ValidationError, match="mass matrix M is singular "
                            "or ill-conditioned"):
             MechanicalSystem(conv(M), conv(eye), conv(eye))
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, "abc", None,
+                                 True])
+def test_non_finite_eps_is_refused(eps):
+    with pytest.raises(ValidationError, match="eps must be a finite number"):
+        oscillator_chain(2, eps=eps)
+    with pytest.raises(ValidationError, match="eps must be a finite number"):
+        FirstOrderSystem(-np.eye(2), np.eye(2), eps=eps)
 
 
 def test_nonlinearity_shape_rejected():
