@@ -54,12 +54,16 @@ calls, not the arithmetic, sets its time. DOP853 is therefore stepped
 in house: the algorithm of scipy's ``solve_ivp(method="DOP853")``,
 whose steps, right-hand sides and rounding it repeats bit for bit,
 without its per-call wrappers and copies. Each of a step attempt's 16
-stages has its own u, a row of one buffer, and the cosines and sines of
-all 16 are copied in at once; a stage then forms its state
-y + (sum_j a_sj K_j) h in place, gathers the monomials, and makes one
-``csr_matvec`` straight into K_s. The state keeps scipy's rounding
-because DOP853's error estimate cancels down to about rtol of the
-stages it combines: the one-product form [1, h a_s] . [y; K_0; ...]
+stages has its own u, a row of one buffer, and the forcing phases of
+all 16 are written into their cosine and sine columns in place, once
+per attempt. One stage loop then runs over tuples built once per call,
+with no Python call of its own: a stage forms its state
+y + (sum_j a_sj K_j) h in place, gathers the monomials, makes one
+``csr_matvec`` straight into K_s and, only for a B that is not
+diagonal, solves with B. The error norm and the dense output go
+through buffers allocated once per call too. The state keeps scipy's
+rounding because DOP853's error estimate cancels down to about rtol of
+the stages it combines: the one-product form [1, h a_s] . [y; K_0; ...]
 saves two calls a stage, but it moved the step sizes of a cubic test
 system by up to 4e-8 relative at rtol 1e-8.
 The trapezoidal path factors only its Newton matrix
@@ -197,6 +201,21 @@ def _count(value, name, least):
     return count
 
 
+def _refuse_bools(value, name):
+    """ValidationError when ``value`` is a bool or holds one: a
+    real-valued argument does not read True as 1.0, as
+    ``model.finite_eps`` refuses a bool eps. An array is judged by its
+    dtype, a scalar or sequence entry by entry."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        bools = value.dtype == bool
+    else:
+        bools = any(isinstance(v, (bool, np.bool_))
+                    for v in np.asarray(value, dtype=object).ravel())
+    if bools:
+        raise ValidationError("%s takes real numbers, not bools; got %r"
+                              % (name, value))
+
+
 def _symmetric_directions(master, n_dirs, seed):
     """Conjugation-invariant random unit directions, columns of (M, n)."""
     rng = np.random.default_rng(seed)
@@ -303,9 +322,14 @@ def _adaptive_rhs(system, Om):
     views of row s's z and of its cosines then sines of ``rates * t``
     (a row of :func:`_trig`), and ``rhs(s, out)`` writes ``B^-1 H u_s =
     B^-1 (A z + F(z) + eps Fext(Om t))`` into ``out``, which must hold
-    zeros: ``csr_matvec`` adds into it. When B has nonzeros only on its
-    diagonal, as every lifted lumped-mass model's, H's rows are divided
-    by that diagonal once and no solve is made; B = I leaves H's bits.
+    zeros: ``csr_matvec`` adds into it. ``rhs.kernel`` is what ``rhs``
+    runs, for :func:`_dop853` to run inline in its stage loop:
+    ``(plans, factors, matrix, solveB)``, with ``plans[s]`` row s and
+    the view of its monomials, ``factors`` the gather table,
+    ``matrix`` the leading arguments of ``csr_matvec`` and ``solveB``
+    None or B's solve. When B has nonzeros only on its diagonal, as
+    every lifted lumped-mass model's, H's rows are divided by that
+    diagonal once and no solve is made; B = I leaves H's bits.
     Each F_j block is ``PolyCoeffs.monomials``, its entries in storage
     order and not folded, so each row of H sums A's entries, then each
     piece's as ``evaluate`` does, then the forcing's.
@@ -354,15 +378,17 @@ def _adaptive_rhs(system, Om):
         solveB = factorize(B)[0]
     U = np.ones((DOP853.n_stages + 4, N + 1 + width + 2 * rates.size))
     plans = [(u, u[N + 1:N + 1 + width]) for u in U]
+    matrix = (N, U.shape[1], indptr, indices, data)
 
     def rhs(s, out):
         u, monomials = plans[s]
         # left to right down each column, as evaluate multiplies
         np.multiply.reduce(u[factors], axis=0, out=monomials)
-        csr_matvec(N, u.size, indptr, indices, data, u, out)
+        csr_matvec(*matrix, u, out)
         if solveB is not None:
             out[:] = solveB(out)
 
+    rhs.kernel = plans, factors, matrix, solveB
     return U[:, :N], U[:, N + 1 + width:], rates, rhs
 
 
@@ -383,12 +409,6 @@ def _norm(x):
     return math.sqrt(x.dot(x))
 
 
-def _square_norm(x):
-    """``np.linalg.norm(x) ** 2`` of a real vector, rounded as that
-    rounds it, without its per-call checks."""
-    return np.sqrt(x.dot(x)) ** 2
-
-
 def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
     """
     DOP853 from t0 to t1 > t0 on the stacked operator, step for step
@@ -397,11 +417,14 @@ def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
     controller, initial step and error norm, and its 7th-degree dense
     output, whose three extra stages run only on steps that hold a time
     of ``t_eval`` (Hairer, Norsett & Wanner, Solving ODEs I, 1993,
-    sections II.4 to II.6). The stage arrays are allocated once; each
-    stage's state ``y + (sum_j a_sj K_j) h`` is formed in place in its
-    own row of the u buffer, rounded as scipy rounds it, and its
-    right-hand side written into K_s; the forcing phases of all 16
-    stages are computed and copied once per step attempt. Returns
+    sections II.4 to II.6). One stage loop runs both a step attempt's
+    stages and the dense output's extra ones, over tuples and buffers
+    built once per call: each stage's state ``y + (sum_j a_sj K_j) h``
+    is formed in place in its own row of the u buffer, rounded as scipy
+    rounds it, and ``rhs.kernel`` of :func:`_adaptive_rhs` is run
+    inline to write its right-hand side into K_s. The forcing phases of
+    all 16 stages are written into their trig columns once per step
+    attempt, and the controller's scalars are Python floats. Returns
     ``(t, z, right-hand sides evaluated)``.
     """
     n = DOP853.n_stages
@@ -414,52 +437,71 @@ def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
     a[n + 1:] = DOP853.A_EXTRA
     c = np.concatenate([DOP853.C, [1.0], DOP853.C_EXTRA])
     exponent = -1.0 / 8.0  # the error estimate's order is 7
-    # stage s forms its state in its own row of the u buffer, weighs
-    # K_0 ... K_(s-1) by a[s, :s] and writes K_s
     states, trigs, rates, rhs = _adaptive_rhs(system, Om)
-    N = z0.size
+    plans, factors, (N, size, indptr, indices, data), solveB = rhs.kernel
     y = np.empty(N)
     K = np.zeros((n + 4, N))
-    stages = [(a[s, :s], K[:s], states[s]) for s in range(n + 4)]
-    ynew = states[n]
+    # stage s weighs K_0 ... K_(s-1) by a[s, :s] into its z, a view of
+    # its u, and writes K_s
+    stages = [(a[s, :s], K[:s], states[s], *plans[s], K[s])
+              for s in range(n + 4)]
+    attempt, extra = stages[1:n + 1], stages[n + 1:]
+    ynew, Kn = states[n], K[:n + 1]
+    # h for the in-place scale; the times t + c h of the 16 stages and
+    # their phases, written into the cosine then sine columns of trigs
+    hh = np.empty(())
+    times, phase = np.empty(n + 4), np.empty((n + 4, rates.size))
+    cos, sin = trigs[:, :rates.size], trigs[:, rates.size:]
+    scale, err, two = np.empty(N), np.empty(N), np.empty(N)
     F = np.empty((7, N))
 
-    def stage(s, h):
-        weights, previous, z = stages[s]
-        np.dot(weights, previous, out=z)
-        np.multiply(z, h, out=z)
-        np.add(z, y, out=z)
-        rhs(s, K[s])
+    def run_stages(group):
+        for weights, previous, z, u, monomials, k in group:
+            np.dot(weights, previous, out=z)
+            np.multiply(z, hh, out=z)
+            np.add(z, y, out=z)
+            # left to right down each column, as evaluate multiplies
+            np.multiply.reduce(u[factors], axis=0, out=monomials)
+            csr_matvec(N, size, indptr, indices, data, u, k)
+            if solveB is not None:
+                k[:] = solveB(k)
+
+    def square_norm(weights):
+        """``np.linalg.norm((weights . K) / scale) ** 2``, rounded as
+        that rounds it."""
+        np.dot(weights, Kn, out=err)
+        np.divide(err, scale, out=err)
+        return math.sqrt(err.dot(err)) ** 2
 
     y[:] = z0
     states[0] = z0
     trigs[0] = _trig(rates, t0)
     rhs(0, K[0])
     # scipy's initial step (Solving ODEs I, section II.4)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(K[0] / scale)
+    scale0 = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale0), _rms(K[0] / scale0)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
     states[1] = y + h0 * K[0]
     trigs[1] = _trig(rates, t0 + h0)
     rhs(1, K[1])
-    d2 = _rms((K[1] - K[0]) / scale) / h0
+    d2 = _rms((K[1] - K[0]) / scale0) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, t1 - t0)
+    h_abs = float(min(100 * h0, h1, t1 - t0))
     nfev = 2
 
     if t_eval is None:
         ts, zs = [t0], [z0.copy()]
     else:
         ts, zs = t_eval, np.empty((t_eval.size, N))
-        times = t_eval.tolist()
+        ends = t_eval.tolist()
         done = 0
     t = t0
     while t < t1:
-        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -469,17 +511,25 @@ def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
                     "10 ulps of t" % t)
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            trigs[:] = _trig(rates, t + c * h)
+            hh[()] = h
+            np.multiply(c, hh, out=times)
+            np.add(times, t, out=times)
+            np.multiply.outer(times, rates, out=phase)
+            np.cos(phase, out=cos)
+            np.sin(phase, out=sin)
             K[1:] = 0.0
-            for s in range(1, n + 1):
-                stage(s, h)
+            run_stages(attempt)
             nfev += n
-            scale = atol + np.maximum(np.abs(y), np.abs(ynew)) * rtol
-            err5 = _square_norm(np.dot(DOP853.E5, K[:n + 1]) / scale)
-            err3 = _square_norm(np.dot(DOP853.E3, K[:n + 1]) / scale)
+            np.abs(y, out=scale)
+            np.abs(ynew, out=err)
+            np.maximum(scale, err, out=scale)
+            np.multiply(scale, rtol, out=scale)
+            np.add(scale, atol, out=scale)
+            err5 = square_norm(DOP853.E5)
+            err3 = square_norm(DOP853.E3)
             error_norm = 0.0
             if err5 != 0 or err3 != 0:
-                error_norm = h * err5 / np.sqrt((err5 + 0.01 * err3) * N)
+                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * N)
             if error_norm < 1:
                 factor = 10.0 if error_norm == 0 else min(
                     10.0, 0.9 * error_norm ** exponent)
@@ -495,22 +545,26 @@ def _dop853(system, Om, z0, t0, t1, t_eval, rtol, atol):
             ts.append(t)
             zs.append(ynew.copy())
         else:
-            upto = bisect.bisect_right(times, t, lo=done)
+            upto = bisect.bisect_right(ends, t, lo=done)
             if upto > done:
-                for s in range(n + 1, n + 4):
-                    stage(s, h)
+                run_stages(extra)
                 nfev += 3
                 np.subtract(ynew, y, out=F[0])
-                np.subtract(h * K[0], F[0], out=F[1])
-                np.subtract(2 * F[0], h * (K[n] + K[0]), out=F[2])
+                np.multiply(K[0], hh, out=F[1])
+                np.subtract(F[1], F[0], out=F[1])
+                np.add(K[n], K[0], out=F[2])
+                np.multiply(F[2], hh, out=F[2])
+                np.multiply(F[0], 2, out=two)
+                np.subtract(two, F[2], out=F[2])
                 np.dot(DOP853.D, K, out=F[3:])
-                F[3:] *= h
+                np.multiply(F[3:], hh, out=F[3:])
                 x = ((t_eval[done:upto] - t_old) / h)[:, None]
+                rest = 1 - x
                 out = zs[done:upto]
                 out[:] = 0.0
                 for i, row in enumerate(F[::-1]):
                     out += row
-                    out *= x if i % 2 == 0 else 1 - x
+                    out *= x if i % 2 == 0 else rest
                 out += y
                 done = upto
         y[:] = ynew
@@ -531,7 +585,8 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
         Start state, real: a complex dtype is accepted when every
         imaginary part is zero.
     t_span : (t0, t1)
-        Finite start and end times, t0 < t1.
+        Finite start and end times, t0 < t1. Neither, nor any entry of
+        Omega or t_eval, nor dt, rtol, atol or newton_tol, may be a bool.
     Omega : float or sequence, optional
         Forcing base frequencies, one per entry of the harmonic labels;
         required when the system is forced with eps != 0.
@@ -611,6 +666,10 @@ def integrate_full(system, z0, t_span, Omega=None, method="adaptive",
     z0 = z0.astype(float)
     if method not in ("adaptive", "trapezoid"):
         raise ValidationError("method must be 'adaptive' or 'trapezoid'")
+    for name, value in (("t_span", t_span), ("Omega", Omega), ("rtol", rtol),
+                        ("atol", atol), ("t_eval", t_eval), ("dt", dt),
+                        ("newton_tol", newton_tol)):
+        _refuse_bools(value, name)
     t0, t1 = (float(t) for t in t_span)
     if not np.isfinite([t0, t1]).all():
         # DOP853 never reaches a NaN end and steps on without end
@@ -732,6 +791,7 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     system : FirstOrderSystem
         Forced, with scalar base frequency.
     Omega : float
+        Positive and finite, not a bool.
     dof : int
         State index in 0..N-1 whose amplitude is reported; a bool or a
         fractional index names no state (``spectrum.state_index``).
@@ -740,7 +800,8 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     n_window : int, optional
         Periods per window (>= 1).
     tol : float, optional
-        Relative agreement of two successive window peaks (> 0).
+        Relative agreement of two successive window peaks (> 0, not a
+        bool).
     z0 : (N,) array_like, optional
         Start state; a good guess (for instance a point predicted by a
         reduced model) shortens the transient and selects among
@@ -754,6 +815,7 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     system = as_first_order(system)
     if not system.forcing or system.eps == 0.0:
         raise ValidationError("steady-state amplitude needs a forced system")
+    _refuse_bools(Omega, "Omega")
     Omega = float(Omega)
     if not 0 < Omega < np.inf:
         # a NaN period would send the integrator into an endless loop
@@ -761,6 +823,7 @@ def steady_state_amplitude(system, Omega, dof, n_transient=300,
     dof = state_index(dof, system.N)
     n_transient = _count(n_transient, "n_transient", 0)
     n_window = _count(n_window, "n_window", 1)
+    _refuse_bools(tol, "tol")
     if not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValidationError("tol must be positive, got %r" % (tol,))
     T = 2.0 * np.pi / Omega

@@ -272,28 +272,59 @@ def _trapezoid(max_newton):
 
 
 # each input used to be truncated, taken as an int or left to raise
-# TypeError or a stalled iteration
-@pytest.mark.parametrize("name, call", [
-    ("a harmonic label entry", lambda man, forced: _with_label([1.5])),
-    ("a harmonic label entry", lambda man, forced: _with_label([True])),
-    ("seed", lambda man, forced: invariance_residual(man, SPEC_RADII,
-                                                     n_dirs=2, seed=True)),
-    ("seed", lambda man, forced: invariance_residual(man, SPEC_RADII,
-                                                     n_dirs=2, seed=2.5)),
-    ("n_dirs", lambda man, forced: invariance_residual(man, SPEC_RADII,
-                                                       n_dirs=True)),
-    ("n_transient", lambda man, forced: steady_state_amplitude(
-        forced, 0.6, 4, n_transient=False)),
-    ("n_window", lambda man, forced: steady_state_amplitude(
-        forced, 0.6, 4, n_window=True)),
-    ("max_newton", lambda man, forced: _trapezoid(2.5)),
-    ("max_newton", lambda man, forced: _trapezoid(0)),
+# TypeError or a stalled iteration; a real-valued one read True as 1.0
+# and ran (steady_state_amplitude at Omega = True gave 0.0891, and
+# t_span = (False, True) integrated to t = 1)
+@pytest.mark.parametrize("match, call", [
+    ("a harmonic label entry must be an integer",
+     lambda man, forced: _with_label([1.5])),
+    ("a harmonic label entry must be an integer",
+     lambda man, forced: _with_label([True])),
+    ("seed must be an integer", lambda man, forced: invariance_residual(
+        man, SPEC_RADII, n_dirs=2, seed=True)),
+    ("seed must be an integer", lambda man, forced: invariance_residual(
+        man, SPEC_RADII, n_dirs=2, seed=2.5)),
+    ("n_dirs must be an integer", lambda man, forced: invariance_residual(
+        man, SPEC_RADII, n_dirs=True)),
+    ("n_transient must be an integer", lambda man, forced:
+     steady_state_amplitude(forced, 0.6, 4, n_transient=False)),
+    ("n_window must be an integer", lambda man, forced:
+     steady_state_amplitude(forced, 0.6, 4, n_window=True)),
+    ("max_newton must be an integer", lambda man, forced: _trapezoid(2.5)),
+    ("max_newton must be an integer", lambda man, forced: _trapezoid(0)),
+    ("t_span takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (False, True), Omega=0.6)),
+    ("t_span takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (0.0, np.True_), Omega=0.6)),
+    ("Omega takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (0.0, 1.0), Omega=True)),
+    ("Omega takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (0.0, 1.0), Omega=np.array([True]))),
+    ("rtol takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (0.0, 1.0), Omega=0.6, rtol=True)),
+    ("atol takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (0.0, 1.0), Omega=0.6, atol=True)),
+    ("dt takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (0.0, 1.0), Omega=0.6, method="trapezoid",
+        dt=True)),
+    ("t_eval takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (0.0, 1.0), Omega=0.6, t_eval=[0.5, True])),
+    ("newton_tol takes real numbers", lambda man, forced: integrate_full(
+        forced, np.zeros(20), (0.0, 1.0), Omega=0.6, method="trapezoid",
+        dt=0.5, newton_tol=True)),
+    ("Omega takes real numbers", lambda man, forced:
+     steady_state_amplitude(forced, True, 4)),
+    ("tol takes real numbers", lambda man, forced:
+     steady_state_amplitude(forced, 0.6, 4, tol=True)),
 ], ids=["label-1.5", "label-True", "seed-True", "seed-2.5", "n_dirs-True",
         "n_transient-False", "n_window-True", "max_newton-2.5",
-        "max_newton-0"])
-def test_counts_and_labels_take_integers_only(name, call, chain_mode2_man5,
+        "max_newton-0", "t_span-bools", "t_span-numpy-True", "Omega-True",
+        "Omega-array-True", "rtol-True", "atol-True", "dt-True",
+        "t_eval-True", "newton_tol-True", "steady-Omega-True",
+        "steady-tol-True"])
+def test_counts_and_labels_take_integers_only(match, call, chain_mode2_man5,
                                               chain10_forced):
-    with pytest.raises(ValidationError, match="%s must be an integer" % name):
+    with pytest.raises(ValidationError, match=match):
         call(chain_mode2_man5, chain10_forced)
 
 
@@ -434,6 +465,30 @@ def test_adaptive_takes_scipys_steps(case, chain10_forced):
     assert got["t"].shape == ref.t.shape and got["z"].shape == ref.y.shape
     assert np.abs(got["t"] - ref.t).max() <= 1e-12 * t_span[1]
     assert np.abs(got["z"] - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+
+
+def test_adaptive_integration_does_not_depend_on_earlier_calls(
+        chain10_forced):
+    # every buffer a step touches is allocated per call: a run between
+    # two identical ones, on another model with a general B and two
+    # frequencies, must leave the second with the bits of the first
+    Omega = 0.6158
+    t_end = 3 * 2.0 * np.pi / Omega
+    t_eval = np.linspace(0.0, t_end, 97)
+    z0 = np.random.default_rng(6).normal(size=20) * 0.1
+
+    def chain():
+        return integrate_full(chain10_forced, z0, (0.0, t_end), Omega=Omega,
+                              t_eval=t_eval)
+
+    first = chain()
+    other = integrate_full(_quadratic_cubic_system(True, "dense"),
+                           np.random.default_rng(13).normal(size=8) * 0.01,
+                           (0.0, 0.25), Omega=[0.7, 1.3])
+    assert np.isfinite(other["z"]).all()
+    second = chain()
+    assert first["rhs_evaluations"] == second["rhs_evaluations"]
+    assert np.array_equal(first["z"], second["z"])
 
 
 def test_adaptive_blow_up_raises():
